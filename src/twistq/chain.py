@@ -172,16 +172,18 @@ def boundary(spec, c):
 
 
 def _boundary_polys(x, n, variant):
-    """Boundary matrix of degree n over the Laurent ring, as a dict
-    {(target_tuple, source_tuple): {t_exponent: int}}."""
-    polys = {}
+    """Boundary matrix of degree n over the Laurent ring, one source
+    tuple at a time (so it is never held whole): yields
+    ((target_tuple, source_tuple), {t_exponent: int})."""
     for src in basis_tuples(x, n, variant):
+        polys = {}
         for tup, texp, sign in _boundary_terms(x, src):
             if variant == "TQ" and is_degenerate(tup):
                 continue
-            p = polys.setdefault((tup, src), {})
+            p = polys.setdefault(tup, {})
             p[texp] = p.get(texp, 0) + sign
-    return polys
+        for tup, p in polys.items():
+            yield (tup, src), p
 
 
 def _poly_block(ring, poly, companion, cpow_cache):
@@ -209,7 +211,7 @@ def _matrix_from_polys(ring, polys, target_basis, source_basis):
     M = IntMatrix(len(target_basis) * d, len(source_basis) * d)
     comp = ring.companion_matrix()
     cache = {0: IntMatrix.identity(d)}
-    for (tgt, src), poly in polys.items():
+    for (tgt, src), poly in polys:
         if not any(poly.values()):
             # fully cancelled entry; its target may even lie outside the
             # variant's basis (boundaries of degenerate tuples)
@@ -266,15 +268,14 @@ def delta_matrix(spec):
         return IntMatrix(len(tgt) * spec.ring.degree,
                          len(src) * spec.ring.degree)
     sign = 1 if n % 2 else -1
-    polys = {}
-    for (low, high), poly in _boundary_polys(spec.x, n + 1, spec.variant).items():
-        polys[(high, low)] = {e: sign * c for e, c in poly.items()}
+    polys = (((high, low), {e: sign * c for e, c in poly.items()})
+             for (low, high), poly in _boundary_polys(spec.x, n + 1,
+                                                      spec.variant))
     return _matrix_from_polys(spec.ring, polys, tgt, src)
 
 
 def _vector(spec, fs, n=None):
     basis = basis_tuples(spec.x, spec.degree if n is None else n, spec.variant)
-    d = spec.ring.degree
     vec = []
     for t in basis:
         vec.extend(fs(t))
@@ -300,26 +301,9 @@ def _from_vector(spec, vec, n, cls):
 
 def homology(spec):
     """Degree-n twisted homology as a ModuleInfo."""
-    n = spec.degree
-    d_out = boundary_matrix(spec)
-    d_in = boundary_matrix(replace(spec, degree=n + 1))
     return homology_segment(
-        d_in, d_out, relations_matrix(spec), t_matrix(spec),
-        target_relations=relations_matrix(replace(spec, degree=max(n - 1, 0)))
-        if n >= 1 else IntMatrix(d_out.rows, 0))
-
-
-def _cocycle_lattice(spec):
-    from .exactlin import kernel_basis, lattice_basis
-    d_out = delta_matrix(spec)
-    up = replace(spec, degree=spec.degree + 1)
-    target_rel = relations_matrix(up)
-    if d_out.rows == 0:
-        r = d_out.cols
-        return IntMatrix.identity(r).columns()
-    ext = d_out.hstack(target_rel)
-    proj = [col[:d_out.cols] for col in kernel_basis(ext)]
-    return lattice_basis(proj, d_out.cols)
+        boundary_matrix(replace(spec, degree=spec.degree + 1)),
+        boundary_matrix(spec), relations_matrix(spec), t_matrix(spec))
 
 
 def cohomology(spec):
@@ -331,15 +315,9 @@ def cohomology(spec):
         d_in = IntMatrix(d_out.cols, 0)
     else:
         d_in = delta_matrix(replace(spec, degree=n - 1))
-    info = homology_segment(
-        d_in, d_out, relations_matrix(spec), t_matrix(spec),
-        target_relations=relations_matrix(replace(spec, degree=n + 1)))
-    gens = []
-    for col in _cocycle_lattice(spec):
-        f = _from_vector(spec, col, n, Cochain)
-        if not f.is_zero():
-            gens.append(f)
-    return info, gens
+    info = homology_segment(d_in, d_out, relations_matrix(spec),
+                            t_matrix(spec), cycles=True)
+    return info, [_from_vector(spec, z, n, Cochain) for z in info.cycles]
 
 
 def delta(spec, f):
@@ -388,7 +366,8 @@ def is_coboundary(spec, f):
     if x is None:
         return None
     g = _from_vector(low, x, n - 1, Cochain)
-    assert delta(low, g) == f
+    if delta(low, g) != f:
+        raise RuntimeError("the solver returned a wrong primitive")
     return g
 
 

@@ -27,7 +27,7 @@ __all__ = [
     "lift_h1",
 ]
 
-_MAX_SECTION_SEARCH = int(6561)
+_MAX_SECTION_SEARCH = 6561
 
 
 class CocycleError(ValueError):
@@ -346,19 +346,16 @@ def lift_h1(x, ring, seeds):
     def assign(key, v):
         v = ring.reduce(v)
         old = table.get(key)
-        if old is not None:
-            if old != v:
-                raise CocycleError("inconsistent value forced at %r" % (key,))
-            return False
-        table[key] = v
-        return True
+        if old is None:
+            table[key] = v
+        elif old != v:
+            raise CocycleError("inconsistent value forced at %r" % (key,))
 
     for key in itertools.product(range(x.size), repeat=n1):
         if is_degenerate(key):
             assign(key, ring.zero())
     for key, v in seeds.items():
-        if not assign(tuple(key), ring.reduce(v)):
-            pass
+        assign(tuple(key), ring.reduce(v))
 
     changed = True
     while changed:

@@ -1,10 +1,22 @@
-"""Exact integer linear algebra: Smith normal form and homology of
-finitely presented abelian groups.
+"""Exact linear algebra over Z and Z/n: one factorization per matrix.
+
+A matrix M is factored once as U M V == D over Z/n (over Z for n = 0),
+with D zero except at one entry in each of some rows and columns.  A
+sparse elimination does almost all of the work: column dicts hold the
+matrix, entries are reduced mod n so that they cannot grow, and every
+pivot is a unit of Z/n (+-1 over Z).  The block of non-units that it
+leaves goes to the dense Smith normal form (Dumas, Saunders and
+Villard, J. Symbolic Comput. 32 (2001)).  U and V are kept as the lists
+of elementary operations that built them, so applying either of them,
+or its inverse, to a vector is one pass over a list.  Kernels, solves
+and homology all read the one factorization.
 
 Matrices carry explicit shape so that zero-row / zero-column maps at the
 ends of a chain complex stay well defined.  Everything is plain Python
 integers, so nothing overflows.
 """
+
+import math
 
 __all__ = [
     "IntMatrix",
@@ -60,17 +72,8 @@ class IntMatrix:
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def copy(self):
         return IntMatrix(self.rows, self.cols, self.data)
-
-    def hstack(self, other):
-        if other.rows != self.rows:
-            raise ValueError("row count mismatch")
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         [a + b for a, b in zip(self.data, other.data)])
 
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
@@ -104,60 +107,85 @@ class IntMatrix:
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
 
 
-def _snf_full(M):
-    """Return (D, U, V, Uinv, Vinv) with U @ M @ V == D in Smith form.
+# -- elementary operations ---------------------------------------------------
+#
+# An operation acts on a vector x in place: (i, j, q) adds q * x[j] to
+# x[i], (i, j) swaps x[i] and x[j], (i,) negates x[i].  A list of them,
+# [E_1, ..., E_k], stands for the product E_k ... E_1.
 
-    Pivot choice is deterministic: the nonzero entry of least magnitude
-    in the remaining block, ties broken in row-major order.
+def _apply(ops, x, n):
+    """x <- E_k ... E_1 x; entries that change are reduced mod n."""
+    for op in ops:
+        if len(op) == 3:
+            i, j, q = op
+            x[i] = (x[i] + q * x[j]) % n if n else x[i] + q * x[j]
+        elif len(op) == 2:
+            i, j = op
+            x[i], x[j] = x[j], x[i]
+        else:
+            x[op[0]] = -x[op[0]] % n if n else -x[op[0]]
+    return x
+
+
+def _unapply(ops, x, n):
+    """x <- E_1^-1 ... E_k^-1 x, the inverse of _apply."""
+    for op in reversed(ops):
+        if len(op) == 3:
+            i, j, q = op
+            x[i] = (x[i] - q * x[j]) % n if n else x[i] - q * x[j]
+        elif len(op) == 2:
+            i, j = op
+            x[i], x[j] = x[j], x[i]
+        else:
+            x[op[0]] = -x[op[0]] % n if n else -x[op[0]]
+    return x
+
+
+def _unit_vector(size, i):
+    x = [0] * size
+    x[i] = 1
+    return x
+
+
+def _smith(A):
+    """Bring the dense list of rows A to Smith normal form in place.
+
+    Returns the operation lists (rows, cols) of U and of V^-1, so that
+    U @ A @ V is the final A.  Pivot choice is deterministic: the nonzero
+    entry of least magnitude in the remaining block, ties broken in
+    row-major order.
     """
-    A = [row[:] for row in M.data]
-    n, m = M.rows, M.cols
-    U = IntMatrix.identity(n)
-    Ui = IntMatrix.identity(n)
-    V = IntMatrix.identity(m)
-    Vi = IntMatrix.identity(m)
+    n = len(A)
+    m = len(A[0]) if A else 0
+    rows, cols = [], []
 
     def row_swap(i, j):
-        if i == j:
-            return
-        A[i], A[j] = A[j], A[i]
-        U.data[i], U.data[j] = U.data[j], U.data[i]
-        for r in Ui.data:  # inverse: swap columns
-            r[i], r[j] = r[j], r[i]
+        if i != j:
+            A[i], A[j] = A[j], A[i]
+            rows.append((i, j))
 
     def col_swap(i, j):
-        if i == j:
-            return
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V.data:
-            r[i], r[j] = r[j], r[i]
-        Vi.data[i], Vi.data[j] = Vi.data[j], Vi.data[i]
+        if i != j:
+            for r in A:
+                r[i], r[j] = r[j], r[i]
+            cols.append((i, j))
 
     def row_add(i, j, q):
-        # row_i += q * row_j; inverse column op on Ui: col_j -= q * col_i
-        if q == 0:
-            return
-        A[i] = [a + q * b for a, b in zip(A[i], A[j])]
-        U.data[i] = [a + q * b for a, b in zip(U.data[i], U.data[j])]
-        for r in Ui.data:
-            r[j] -= q * r[i]
+        # row_i += q * row_j
+        if q:
+            A[i] = [a + q * b for a, b in zip(A[i], A[j])]
+            rows.append((i, j, q))
 
     def col_add(i, j, q):
-        # col_i += q * col_j
-        if q == 0:
-            return
-        for r in A:
-            r[i] += q * r[j]
-        for r in V.data:
-            r[i] += q * r[j]
-        Vi.data[j] = [a - q * b for a, b in zip(Vi.data[j], Vi.data[i])]
+        # col_i += q * col_j; V^-1 takes x[j] -= q * x[i]
+        if q:
+            for r in A:
+                r[i] += q * r[j]
+            cols.append((j, i, -q))
 
     def row_negate(i):
         A[i] = [-a for a in A[i]]
-        U.data[i] = [-a for a in U.data[i]]
-        for r in Ui.data:
-            r[i] = -r[i]
+        rows.append((i,))
 
     def find_pivot(t):
         best = None
@@ -231,40 +259,159 @@ def _snf_full(M):
                 fix_pair(i)
                 changed = True
 
-    return IntMatrix(n, m, A), U, V, Ui, Vi
+    return rows, cols
 
 
 def smith_normal_form(M):
     """Smith normal form: returns (D, U, V) with U @ M @ V == D."""
-    D, U, V, _, _ = _snf_full(M)
-    return D, U, V
+    A = [row[:] for row in M.data]
+    rows, cols = _smith(A)
+    U = IntMatrix.from_columns(
+        [_apply(rows, _unit_vector(M.rows, k), 0) for k in range(M.rows)],
+        M.rows)
+    V = IntMatrix.from_columns(
+        [_unapply(cols, _unit_vector(M.cols, k), 0) for k in range(M.cols)],
+        M.cols)
+    return IntMatrix(M.rows, M.cols, A), U, V
+
+
+# -- the factorization -------------------------------------------------------
+
+def _columns(M, n):
+    """The columns of M as {row: entry} dicts, entries reduced mod n."""
+    cols = [{} for _ in range(M.cols)]
+    for i, row in enumerate(M.data):
+        for j, v in enumerate(row):
+            if n:
+                v %= n
+            if v:
+                cols[j][i] = v
+    return cols
+
+
+class _Factored:
+    """U M V == D over Z/n (n = 0: over Z), for M given by its column
+    dicts (consumed) and row count.
+
+    diag: [(row, col, d)], the nonzero entries of D, unit pivots first,
+        then the diagonal of the non-unit block in Smith order.
+    rows: the operations of U, kept when keep_u (else empty);
+    cols: the operations of V^-1, kept when keep_v (else empty).  A
+        kernel needs only V and a cokernel only U, and the lists are the
+        bulk of the memory a factorization holds.
+    core_cols: the tail of `cols` from the non-unit block.  The unit
+        pivots' operations change only coordinates of pivot columns, so
+        on every other coordinate V^-1 acts as core_cols alone.
+    """
+
+    def __init__(self, cols, nrows, n, keep_u=True, keep_v=True):
+        self.n = n
+        self.diag, self.rows, self.cols = [], [], []
+        # entries per row; a count, not the set of columns, which would
+        # cost more memory than the matrix
+        weight = [0] * nrows
+        for col in cols:
+            for i in col:
+                weight[i] += 1
+        active = {j for j, col in enumerate(cols) if col}
+        while True:
+            piv = self._pivot(cols, weight, active)
+            if piv is None:
+                break
+            i, j, inv = piv
+            col = cols[j]
+            cols[j] = None
+            active.discard(j)
+            for i2 in col:
+                weight[i2] -= 1
+            self.diag.append((i, j, col[i]))
+            # row ops clear the pivot column; they touch nothing else
+            if keep_u:
+                for i2, v in col.items():
+                    if i2 != i:
+                        q = -v * inv
+                        self.rows.append((i2, i, q % n if n else q))
+            # column ops clear the pivot row: the Schur complement
+            for j2 in sorted(j2 for j2 in active if i in cols[j2]):
+                c2 = cols[j2]
+                f = c2[i] * inv
+                if n:
+                    f %= n
+                if keep_v:
+                    self.cols.append((j, j2, f))
+                for i2, v in col.items():
+                    w = c2.get(i2, 0) - f * v
+                    if n:
+                        w %= n
+                    if w:
+                        if i2 not in c2:
+                            weight[i2] += 1
+                        c2[i2] = w
+                    elif i2 in c2:
+                        del c2[i2]
+                        weight[i2] -= 1
+                if not c2:
+                    active.discard(j2)
+                    cols[j2] = None
+
+        # the block of non-units left over
+        core_rows = sorted({i for j in active for i in cols[j]})
+        core_cols = sorted(active)
+        A = [[cols[j].get(i, 0) for j in core_cols] for i in core_rows]
+        rows, ops = _smith(A)
+        if keep_u:
+            self.rows.extend(_relabel(rows, core_rows))
+        self.core_cols = _relabel(ops, core_cols) if keep_v else []
+        self.cols.extend(self.core_cols)
+        for t in range(min(len(core_rows), len(core_cols))):
+            d = A[t][t] % n if n else A[t][t]
+            if d:
+                self.diag.append((core_rows[t], core_cols[t], d))
+
+    def _pivot(self, cols, weight, active):
+        """(row, col, inverse) of a unit entry in the sparsest column that
+        has one, in its sparsest row; None when no unit is left."""
+        n = self.n
+        best, best_len = None, None
+        for j in active:
+            col = cols[j]
+            if best is not None and len(col) >= best_len:
+                continue
+            rows = [i for i, a in col.items()
+                    if (math.gcd(a, n) == 1 if n else a in (1, -1))]
+            if rows:
+                best = (min(rows, key=weight.__getitem__), j)
+                best_len = len(col)
+                if best_len == 1:
+                    break
+        if best is None:
+            return None
+        i, j = best
+        a = cols[j][i]
+        return i, j, pow(a, -1, n) if n else a
+
+
+def _relabel(ops, names):
+    return [tuple(names[k] for k in op[:2]) + op[2:] if len(op) == 3
+            else tuple(names[k] for k in op) for op in ops]
+
+
+def _image(cols, x, n):
+    """M x for M given by its column dicts and x as {col: value}; the
+    result as {row: value} without zero entries."""
+    out = {}
+    for j, v in x.items():
+        for i, a in cols[j].items():
+            out[i] = out.get(i, 0) + a * v
+    return {i: v for i, v in out.items() if (v % n if n else v)}
 
 
 def kernel_basis(M):
     """Basis columns of the integer kernel {x : M @ x == 0}."""
-    D, _, V, _, _ = _snf_full(M)
-    out = []
-    for j in range(M.cols):
-        if j >= M.rows or D.data[j][j] == 0:
-            out.append(V.column(j))
-    return out
-
-
-def _solve_z(M, b):
-    """One integer solution of M @ x == b, or None (free choices are 0)."""
-    D, U, V, _, _ = _snf_full(M)
-    c = U @ b
-    y = [0] * M.cols
-    for i in range(M.rows):
-        d = D.data[i][i] if i < M.cols else 0
-        if d == 0:
-            if c[i]:
-                return None
-        else:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-    return V @ y
+    f = _Factored(_columns(M, 0), M.rows, 0)
+    taken = {j for _, j, _ in f.diag}
+    return [_unapply(f.cols, _unit_vector(M.cols, j), 0)
+            for j in range(M.cols) if j not in taken]
 
 
 def solve_linear(M, b, modulus=0):
@@ -274,27 +421,32 @@ def solve_linear(M, b, modulus=0):
     mod-n solutions are reduced to canonical residues, so the result is
     deterministic.
     """
-    if modulus == 0:
-        return _solve_z(M, b)
-    ext = M.hstack(IntMatrix.scalar(M.rows, modulus))
-    x = _solve_z(ext, b)
-    if x is None:
+    n = modulus
+    if len(b) != M.rows:
+        raise ValueError("vector length mismatch")
+    f = _Factored(_columns(M, n), M.rows, n)
+    c = _apply(f.rows, [v % n if n else v for v in b], n)
+    w = [0] * M.cols
+    for i, j, d in f.diag:
+        g = math.gcd(d, n)
+        if c[i] % g:
+            return None
+        w[j] = (c[i] // g * pow(d // g, -1, n // g)) if n else c[i] // d
+        c[i] = 0
+    if any(c):
         return None
-    return [v % modulus for v in x[:M.cols]]
+    x = _unapply(f.cols, w, n)
+    return [v % n for v in x] if n else x
 
 
 def lattice_basis(cols, dim):
     """Basis of the lattice in Z^dim spanned by the given columns."""
     if not cols:
         return []
-    P = IntMatrix.from_columns(cols, dim)
-    D, _, _, Ui, _ = _snf_full(P)
-    out = []
-    for j in range(min(P.rows, P.cols)):
-        d = D.data[j][j]
-        if d:
-            out.append([d * Ui.data[i][j] for i in range(dim)])
-    return out
+    f = _Factored(_columns(IntMatrix.from_columns(cols, dim), 0), dim, 0)
+    # the columns of M V for the pivots are d * U^-1 e_row
+    return [[d * v for v in _unapply(f.rows, _unit_vector(dim, i), 0)]
+            for i, _, d in f.diag]
 
 
 class ModuleInfo:
@@ -306,12 +458,14 @@ class ModuleInfo:
     chain coordinates) mapping to the summand generators.
     t_action: matrix of the T-action in the generator basis, entries
     reduced modulo the row's invariant factor.
+    cycles: generators of the whole cycle group, when asked for.
     """
 
-    def __init__(self, invariant_factors, generators, t_action):
+    def __init__(self, invariant_factors, generators, t_action, cycles=()):
         self.invariant_factors = tuple(invariant_factors)
         self.generators = [list(g) for g in generators]
         self.t_action = [list(r) for r in t_action]
+        self.cycles = [list(z) for z in cycles]
 
     def is_trivial(self):
         return not self.invariant_factors
@@ -334,85 +488,99 @@ class ModuleInfo:
         return "ModuleInfo(%s)" % self.describe()
 
 
-def _detect_scalar_relations(rel):
-    if rel.cols == 0:
+def _modulus(relations):
+    """n for relations presenting Z^r / n Z^r: n * identity, or no
+    columns for n = 0."""
+    if relations.cols == 0:
         return 0
-    if rel.rows == rel.cols:
-        c = rel.data[0][0]
-        if rel == IntMatrix.scalar(rel.rows, c):
-            return c
-    return None
+    c = relations.data[0][0]
+    if relations != IntMatrix.scalar(relations.rows, c):
+        raise ValueError("relations must be n * identity or have no columns")
+    return abs(c)
 
 
-def homology_segment(d_in, d_out, relations, t_mat, target_relations=None):
-    """Homology ker(d_out) / im(d_in) of a segment of free Z-modules.
+def homology_segment(d_in, d_out, relations, t_mat, cycles=False):
+    """Homology ker(d_out) / im(d_in) of a segment of free Z_n-modules.
 
-    The middle group is Z^r modulo the columns of `relations`; the target
-    is Z^{r'} modulo `target_relations` (defaulting to the same scalar
-    relations when `relations` is c * identity).  `t_mat` is the T-action
-    on the middle coordinates.
+    `relations` is n * identity for Z_n coefficients, or has no columns
+    for Z; the same n applies to the target of d_out.  `t_mat` is the
+    T-action on the middle coordinates.  With cycles=True the result
+    also lists generators of the whole cycle group ker(d_out).
     """
     r = d_out.cols
     if d_in.rows != r or relations.rows != r:
         raise ValueError("middle rank mismatch")
-    if target_relations is None:
-        c = _detect_scalar_relations(relations)
-        if c is None:
-            raise ValueError("target_relations required for non-scalar relations")
-        target_relations = (IntMatrix(d_out.rows, 0) if c == 0
-                            else IntMatrix.scalar(d_out.rows, c))
+    n = _modulus(relations)
 
-    # d_out . d_in must vanish modulo the target relations
-    comp = d_out @ d_in
-    for j in range(comp.cols):
-        col = comp.column(j)
-        if target_relations.cols == 0:
-            ok = all(v == 0 for v in col)
-        else:
-            ok = _solve_z(target_relations, col) is not None
-        if not ok:
+    # cycles: for each column j of D (entry d, or none), V e_j times
+    # n / gcd(d, n) spans the cycles in that direction; a cycle's
+    # coordinate there is read off V^-1 x
+    out_cols = _columns(d_out, n)
+    cyc = _Factored([dict(c) for c in out_cols], d_out.rows, n, keep_u=False)
+    d_of = {j: d for _, j, d in cyc.diag}
+    kernel = []  # (column, scale, order): scale * V e_column has this order
+    for j in range(r):
+        g = math.gcd(d_of.get(j, 0), n)
+        if g != 1 and (n or not g):
+            kernel.append((j, n // g if n else 1, g))
+    where = {j: t for t, (j, _, _) in enumerate(kernel)}
+
+    def coordinates(x):
+        """Cycle coordinates of the cycle x ({row: value})."""
+        if cyc.core_cols:
+            y = [0] * r
+            for i, v in x.items():
+                y[i] = v
+            x = dict(enumerate(_apply(cyc.core_cols, y, n)))
+        out = {}
+        for i, v in x.items():
+            t = where.get(i)
+            if t is not None:
+                c = (v % n) // kernel[t][1] if n else v
+                if c:
+                    out[t] = c
+        return out
+
+    def chain_vector(c):
+        """The chain of the cycle with coordinates c (a list)."""
+        w = [0] * r
+        for (j, scale, _), v in zip(kernel, c):
+            w[j] = v * scale
+        x = _unapply(cyc.cols, w, n)
+        return [v % n for v in x] if n else x
+
+    # boundaries and the orders of the cycle generators, in cycle
+    # coordinates; its cokernel is the homology
+    rel = []
+    for j, col in enumerate(_columns(d_in, n)):
+        if _image(out_cols, col, n):
             raise NotAComplexError("d_out . d_in != 0 at column %d" % j)
+        rel.append(coordinates(col))
+    rel.extend({t: g} for t, (_, _, g) in enumerate(kernel) if 1 < g < n)
+    hom = _Factored(rel, len(kernel), n, keep_v=False)
 
-    # cycle lattice K = {x in Z^r : d_out x lies in the target relation lattice}
-    if d_out.rows == 0:
-        kbasis = IntMatrix.identity(r).columns()
-    else:
-        ext = d_out.hstack(target_relations)
-        proj = [col[:r] for col in kernel_basis(ext)]
-        kbasis = lattice_basis(proj, r)
-    K = IntMatrix.from_columns(kbasis, r)
+    # summands: the non-unit pivots of the Smith block in order, then
+    # the free directions; factor 1 summands vanish
+    pivot_rows = {i for i, _, _ in hom.diag}
+    summands = [(i, g) for i, _, d in hom.diag if (g := math.gcd(d, n)) != 1]
+    summands.extend((t, n) for t in range(len(kernel)) if t not in pivot_rows)
 
-    # boundaries and relations, in cycle coordinates
-    B = d_in.hstack(relations)
-    ycols = []
-    for j in range(B.cols):
-        y = _solve_z(K, B.column(j))
-        if y is None:
-            raise NotAComplexError("boundary column %d is not a cycle" % j)
-        ycols.append(y)
-    Y = IntMatrix.from_columns(ycols, K.cols) if ycols else IntMatrix(K.cols, 0)
-
-    D, U, _, Ui, _ = _snf_full(Y)
-    factors, gens = [], []
-    for i in range(K.cols):
-        d = D.data[i][i] if i < min(Y.rows, Y.cols) else 0
-        if d == 1:
-            continue
-        factors.append(d)
-        gens.append(K @ Ui.column(i))
-    # SNF emits 1s first and 0s last, so `factors` is already a chain
-
-    kept = [i for i in range(K.cols)
-            if (D.data[i][i] if i < min(Y.rows, Y.cols) else 0) != 1]
-    t_action = [[0] * len(kept) for _ in range(len(kept))]
+    factors = [g for _, g in summands]
+    gens = [chain_vector(_unapply(hom.rows, _unit_vector(len(kernel), t), n))
+            for t, _ in summands]
+    t_action = [[0] * len(gens) for _ in gens]
     for col, g in enumerate(gens):
         v = t_mat @ g
-        c = _solve_z(K, v)
-        if c is None:
+        tv = {i: x for i, x in enumerate(v) if (x % n if n else x)}
+        if _image(out_cols, tv, n):
             raise NotAComplexError("T-action does not preserve cycles")
-        s = U @ c
-        for row, i in enumerate(kept):
-            d = factors[row]
-            t_action[row][col] = s[i] % d if d else s[i]
+        s = [0] * len(kernel)
+        for t, x in coordinates(tv).items():
+            s[t] = x
+        _apply(hom.rows, s, n)
+        for row, (t, d) in enumerate(summands):
+            t_action[row][col] = s[t] % d if d else s[t]
 
-    return ModuleInfo(factors, gens, t_action)
+    basis = ([chain_vector(_unit_vector(len(kernel), t))
+              for t in range(len(kernel))] if cycles else [])
+    return ModuleInfo(factors, gens, t_action, basis)

@@ -1,0 +1,39 @@
+"""The benchmark harness in bench/ still sets up and checks its cases."""
+
+import os
+import sys
+
+import pytest
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench")
+LIGHT = ["h-R3-TQ2-Z3", "h-A4-TQ3-F4", "c-R3-TQ3-Z", "s-R3-3-Z",
+         "s-X9-2-Z3-noncoboundary"]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    # import without writing bytecode caches into bench/
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, BENCH)
+    try:
+        import cases
+        import runner
+    finally:
+        sys.path.remove(BENCH)
+        sys.dont_write_bytecode = saved
+    return cases, runner
+
+
+def test_light_homology_cases_pass_their_checks(bench):
+    cases, runner = bench
+    ctx = cases.setup_homology(1)
+    by_name = {c.name: c for c in ctx.cases}
+    for name in LIGHT:
+        case = by_name[name]
+        status, _seconds, raw, error = runner.run_once(case)
+        assert status == "ok", (name, error)
+        assert case.checks, name
+        for label, check in case.checks:
+            assert check(raw) is None, (name, label)

@@ -1,9 +1,13 @@
 """Twisted chain complexes: boundaries, (co)homology, oracle agreement."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twistq
 from twistq.coeff import AlexanderRing, parse_ring
 from twistq.exactlin import IntMatrix
 from twistq.chain import (Chain, Cochain, ComplexSpec, VARIANTS, boundary,
@@ -164,6 +168,19 @@ class TestHomology:
                         checked += 1
         assert checked >= 50
 
+    def test_h4_tq_r5_z5(self):
+        # agrees with the F_5 rank of the block boundary matrices
+        info = homology(spec(dihedral_quandle(5), parse_ring("Z5[T]/(T+1)"),
+                             "TQ", 4))
+        assert info.invariant_factors == (5, 5, 5)
+        assert info.t_action == [[4, 0, 0], [0, 4, 0], [0, 0, 4]]
+
+    def test_h3_tq_a4_f4(self):
+        # agrees with the F_2 rank of the block boundary matrices
+        info = homology(spec(quandle_standard("A(2;T^2+T+1)"),
+                             parse_ring("Z2[T]/(T^2+T+1)"), "TQ", 3))
+        assert info.invariant_factors == (2,) * 6
+
 
 class TestCohomology:
     def test_generators_are_cocycles(self):
@@ -198,6 +215,29 @@ class TestCohomology:
         assert is_cocycle(s, f)[0]
         g = is_coboundary(s, f)
         assert g is not None and delta(spec(x, r5, "TQ", 1), g) == f
+
+    def test_wrong_primitive_raises_under_optimize(self):
+        # the check on the solver's answer must not be an assert, which
+        # python -O strips
+        code = (
+            "import twistq.chain as c\n"
+            "from twistq.coeff import parse_ring\n"
+            "from twistq.quandle import dihedral_quandle\n"
+            "r = parse_ring('Z3[T]/(T+1)')\n"
+            "s = c.ComplexSpec(dihedral_quandle(3), r, 'TQ', 2)\n"
+            "f = c.Cochain(r, 2, {(0, 1): (1,), (1, 0): (2,)})\n"
+            "c.solve_linear = lambda M, b, n: [0] * M.cols\n"
+            "try:\n"
+            "    c.is_coboundary(s, f)\n"
+            "except RuntimeError:\n"
+            "    print('raised')\n")
+        src = os.path.dirname(os.path.dirname(twistq.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "raised", out.stderr
 
     def test_non_cocycle_witnessed(self):
         s = spec(dihedral_quandle(3), R3, "TQ", 2)

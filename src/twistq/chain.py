@@ -48,8 +48,10 @@ __all__ = [
 
 VARIANTS = ("TR", "TD", "TQ")
 
-_MAX_BASIS = int(os.environ.get("TWISTQ_MAX_BASIS", "20000"))
-_MAX_BRUTE = int(os.environ.get("TWISTQ_MAX_BRUTE", "729"))
+# defaults of the resource guards; TWISTQ_MAX_BASIS and TWISTQ_MAX_BRUTE
+# override them and are read on every call
+_MAX_BASIS = 20000
+_MAX_BRUTE = 729
 
 
 @dataclass(frozen=True)
@@ -122,10 +124,11 @@ def basis_tuples(x, n, variant):
     if n == 0:
         return [] if variant == "TD" else [()]
     count = x.size ** n
-    if count > _MAX_BASIS:
+    limit = int(os.environ.get("TWISTQ_MAX_BASIS", _MAX_BASIS))
+    if count > limit:
         raise RingError(
             "degree-%d basis has %d tuples (limit %d; set TWISTQ_MAX_BASIS)"
-            % (n, count, _MAX_BASIS))
+            % (n, count, limit))
     allt = itertools.product(range(x.size), repeat=n)
     if variant == "TR":
         return list(allt)
@@ -431,7 +434,9 @@ def _abelian_invariants(quotient_reps, add, zero):
             m = 0
             while p ** (m + 1) <= c:
                 m += 1
-            assert p ** m == c, "torsion count is not a power of p"
+            if p ** m != c:
+                raise RuntimeError("torsion count %d is not a power of %d"
+                                   % (c, p))
             if m == logs[-1]:
                 break
             logs.append(m)
@@ -467,9 +472,10 @@ def brute_force_homology(spec):
     basis = basis_tuples(spec.x, n, spec.variant)
     k = len(basis) * ring.degree
     total = m ** k
-    if total > _MAX_BRUTE:
-        raise RingError("chain group has %d elements (limit %d)"
-                        % (total, _MAX_BRUTE))
+    limit = int(os.environ.get("TWISTQ_MAX_BRUTE", _MAX_BRUTE))
+    if total > limit:
+        raise RingError("chain group has %d elements (limit %d; set "
+                        "TWISTQ_MAX_BRUTE)" % (total, limit))
     d_out = boundary_matrix(spec)
     d_in = boundary_matrix(replace(spec, degree=n + 1))
 

@@ -36,11 +36,17 @@ class CliParser(argparse.ArgumentParser):
 
 
 def _load_quandle(text):
-    """A quandle argument is a standard name (T(n), R(n), A(n;h)) or
-    '@path' pointing at an operation-table file."""
+    """A quandle argument is a standard name (T(n), R(n), A(n;h)),
+    '@path' pointing at an operation-table file, or the table text
+    itself (report inputs carry @files inlined), told apart from a name
+    by its first non-comment line, the size."""
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            return quandle.parse_quandle_table(fh.read())
+            text = fh.read()
+    lines = [ln for ln in map(str.strip, text.splitlines())
+             if ln and not ln.startswith("#")]
+    if lines and lines[0][0].isdigit():
+        return quandle.parse_quandle_table(text)
     return quandle.quandle_standard(text)
 
 
@@ -102,16 +108,9 @@ def _make_ses(args_or_params):
 # -- subcommand handlers -----------------------------------------------------
 
 def _spec_from(inputs):
-    x = _load_quandle_text(inputs["quandle"])
+    x = _load_quandle(inputs["quandle"])
     ring = coeff.parse_ring(inputs["coeff"])
     return chain.ComplexSpec(x, ring, inputs["variant"], inputs["degree"])
-
-
-def _load_quandle_text(value):
-    # inputs already have @files inlined; detect a table by its shape
-    if value.strip() and value.strip().split()[0].isdigit():
-        return quandle.parse_quandle_table(value)
-    return quandle.quandle_standard(value)
 
 
 def _cmd_homology(inputs):
@@ -164,7 +163,7 @@ def _cmd_construct_family(family):
 
 
 def _cmd_construct_lift(inputs):
-    x = _load_quandle_text(inputs["quandle"])
+    x = _load_quandle(inputs["quandle"])
     ring = coeff.parse_ring(inputs["coeff"])
     seeds = chain.parse_cochain(ring, inputs["seeds"])
     psi, is_tq = cocycles.lift_h1(x, ring, seeds.values)
@@ -175,7 +174,7 @@ def _cmd_construct_lift(inputs):
 
 def _cmd_construct_obstruction2(inputs):
     ses = _make_ses(inputs)
-    x = _load_quandle_text(inputs["quandle"])
+    x = _load_quandle(inputs["quandle"])
     eta = quandle.QuandleMap(
         x, ses.a_quandle, [int(v) for v in inputs["eta"].split(",")])
     phi = cocycles.obstruction_2cocycle(ses, x, eta)
@@ -189,7 +188,7 @@ def _cmd_construct_obstruction2(inputs):
 
 def _cmd_construct_obstruction3(inputs):
     ses = _make_ses(inputs)
-    x = _load_quandle_text(inputs["quandle"])
+    x = _load_quandle(inputs["quandle"])
     phi = chain.parse_cochain(ses.g_ring, inputs["phi"], degree=2)
     theta = cocycles.obstruction_3cocycle(ses, x, phi)
     return _construct_result(theta, x, ses.g_ring)
@@ -218,13 +217,13 @@ def _cmd_pair(inputs):
 
 
 def _cmd_quandle_info(inputs):
-    x = _load_quandle_text(inputs["quandle"])
+    x = _load_quandle(inputs["quandle"])
     return _quandle_payload(x)
 
 
 def _cmd_quandle_iso(inputs):
-    a = _load_quandle_text(inputs["first"])
-    b = _load_quandle_text(inputs["second"])
+    a = _load_quandle(inputs["first"])
+    b = _load_quandle(inputs["second"])
     m = quandle.find_isomorphism(a, b)
     return {"isomorphic": m is not None,
             "map": list(m.values) if m is not None else None}
@@ -232,7 +231,7 @@ def _cmd_quandle_iso(inputs):
 
 def _cmd_invariant(inputs):
     diagram = knot.parse_pd(inputs["pd"])
-    x = _load_quandle_text(inputs["quandle"])
+    x = _load_quandle(inputs["quandle"])
     ring = coeff.parse_ring(inputs["coeff"])
     phi = chain.parse_cochain(ring, inputs["cocycle"], degree=2)
     value, cols, weights = knot.state_sum(diagram, x, ring, phi)
@@ -243,7 +242,7 @@ def _cmd_invariant(inputs):
 
 def _cmd_invariant_surface(inputs):
     sp = knot.parse_surface(inputs["surface"])
-    x = _load_quandle_text(inputs["quandle"])
+    x = _load_quandle(inputs["quandle"])
     ring = coeff.parse_ring(inputs["coeff"])
     theta = chain.parse_cochain(ring, inputs["cocycle"], degree=3)
     value, cols, weights = knot.state_sum_surface(sp, x, ring, theta)

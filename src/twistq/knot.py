@@ -20,7 +20,6 @@ normal of the over-arc points, and y the over-arc color; the state sum
 collects exp(total weight) over all colorings in the group ring Z[A].
 """
 
-import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -275,49 +274,62 @@ def alexander_numbering(diagram):
     return sol
 
 
+def _colorings(cells, rels, x):
+    """Every coloring of `cells` by the quandle x with col[c] == col[a] *
+    col[b] for each (c, a, b) in rels, as dicts sorted by color tuple.
+
+    Depth-first search on an explicit stack with an undo trail: a color
+    propagates through a * b (to c) and c / b (to a), and the search
+    branches on the uncolored cell sharing most relations with colored
+    cells."""
+    idx = {s: i for i, s in enumerate(cells)}
+    touching = [[] for _ in cells]
+    for c, a, b in rels:
+        rel = (idx[c], idx[a], idx[b])
+        for i in set(rel):
+            touching[i].append(rel)
+    colors = [None] * len(cells)
+    found, trail = [], []
+    stack = [(0, [])]   # (trail length to undo to, (cell, color) to set)
+    while stack:
+        mark, queue = stack.pop()
+        while len(trail) > mark:
+            colors[trail.pop()] = None
+        while queue:
+            i, v = queue.pop()
+            if colors[i] is None:
+                colors[i] = v
+                trail.append(i)
+                for c, a, b in touching[i]:
+                    if colors[b] is not None and colors[a] is not None:
+                        queue.append((c, x.op(colors[a], colors[b])))
+                    elif colors[b] is not None and colors[c] is not None:
+                        queue.append((a, x.op_inv(colors[c], colors[b])))
+            elif colors[i] != v:
+                break           # a contradiction: drop this branch
+        else:
+            free = [i for i, v in enumerate(colors) if v is None]
+            if not free:
+                found.append(tuple(colors))
+                continue
+            i = max(free, key=lambda k: sum(
+                any(colors[j] is not None for j in rel) for rel in touching[k]))
+            stack.extend((len(trail), [(i, v)]) for v in range(x.size))
+    found.sort()
+    return [dict(zip(cells, col)) for col in found]
+
+
 def colorings(diagram, x):
     """All colorings of the semiarcs by the quandle x: the over-arc
     color passes through, and under-out = under-in * over at positive
     crossings (under-in = under-out * over at negative ones)."""
-    arcs = diagram.semiarcs
-    pos = {s: i for i, s in enumerate(arcs)}
-    constraints = []
+    rels = []
     for sign, (a, b, c, d) in diagram.crossings:
         over_in, over_out = (d, b) if sign > 0 else (b, d)
-        constraints.append(("eq", pos[over_in], pos[over_out]))
-        if sign > 0:
-            constraints.append(("op", pos[c], pos[a], pos[over_in]))
-        else:
-            constraints.append(("op", pos[a], pos[c], pos[over_in]))
-    out = []
-    n = len(arcs)
-    colors = [None] * n
-
-    def ok(i):
-        for kind, u, v, *rest in constraints:
-            if kind == "eq":
-                if colors[u] is not None and colors[v] is not None \
-                        and colors[u] != colors[v]:
-                    return False
-            else:
-                w = rest[0]
-                if None not in (colors[u], colors[v], colors[w]) \
-                        and colors[u] != x.op(colors[v], colors[w]):
-                    return False
-        return True
-
-    def extend(i):
-        if i == n:
-            out.append({arcs[j]: colors[j] for j in range(n)})
-            return
-        for v in range(x.size):
-            colors[i] = v
-            if ok(i):
-                extend(i + 1)
-            colors[i] = None
-
-    extend(0)
-    return out
+        # x * x == x in a quandle, so this says over_out == over_in
+        rels.append((over_out, over_in, over_in))
+        rels.append((c, a, over_in) if sign > 0 else (a, c, over_in))
+    return _colorings(diagram.semiarcs, rels, x)
 
 
 def _check_t_order(ring, p):
@@ -332,6 +344,28 @@ def _check_t_order(ring, p):
         probe[i] = 0
 
 
+def _require_cocycle(x, ring, f, degree):
+    ok, witness = is_cocycle(ComplexSpec(x, ring, "TQ", degree), f)
+    if not ok:
+        raise DiagramError("weight function fails the %d-cocycle "
+                           "condition at %r" % (degree, witness))
+
+
+def _weigh(cols, terms, ring, f):
+    """The weight sum_{(sign, L, cells)} sign * T^-L * f(colors of cells)
+    of each coloring, and the group-ring sum of their exponentials."""
+    value = GroupRingElem(ring)
+    weights = []
+    for col in cols:
+        w = ring.zero()
+        for sign, L, cells in terms:
+            contrib = ring.t_pow(f(tuple(col[s] for s in cells)), -L)
+            w = ring.add(w, contrib) if sign > 0 else ring.sub(w, contrib)
+        weights.append(w)
+        value.add_term(w, 1)
+    return value, weights
+
+
 def state_sum(diagram, x, ring, phi, check=True):
     """Cocycle state sum of a link diagram.
 
@@ -342,33 +376,22 @@ def state_sum(diagram, x, ring, phi, check=True):
     an unnumberable mod-p diagram yields 0.
     """
     if check:
-        ok, witness = is_cocycle(ComplexSpec(x, ring, "TQ", 2), phi)
-        if not ok:
-            raise DiagramError("weight function fails the 2-cocycle "
-                               "condition at %r" % (witness,))
+        _require_cocycle(x, ring, phi, 2)
     if diagram.mod_p:
         _check_t_order(ring, diagram.mod_p)
     if diagram.l_overrides and len(diagram.l_overrides) == len(diagram.crossings):
-        num = None
-        lnum = lambda ci: diagram.l_overrides[ci]
+        lnum = diagram.l_overrides.__getitem__
     else:
         num = alexander_numbering(diagram)
         if num is None:
             return GroupRingElem(ring), colorings(diagram, x), []
         lnum = lambda ci: diagram.l_overrides.get(
             ci, num[diagram.source_region(ci)])
-    value = GroupRingElem(ring)
+    # the weight pair is (arc the over-arc normal points away from, over-arc)
+    terms = [(sign, lnum(ci), (a, d) if sign > 0 else (c, b))
+             for ci, (sign, (a, b, c, d)) in enumerate(diagram.crossings)]
     cols = colorings(diagram, x)
-    weights = []
-    for col in cols:
-        w = ring.zero()
-        for ci, (sign, (a, b, c, d)) in enumerate(diagram.crossings):
-            xc = col[a] if sign > 0 else col[c]
-            yc = col[d] if sign > 0 else col[b]
-            contrib = ring.t_pow(phi((xc, yc)), -lnum(ci))
-            w = ring.add(w, contrib) if sign > 0 else ring.sub(w, contrib)
-        weights.append(w)
-        value.add_term(w, 1)
+    value, weights = _weigh(cols, terms, ring, phi)
     if diagram.mod_p:
         value = value.canonical_under_T()
     return value, cols, weights
@@ -436,30 +459,7 @@ def parse_surface(text):
 def surface_colorings(sp, x):
     """Colorings of the sheets by the quandle x satisfying the
     broken-sheet relations."""
-    idx = {s: i for i, s in enumerate(sp.sheets)}
-    rels = [(idx[c], idx[a], idx[b]) for c, a, b in sp.rels]
-    out = []
-    n = len(sp.sheets)
-    colors = [None] * n
-
-    def ok():
-        return all(
-            None in (colors[c], colors[a], colors[b])
-            or colors[c] == x.op(colors[a], colors[b])
-            for c, a, b in rels)
-
-    def extend(i):
-        if i == n:
-            out.append({sp.sheets[j]: colors[j] for j in range(n)})
-            return
-        for v in range(x.size):
-            colors[i] = v
-            if ok():
-                extend(i + 1)
-            colors[i] = None
-
-    extend(0)
-    return out
+    return _colorings(sp.sheets, sp.rels, x)
 
 
 def state_sum_surface(sp, x, ring, theta, check=True):
@@ -467,18 +467,8 @@ def state_sum_surface(sp, x, ring, theta, check=True):
     3-cocycle theta; the value is canonicalized under the T-action.
     Returns (value, colorings, per_coloring)."""
     if check:
-        ok, witness = is_cocycle(ComplexSpec(x, ring, "TQ", 3), theta)
-        if not ok:
-            raise DiagramError("weight function fails the 3-cocycle "
-                               "condition at %r" % (witness,))
-    value = GroupRingElem(ring)
+        _require_cocycle(x, ring, theta, 3)
+    terms = [(sign, L, (xx, yy, zz)) for sign, L, xx, yy, zz in sp.triples]
     cols = surface_colorings(sp, x)
-    weights = []
-    for col in cols:
-        w = ring.zero()
-        for sign, L, xx, yy, zz in sp.triples:
-            contrib = ring.t_pow(theta((col[xx], col[yy], col[zz])), -L)
-            w = ring.add(w, contrib) if sign > 0 else ring.sub(w, contrib)
-        weights.append(w)
-        value.add_term(w, 1)
+    value, weights = _weigh(cols, terms, ring, theta)
     return value.canonical_under_T(), cols, weights

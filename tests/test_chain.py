@@ -25,6 +25,17 @@ def spec(x, ring, variant="TQ", degree=2):
     return ComplexSpec(x, ring, variant, degree)
 
 
+def run_optimized(code):
+    """stdout of `code` run by `python -O`, which strips asserts."""
+    src = os.path.dirname(os.path.dirname(twistq.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    return out.stdout.strip() + out.stderr
+
+
 class TestBoundary:
     def test_degree_one_is_zero(self):
         s = spec(dihedral_quandle(3), R3, "TR", 1)
@@ -231,13 +242,20 @@ class TestCohomology:
             "    c.is_coboundary(s, f)\n"
             "except RuntimeError:\n"
             "    print('raised')\n")
-        src = os.path.dirname(os.path.dirname(twistq.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, timeout=60)
-        assert out.stdout.strip() == "raised", out.stderr
+        assert run_optimized(code) == "raised"
+
+    def test_torsion_count_check_survives_optimize(self):
+        # a fake "group" of order 4 with three elements killed by 2: the
+        # oracle must refuse it, also when python -O strips asserts
+        code = (
+            "import twistq.chain as c\n"
+            "try:\n"
+            "    c._abelian_invariants([0, 1, 2, 3],\n"
+            "                          lambda a, b: 0 if b < 3 else b, 0)\n"
+            "except RuntimeError as e:\n"
+            "    print('raised:', e)\n")
+        assert run_optimized(code) == \
+            "raised: torsion count 3 is not a power of 2"
 
     def test_non_cocycle_witnessed(self):
         s = spec(dihedral_quandle(3), R3, "TQ", 2)
@@ -287,6 +305,19 @@ class TestGuards:
         s = spec(dihedral_quandle(3), R3, "TR", 3)
         with pytest.raises(Exception, match="limit"):
             brute_force_homology(s)
+
+    def test_guards_read_the_environment_when_called(self, monkeypatch):
+        monkeypatch.setenv("TWISTQ_MAX_BASIS", "10")
+        with pytest.raises(Exception, match="limit 10"):
+            basis_tuples(dihedral_quandle(4), 3, "TR")
+        monkeypatch.delenv("TWISTQ_MAX_BASIS")
+        monkeypatch.setenv("TWISTQ_MAX_BRUTE", "26")
+        s = spec(dihedral_quandle(3), R3, "TQ", 1)  # 27 chains
+        with pytest.raises(Exception, match="limit 26"):
+            brute_force_homology(s)
+        monkeypatch.setenv("TWISTQ_MAX_BRUTE", "27")
+        assert brute_force_homology(s).invariant_factors == \
+            homology(s).invariant_factors
 
     def test_t_matrix_shape(self):
         s = spec(dihedral_quandle(3), R3, "TQ", 2)

@@ -189,6 +189,13 @@ class TestQuandleCommands:
                                    "--quandle", "@" + str(table)])
         assert report["result"]["size"] == 2
 
+    def test_info_table_file_with_leading_comment(self, capsys, tmp_path):
+        table = tmp_path / "q.txt"
+        table.write_text("# the trivial quandle\n2\n0 0\n1 1\n")
+        report = run_json(capsys, ["quandle", "info",
+                                   "--quandle", "@" + str(table)])
+        assert report["result"]["table"] == [[0, 0], [1, 1]]
+
     def test_iso(self, capsys):
         report = run_json(capsys, ["quandle", "iso", "--first", "R(2)",
                                    "--second", "T(2)"])
@@ -210,6 +217,20 @@ class TestInvariant:
                                    "--cocycle", str(co)])
         assert report["result"]["value"] == "2 + 2st"
         assert report["result"]["colorings"] == 4
+
+    def test_long_torus_knot(self, capsys, tmp_path, torus_pd):
+        pd = tmp_path / "t2_601.pd"
+        pd.write_text(torus_pd(601))
+        co = tmp_path / "phi.txt"
+        co.write_text("0,1 -> T\n1,0 -> 1\n")
+        code, out, err = run(capsys, ["invariant", "--pd", str(pd),
+                                      "--quandle", "T(2)",
+                                      "--coeff", "Z[T]/(T^2-1)",
+                                      "--cocycle", str(co)])
+        assert code == 0 and "Traceback" not in err, err
+        assert len(out.splitlines()) == 1
+        result = json.loads(out)["result"]
+        assert result["value"] == "2" and result["colorings"] == 2
 
     def test_surface(self, capsys, tmp_path):
         sf = tmp_path / "spun.srf"

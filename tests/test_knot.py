@@ -1,9 +1,11 @@
 """Diagrams, numberings, colorings and state sums."""
 
+import itertools
 import random
 
 import pytest
 
+from twistq.cli import load_catalog
 from twistq.coeff import GroupRingElem, parse_ring
 from twistq.chain import Cochain, ComplexSpec, delta
 from twistq.cocycles import (SesSpec, dihedral_integral_cocycle,
@@ -11,7 +13,8 @@ from twistq.cocycles import (SesSpec, dihedral_integral_cocycle,
 from twistq.knot import (DiagramError, alexander_numbering, colorings,
                          parse_pd, parse_surface, state_sum,
                          state_sum_surface, surface_colorings)
-from twistq.quandle import QuandleMap, dihedral_quandle, trivial_quandle
+from twistq.quandle import (QuandleMap, dihedral_quandle, quandle_product,
+                            quandle_standard, trivial_quandle)
 
 HOPF = """
 Xp[1,3,2,4]
@@ -345,3 +348,83 @@ class TestSurfaces:
         with pytest.raises(DiagramError):
             state_sum_surface(parse_surface(SPUN_HOPF), dihedral_quandle(3),
                               ring, bad)
+
+
+# -- the coloring solver against brute force ---------------------------------
+
+def reference_colorings(diagram, x):
+    """Every product of colors on the arcs (the semiarcs joined through
+    their over-crossings) that satisfies the under-crossing relations,
+    sorted by color tuple over the semiarcs."""
+    arc_of = {s: s for s in diagram.semiarcs}
+
+    def arc(s):
+        while arc_of[s] != s:
+            s = arc_of[s]
+        return s
+    for sign, (a, b, c, d) in diagram.crossings:
+        arc_of[arc(b)] = arc(d)
+    arcs = sorted({arc(s) for s in diagram.semiarcs})
+    pos = {s: arcs.index(arc(s)) for s in diagram.semiarcs}
+    # (u, v, w) says color u == color v * color w
+    under = [(pos[c], pos[a], pos[d]) if sign > 0 else (pos[a], pos[c], pos[b])
+             for sign, (a, b, c, d) in diagram.crossings]
+    found = [{s: colors[pos[s]] for s in diagram.semiarcs}
+             for colors in itertools.product(range(x.size), repeat=len(arcs))
+             if all(colors[u] == x.op(colors[v], colors[w])
+                    for u, v, w in under)]
+    return sorted(found, key=lambda col: [col[s] for s in diagram.semiarcs])
+
+
+def reference_surface_colorings(sp, x):
+    return [dict(zip(sp.sheets, colors))
+            for colors in itertools.product(range(x.size),
+                                            repeat=len(sp.sheets))
+            if all(colors[sp.sheets.index(c)] == x.op(
+                colors[sp.sheets.index(a)], colors[sp.sheets.index(b)])
+                for c, a, b in sp.rels)]
+
+
+QUANDLES = ["T(2)", "R(3)", "R(4)", "A(2;T^2+T+1)", "A(3;T+1)", "R(3)xT(2)"]
+CATALOG_PDS = sorted({e["pd"] for e in load_catalog() if "pd" in e})
+SURFACES = [SPUN_HOPF,
+            "sheets: a b c d\nrel: c = a * b\nrel: c = a * d\n",
+            "sheets: a b c d\nrel: b = a * c\nrel: c = b * d\n"
+            "rel: d = d * a\n"]
+
+
+def _quandle(name):
+    if name == "R(3)xT(2)":
+        return quandle_product(dihedral_quandle(3), trivial_quandle(2))
+    return quandle_standard(name)
+
+
+class TestColoringSolver:
+    def test_catalog_has_a_negative_crossing(self):
+        assert any("Xn" in pd for pd in CATALOG_PDS)
+
+    @pytest.mark.parametrize("name", QUANDLES)
+    @pytest.mark.parametrize("pd", range(len(CATALOG_PDS)))
+    def test_catalog_diagrams(self, pd, name):
+        d, x = parse_pd(CATALOG_PDS[pd]), _quandle(name)
+        assert colorings(d, x) == reference_colorings(d, x)
+
+    @pytest.mark.parametrize("name", QUANDLES)
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_torus(self, torus_pd, n, name):
+        d, x = parse_pd(torus_pd(n)), _quandle(name)
+        assert colorings(d, x) == reference_colorings(d, x)
+
+    @pytest.mark.parametrize("name", QUANDLES)
+    @pytest.mark.parametrize("text", range(len(SURFACES)))
+    def test_surfaces(self, text, name):
+        sp, x = parse_surface(SURFACES[text]), _quandle(name)
+        assert surface_colorings(sp, x) == reference_surface_colorings(sp, x)
+
+    def test_long_torus_knot_has_no_recursion_limit(self, torus_pd):
+        ring, phi = _phi_hopf()
+        value, cols, weights = state_sum(parse_pd(torus_pd(601)),
+                                         trivial_quandle(2), ring, phi)
+        assert value.render() == "2"
+        assert len(cols) == 2
+        assert [set(col.values()) for col in cols] == [{0}, {1}]

@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .coeff import RingError
-from .exactlin import IntMatrix, homology_segment, solve_linear
+from .exactlin import IntMatrix, ModuleInfo, _homology, solve_linear
 from .quandle import FiniteQuandle
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "is_degenerate",
     "boundary",
     "boundary_matrix",
-    "relations_matrix",
     "t_matrix",
     "delta_matrix",
     "homology",
@@ -189,92 +188,86 @@ def _boundary_polys(x, n, variant):
             yield (tup, src), p
 
 
-def _poly_block(ring, poly, companion, cpow_cache):
-    d = ring.degree
-    block = [[0] * d for _ in range(d)]
-    for exp, c in poly.items():
-        if c == 0:
-            continue
-        mat = cpow_cache.setdefault(exp, None)
-        if mat is None:
-            mat = IntMatrix.identity(d)
-            for _ in range(exp):
-                mat = IntMatrix(d, d, companion) @ mat
-            cpow_cache[exp] = mat
-        for i in range(d):
-            for j in range(d):
-                block[i][j] += c * mat.data[i][j]
-    return block
-
-
-def _matrix_from_polys(ring, polys, target_basis, source_basis):
-    d = ring.degree
+def _block_columns(ring, polys, target_basis, source_basis):
+    """The matrix with the given blocks, each polynomial in T evaluated
+    at the ring's companion matrix, as column dicts {row: entry mod n}
+    with rows ascending, plus its row count.  Rows ascending is the
+    order in which exactlin reads a dense matrix, and its pivot choice
+    and so the printed generators depend on it."""
+    d, n = ring.degree, ring.modulus
     tindex = {t: i for i, t in enumerate(target_basis)}
     sindex = {s: j for j, s in enumerate(source_basis)}
-    M = IntMatrix(len(target_basis) * d, len(source_basis) * d)
-    comp = ring.companion_matrix()
-    cache = {0: IntMatrix.identity(d)}
+    cols = [{} for _ in range(len(source_basis) * d)]
+    comp = IntMatrix(d, d, ring.companion_matrix())
+    powers = [IntMatrix.identity(d)]  # of the companion matrix
     for (tgt, src), poly in polys:
         if not any(poly.values()):
             # fully cancelled entry; its target may even lie outside the
             # variant's basis (boundaries of degenerate tuples)
             continue
-        block = _poly_block(ring, poly, comp, cache)
+        while len(powers) <= max(poly):
+            powers.append(comp @ powers[-1])
         r0, c0 = tindex[tgt] * d, sindex[src] * d
         for i in range(d):
             for j in range(d):
-                M.data[r0 + i][c0 + j] = block[i][j]
-    return M
+                v = sum(c * powers[e].data[i][j] for e, c in poly.items())
+                if n:
+                    v %= n
+                if v:
+                    cols[c0 + j][r0 + i] = v
+    return [dict(sorted(c.items())) for c in cols], len(target_basis) * d
+
+
+def _boundary_columns(spec):
+    """The boundary C_n -> C_{n-1} as _block_columns."""
+    n = spec.degree
+    src = basis_tuples(spec.x, n, spec.variant)
+    tgt = basis_tuples(spec.x, n - 1, spec.variant) if n >= 1 else []
+    return _block_columns(spec.ring, _boundary_polys(spec.x, n, spec.variant),
+                          tgt, src)
+
+
+def _delta_columns(spec):
+    """The coboundary C^n -> C^{n+1} as _block_columns,
+    (delta f)(c) = (-1)^{n+1} f(d c) for an (n+1)-chain c."""
+    n = spec.degree
+    src = basis_tuples(spec.x, n, spec.variant)
+    tgt = basis_tuples(spec.x, n + 1, spec.variant)
+    sign = 1 if n % 2 else -1
+    polys = (((high, low), {e: sign * c for e, c in poly.items()})
+             for (low, high), poly in _boundary_polys(spec.x, n + 1,
+                                                      spec.variant))
+    return _block_columns(spec.ring, polys, tgt, src)
+
+
+def _t_columns(spec):
+    """The T-action on the degree-n chain coordinates as _block_columns."""
+    basis = basis_tuples(spec.x, spec.degree, spec.variant)
+    return _block_columns(spec.ring, (((b, b), {1: 1}) for b in basis),
+                          basis, basis)
+
+
+def _dense(cols, rows):
+    return IntMatrix.from_columns(
+        [[col.get(i, 0) for i in range(rows)] for col in cols], rows)
 
 
 def boundary_matrix(spec):
     """Integer matrix of the boundary C_n -> C_{n-1} in block coordinates
-    (basis tuple index major, ring coefficient index minor)."""
-    n = spec.degree
-    src = basis_tuples(spec.x, n, spec.variant)
-    tgt = basis_tuples(spec.x, n - 1, spec.variant) if n >= 1 else []
-    if n <= 1:
-        return IntMatrix(len(tgt) * spec.ring.degree,
-                         len(src) * spec.ring.degree)
-    polys = _boundary_polys(spec.x, n, spec.variant)
-    return _matrix_from_polys(spec.ring, polys, tgt, src)
-
-
-def relations_matrix(spec):
-    """Columns presenting the coefficient torsion of the degree-n group."""
-    r = len(basis_tuples(spec.x, spec.degree, spec.variant)) * spec.ring.degree
-    if spec.ring.modulus == 0:
-        return IntMatrix(r, 0)
-    return IntMatrix.scalar(r, spec.ring.modulus)
+    (basis tuple index major, ring coefficient index minor), entries
+    reduced mod n."""
+    return _dense(*_boundary_columns(spec))
 
 
 def t_matrix(spec):
     """The T-action on the degree-n chain coordinates (block diagonal)."""
-    d = spec.ring.degree
-    basis = basis_tuples(spec.x, spec.degree, spec.variant)
-    M = IntMatrix(len(basis) * d, len(basis) * d)
-    comp = spec.ring.companion_matrix()
-    for b in range(len(basis)):
-        for i in range(d):
-            for j in range(d):
-                M.data[b * d + i][b * d + j] = comp[i][j]
-    return M
+    return _dense(*_t_columns(spec))
 
 
 def delta_matrix(spec):
     """Integer matrix of the coboundary C^n -> C^{n+1},
     (delta f)(c) = (-1)^{n+1} f(d c) for an (n+1)-chain c."""
-    n = spec.degree
-    src = basis_tuples(spec.x, n, spec.variant)
-    tgt = basis_tuples(spec.x, n + 1, spec.variant)
-    if n + 1 <= 1:
-        return IntMatrix(len(tgt) * spec.ring.degree,
-                         len(src) * spec.ring.degree)
-    sign = 1 if n % 2 else -1
-    polys = (((high, low), {e: sign * c for e, c in poly.items()})
-             for (low, high), poly in _boundary_polys(spec.x, n + 1,
-                                                      spec.variant))
-    return _matrix_from_polys(spec.ring, polys, tgt, src)
+    return _dense(*_delta_columns(spec))
 
 
 def _vector(spec, fs, n=None):
@@ -304,22 +297,18 @@ def _from_vector(spec, vec, n, cls):
 
 def homology(spec):
     """Degree-n twisted homology as a ModuleInfo."""
-    return homology_segment(
-        boundary_matrix(replace(spec, degree=spec.degree + 1)),
-        boundary_matrix(spec), relations_matrix(spec), t_matrix(spec))
+    in_cols, _ = _boundary_columns(replace(spec, degree=spec.degree + 1))
+    return _homology(in_cols, *_boundary_columns(spec), spec.ring.modulus,
+                     _t_columns(spec)[0])
 
 
 def cohomology(spec):
     """Degree-n twisted cohomology; returns (ModuleInfo, cocycle_gens)
     where cocycle_gens generate the group of n-cocycles."""
     n = spec.degree
-    d_out = delta_matrix(spec)
-    if n == 0:
-        d_in = IntMatrix(d_out.cols, 0)
-    else:
-        d_in = delta_matrix(replace(spec, degree=n - 1))
-    info = homology_segment(d_in, d_out, relations_matrix(spec),
-                            t_matrix(spec), cycles=True)
+    in_cols = _delta_columns(replace(spec, degree=n - 1))[0] if n else []
+    info = _homology(in_cols, *_delta_columns(spec), spec.ring.modulus,
+                     _t_columns(spec)[0], cycles=True)
     return info, [_from_vector(spec, z, n, Cochain) for z in info.cycles]
 
 
@@ -412,25 +401,16 @@ def _factor(n):
     return out
 
 
-def _abelian_invariants(quotient_reps, add, zero):
-    """Invariant factors of a finite abelian group given by an element
-    list and an addition callback, via torsion counting: the number of
-    cyclic p-factors of exponent >= j is log_p #{x : p^j x == 0} minus
-    the same count for j - 1."""
-    order = len(quotient_reps)
-
-    def scaled(x, k):
-        acc = zero
-        for _ in range(k):
-            acc = add(acc, x)
-        return acc
-
+def _abelian_invariants(order, torsion_count):
+    """Invariant factors of a finite abelian group H of the given order,
+    from torsion_count(q) = #{h in H : q h == 0}: the number of cyclic
+    p-factors of exponent >= j is log_p torsion_count(p^j) minus the
+    same for j - 1."""
     per_prime = {}
     for p in _factor(order):
         logs = [0]  # log_p of the p^j-torsion count, j = 0, 1, ...
         while True:
-            j = len(logs)
-            c = sum(1 for x in quotient_reps if scaled(x, p ** j) == zero)
+            c = torsion_count(p ** len(logs))
             m = 0
             while p ** (m + 1) <= c:
                 m += 1
@@ -460,10 +440,11 @@ def _abelian_invariants(quotient_reps, add, zero):
 def brute_force_homology(spec):
     """Homology by full enumeration of the (small) middle chain group.
 
-    Independent of the Smith normal form engine: cycles are found by
-    testing every chain, boundaries by subgroup closure, and the group
-    structure of the quotient by torsion counting.  Only usable for
-    finite coefficients and small chain groups (TWISTQ_MAX_BRUTE).
+    Independent of the elimination engine: cycles Z are found by testing
+    every chain, boundaries B by subgroup closure, and the group
+    structure of H = Z / B by torsion counting, #{h : q h == 0} being
+    #{z in Z : q z in B} / |B|.  Only usable for finite coefficients and
+    small chain groups (TWISTQ_MAX_BRUTE).
     """
     ring, n = spec.ring, spec.degree
     if ring.modulus == 0:
@@ -476,34 +457,34 @@ def brute_force_homology(spec):
     if total > limit:
         raise RingError("chain group has %d elements (limit %d; set "
                         "TWISTQ_MAX_BRUTE)" % (total, limit))
-    d_out = boundary_matrix(spec)
-    d_in = boundary_matrix(replace(spec, degree=n + 1))
+    out_cols, _ = _boundary_columns(spec)
+    in_cols, _ = _boundary_columns(replace(spec, degree=n + 1))
 
     cycles = []
     for vec in itertools.product(range(m), repeat=k):
-        img = d_out @ list(vec)
-        if all(v % m == 0 for v in img):
+        img = {}
+        for col, a in zip(out_cols, vec):
+            if a:
+                for i, v in col.items():
+                    img[i] = (img.get(i, 0) + a * v) % m
+        if not any(img.values()):
             cycles.append(vec)
 
-    bcols = [tuple(v % m for v in d_in.column(j)) for j in range(d_in.cols)]
-    bcols = [c for c in bcols if any(c)]
-    boundaries = (_subgroup_closure(bcols, m) if bcols and k
-                  else {tuple([0] * k)})
+    bcols = [tuple(col.get(i, 0) for i in range(k)) for col in in_cols if col]
+    boundaries = _subgroup_closure(bcols, m) if bcols else {(0,) * k}
+    if not boundaries <= set(cycles):
+        raise RuntimeError("a boundary is not a cycle")
 
-    def canon(x):
-        return min(tuple((a + b) % m for a, b in zip(x, off))
-                   for off in boundaries)
+    def torsion_count(q):
+        c = sum(1 for z in cycles if tuple(q * a % m for a in z) in boundaries)
+        if c % len(boundaries):
+            raise RuntimeError("%d cycles z have %d z in B, not a multiple "
+                               "of |B| = %d" % (c, q, len(boundaries)))
+        return c // len(boundaries)
 
-    def add(a, b):
-        return canon(tuple((u + v) % m for u, v in zip(a, b)))
-
-    from .exactlin import ModuleInfo
-    reps = sorted({canon(z) for z in cycles})
-    if k == 0 or len(reps) <= 1:
-        return ModuleInfo((), [], [])
-    zero = canon(tuple([0] * k))
-    factors = _abelian_invariants(reps, add, zero)
-    return ModuleInfo(factors, [], [])
+    # torsion_count(0) = |Z| / |B| = |H|
+    return ModuleInfo(_abelian_invariants(torsion_count(0), torsion_count),
+                      [], [])
 
 
 # -- cochain text ----------------------------------------------------------

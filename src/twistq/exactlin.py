@@ -69,12 +69,6 @@ class IntMatrix:
                 m.data[i][j] = col[i]
         return m
 
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def copy(self):
-        return IntMatrix(self.rows, self.cols, self.data)
-
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
@@ -507,16 +501,23 @@ def homology_segment(d_in, d_out, relations, t_mat, cycles=False):
     T-action on the middle coordinates.  With cycles=True the result
     also lists generators of the whole cycle group ker(d_out).
     """
-    r = d_out.cols
-    if d_in.rows != r or relations.rows != r:
+    if d_in.rows != d_out.cols or relations.rows != d_out.cols:
         raise ValueError("middle rank mismatch")
     n = _modulus(relations)
+    return _homology(_columns(d_in, n), _columns(d_out, n), d_out.rows, n,
+                     _columns(t_mat, n), cycles)
+
+
+def _homology(in_cols, out_cols, out_rows, n, t_cols, cycles=False):
+    """homology_segment for d_in, d_out and the T-action given by their
+    column dicts ({row: entry mod n}, rows ascending; not consumed) and
+    the row count of d_out."""
+    r = len(out_cols)
 
     # cycles: for each column j of D (entry d, or none), V e_j times
     # n / gcd(d, n) spans the cycles in that direction; a cycle's
     # coordinate there is read off V^-1 x
-    out_cols = _columns(d_out, n)
-    cyc = _Factored([dict(c) for c in out_cols], d_out.rows, n, keep_u=False)
+    cyc = _Factored([dict(c) for c in out_cols], out_rows, n, keep_u=False)
     d_of = {j: d for _, j, d in cyc.diag}
     kernel = []  # (column, scale, order): scale * V e_column has this order
     for j in range(r):
@@ -552,7 +553,7 @@ def homology_segment(d_in, d_out, relations, t_mat, cycles=False):
     # boundaries and the orders of the cycle generators, in cycle
     # coordinates; its cokernel is the homology
     rel = []
-    for j, col in enumerate(_columns(d_in, n)):
+    for j, col in enumerate(in_cols):
         if _image(out_cols, col, n):
             raise NotAComplexError("d_out . d_in != 0 at column %d" % j)
         rel.append(coordinates(col))
@@ -570,8 +571,7 @@ def homology_segment(d_in, d_out, relations, t_mat, cycles=False):
             for t, _ in summands]
     t_action = [[0] * len(gens) for _ in gens]
     for col, g in enumerate(gens):
-        v = t_mat @ g
-        tv = {i: x for i, x in enumerate(v) if (x % n if n else x)}
+        tv = _image(t_cols, {i: x for i, x in enumerate(g) if x}, n)
         if _image(out_cols, tv, n):
             raise NotAComplexError("T-action does not preserve cycles")
         s = [0] * len(kernel)

@@ -215,6 +215,10 @@ def parse_pd(text):
             declared[name] = sides
         else:
             raise DiagramError("cannot parse diagram line %r" % raw)
+    bad = sorted(ci for ci in overrides if not 0 <= ci < len(crossings))
+    if bad:
+        raise DiagramError("L override names crossing %d, but the crossings "
+                           "are 0..%d" % (bad[0], len(crossings) - 1))
     return Diagram(crossings, mod_p=mod_p, outer=outer, base=base,
                    declared_faces=declared, l_overrides=overrides)
 

@@ -15,6 +15,7 @@ from twistq.chain import (Chain, Cochain, ComplexSpec, VARIANTS,
                           basis_tuples, boundary, boundary_matrix,
                           brute_force_homology, delta, homology,
                           is_coboundary, pair)
+from twistq.chain import _boundary_columns
 from twistq.cocycles import (SesSpec, dihedral_integral_cocycle, lift_h1,
                              modular_extension_cocycle, obstruction_2cocycle,
                              polynomial_extension_cocycle)
@@ -109,6 +110,23 @@ def test_criterion_04_formula_over_z2():
     ring = parse_ring("Z2[T]/(T+1)")
     spec = ComplexSpec(trivial_quandle(2), ring, "TQ", 2)
     assert homology(spec).invariant_factors == _quotient_by_t_minus_1(ring)
+
+
+def test_criterion_04_by_hand():
+    # over a trivial quandle x_j * x_i = x_j, so every boundary term pairs
+    # up as +-(T - 1) (tuple), and T - 1 = 0 in Z2[T]/(T+1): every boundary
+    # vanishes and H_2^Q is all of C_2^Q, free over Z_2 on (0, 1), (1, 0)
+    ring = parse_ring("Z2[T]/(T+1)")
+    x = trivial_quandle(2)
+    for n in (2, 3):
+        spec = ComplexSpec(x, ring, "TQ", n)
+        for key in basis_tuples(x, n, "TQ"):
+            assert boundary(spec, Chain(ring, n, {key: ring.one()})).is_zero()
+        # and the engine's input matrix has only empty columns
+        cols, _ = _boundary_columns(spec)
+        assert len(cols) == 2 and not any(cols)
+    assert basis_tuples(x, 2, "TQ") == [(0, 1), (1, 0)]
+    assert homology(ComplexSpec(x, ring, "TQ", 2)).invariant_factors == (2, 2)
 
 
 def test_criterion_05(capsys):

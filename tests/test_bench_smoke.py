@@ -7,8 +7,8 @@ import pytest
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench")
-LIGHT = ["h-R3-TQ2-Z3", "h-A4-TQ3-F4", "c-R3-TQ3-Z", "s-R3-3-Z",
-         "s-X9-2-Z3-noncoboundary"]
+LIGHT = ["h-R3-TQ2-Z3", "h-A4-TQ3-F4", "h-R3-TD2-Z9", "c-R3-TQ3-Z",
+         "s-R3-3-Z", "s-X9-2-Z3-noncoboundary"]
 
 
 @pytest.fixture(scope="module")

@@ -9,12 +9,12 @@ import pytest
 
 import twistq
 from twistq.coeff import AlexanderRing, parse_ring
-from twistq.exactlin import IntMatrix
+from twistq.exactlin import IntMatrix, homology_segment
 from twistq.chain import (Chain, Cochain, ComplexSpec, VARIANTS, boundary,
                           boundary_matrix, brute_force_homology, cohomology,
-                          delta, homology, is_cocycle, is_coboundary,
-                          basis_tuples, pair, parse_cochain, render_cochain,
-                          t_matrix)
+                          delta, delta_matrix, homology, is_cocycle,
+                          is_coboundary, basis_tuples, pair, parse_cochain,
+                          render_cochain, t_matrix)
 from twistq.quandle import (alexander_quandle, dihedral_quandle,
                             quandle_standard, trivial_quandle)
 
@@ -162,8 +162,11 @@ class TestHomology:
     def test_engine_matches_oracle_small_complexes(self):
         quandles = [trivial_quandle(1), trivial_quandle(2), trivial_quandle(3),
                     dihedral_quandle(3)]
-        rings = [parse_ring("Z2[T]/(T+1)"), parse_ring("Z3[T]/(T+1)"),
-                 parse_ring("Z2[T]/(T^2+T+1)")]
+        # Z6 and Z12 put two primes into one torsion count
+        rings = [parse_ring(r) for r in (
+            "Z2[T]/(T+1)", "Z3[T]/(T+1)", "Z2[T]/(T^2+T+1)", "Z4[T]/(T+1)",
+            "Z6[T]/(T+1)", "Z9[T]/(T+1)", "Z12[T]/(T+1)",
+            "Z4[T]/(T^2+T+1)")]
         checked = 0
         for x in quandles:
             for ring in rings:
@@ -191,6 +194,33 @@ class TestHomology:
         info = homology(spec(quandle_standard("A(2;T^2+T+1)"),
                              parse_ring("Z2[T]/(T^2+T+1)"), "TQ", 3))
         assert info.invariant_factors == (2,) * 6
+
+    @pytest.mark.parametrize("name,ring,n", [
+        ("R(3)", "Z3[T]/(T+1)", 2), ("R(4)", "Z4[T]/(T+1)", 2),
+        ("R(4)", "Z6[T]/(T+1)", 3), ("A(2;T^2+T+1)", "Z2[T]/(T^2+T+1)", 2),
+        ("R(3)", "Z[T]/(T+1)", 3), ("T(2)", "Z[T]/(T^2-1)", 1),
+        ("A(2;T^2+T+1)", "Z4[T]/(T^2+T+1)", 2)])
+    def test_dense_views_give_the_same_answers(self, name, ring, n):
+        # homology_segment reads the dense views back into columns, rows
+        # ascending; homology and cohomology hand the engine the columns
+        # directly, and must pick the same pivots, generators and T-action
+        x, ring = quandle_standard(name), parse_ring(ring)
+        s = spec(x, ring, "TQ", n)
+        r = t_matrix(s).rows
+        rel = (IntMatrix.scalar(r, ring.modulus) if ring.modulus
+               else IntMatrix(r, 0))
+        answers = [
+            (homology(s), homology_segment(
+                boundary_matrix(spec(x, ring, "TQ", n + 1)),
+                boundary_matrix(s), rel, t_matrix(s))),
+            (cohomology(s)[0], homology_segment(
+                delta_matrix(spec(x, ring, "TQ", n - 1)), delta_matrix(s),
+                rel, t_matrix(s), cycles=True))]
+        for a, b in answers:
+            assert not a.is_trivial()
+            assert (a.invariant_factors, a.generators, a.t_action,
+                    a.cycles) == (b.invariant_factors, b.generators,
+                                  b.t_action, b.cycles)
 
 
 class TestCohomology:
@@ -250,8 +280,7 @@ class TestCohomology:
         code = (
             "import twistq.chain as c\n"
             "try:\n"
-            "    c._abelian_invariants([0, 1, 2, 3],\n"
-            "                          lambda a, b: 0 if b < 3 else b, 0)\n"
+            "    c._abelian_invariants(4, lambda q: 3)\n"
             "except RuntimeError as e:\n"
             "    print('raised:', e)\n")
         assert run_optimized(code) == \
@@ -318,6 +347,19 @@ class TestGuards:
         monkeypatch.setenv("TWISTQ_MAX_BRUTE", "27")
         assert brute_force_homology(s).invariant_factors == \
             homology(s).invariant_factors
+
+    def test_oracle_refuses_a_boundary_that_is_not_a_cycle(self,
+                                                           monkeypatch):
+        import twistq.chain as chain_mod
+        real = chain_mod._boundary_columns
+
+        def with_stray_column(s):
+            cols, rows = real(s)
+            # the chain (0, 1) of degree 2 is not a cycle
+            return (cols + [{0: 1}] if s.degree == 3 else cols), rows
+        monkeypatch.setattr(chain_mod, "_boundary_columns", with_stray_column)
+        with pytest.raises(RuntimeError, match="not a cycle"):
+            brute_force_homology(spec(dihedral_quandle(3), R3, "TQ", 2))
 
     def test_t_matrix_shape(self):
         s = spec(dihedral_quandle(3), R3, "TQ", 2)

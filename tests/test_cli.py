@@ -218,6 +218,18 @@ class TestInvariant:
         assert report["result"]["value"] == "2 + 2st"
         assert report["result"]["colorings"] == 4
 
+    def test_override_of_missing_crossing_is_refused(self, capsys, tmp_path):
+        pd = tmp_path / "hopf.pd"
+        pd.write_text(HOPF + "L 0 -1\nL 5 -1\n")
+        co = tmp_path / "phi.txt"
+        co.write_text("0,1 -> T\n1,0 -> 1\n")
+        code, out, err = run(capsys, ["invariant", "--pd", str(pd),
+                                      "--quandle", "T(2)",
+                                      "--coeff", "Z[T]/(T^2-1)",
+                                      "--cocycle", str(co)])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "crossing 5" in err
+
     def test_long_torus_knot(self, capsys, tmp_path, torus_pd):
         pd = tmp_path / "t2_601.pd"
         pd.write_text(torus_pd(601))

@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .coeff import RingError
-from .exactlin import IntMatrix, ModuleInfo, _homology, solve_linear
+from .exactlin import IntMatrix, ModuleInfo, _homology, _solve
 from .quandle import FiniteQuandle
 
 __all__ = [
@@ -352,9 +352,7 @@ def is_coboundary(spec, f):
     if n == 0:
         return None if not f.is_zero() else Cochain(spec.ring, 0)
     low = replace(spec, degree=n - 1)
-    M = delta_matrix(low)
-    b = _vector(spec, f)
-    x = solve_linear(M, b, spec.ring.modulus)
+    x = _solve(*_delta_columns(low), _vector(spec, f), spec.ring.modulus)
     if x is None:
         return None
     g = _from_vector(low, x, n - 1, Cochain)

@@ -24,7 +24,7 @@ EX_USAGE = 64
 
 # argument names whose values are file paths, read before hashing
 _FILE_ARGS = {"cocycle", "cycle", "pd", "surface", "seeds", "phi", "catalog"}
-_SKIP_ARGS = {"func", "pretty", "command_path"}
+_SKIP_ARGS = {"pretty", "command_path"}
 
 
 class CliParser(argparse.ArgumentParser):
@@ -76,26 +76,14 @@ def _digest(command, inputs):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-# -- cocycle construction shared with the catalog ---------------------------
-
-def construct_cocycle(params):
-    """Build (cochain, quandle, ring) from a family-parameter mapping."""
-    family = params["family"]
-    if family == "modular":
-        return cocycles.modular_extension_cocycle(
-            int(params["p"]), int(params["m"]), coeff.parse_poly(params["h"]))
-    if family == "polynomial":
-        return cocycles.polynomial_extension_cocycle(
-            int(params["p"]), coeff.parse_poly(params["h"]), int(params["m"]))
-    if family == "dihedral":
-        return cocycles.dihedral_integral_cocycle(int(params["n"]))
-    if family == "lift":
-        x = _load_quandle(params["quandle"])
-        ring = coeff.parse_ring(params["coeff"])
-        seeds = chain.parse_cochain(ring, params["seeds"])
-        psi, _is_tq = cocycles.lift_h1(x, ring, seeds.values)
-        return psi, x, ring
-    raise cocycles.CocycleError("unknown cocycle family %r" % family)
+# cocycle families: parameters -> (cochain, quandle, ring)
+_FAMILIES = {
+    "modular": lambda p: cocycles.modular_extension_cocycle(
+        int(p["p"]), int(p["m"]), coeff.parse_poly(p["h"])),
+    "polynomial": lambda p: cocycles.polynomial_extension_cocycle(
+        int(p["p"]), coeff.parse_poly(p["h"]), int(p["m"])),
+    "dihedral": lambda p: cocycles.dihedral_integral_cocycle(int(p["n"])),
+}
 
 
 def _make_ses(args_or_params):
@@ -113,10 +101,8 @@ def _spec_from(inputs):
     return chain.ComplexSpec(x, ring, inputs["variant"], inputs["degree"])
 
 
-def _cmd_homology(inputs):
-    spec = _spec_from(inputs)
-    info = chain.homology(spec)
-    result = {
+def _module_result(spec, info):
+    return {
         "quandle": spec.x.name or "custom",
         "ring": spec.ring.descriptor(),
         "variant": spec.variant,
@@ -125,6 +111,11 @@ def _cmd_homology(inputs):
         "description": info.describe(),
         "t_action": info.t_action,
     }
+
+
+def _cmd_homology(inputs):
+    spec = _spec_from(inputs)
+    result = _module_result(spec, chain.homology(spec))
     if inputs.get("oracle"):
         oracle = chain.brute_force_homology(spec)
         result["oracle_factors"] = list(oracle.invariant_factors)
@@ -134,16 +125,9 @@ def _cmd_homology(inputs):
 def _cmd_cohomology(inputs):
     spec = _spec_from(inputs)
     info, gens = chain.cohomology(spec)
-    return {
-        "quandle": spec.x.name or "custom",
-        "ring": spec.ring.descriptor(),
-        "variant": spec.variant,
-        "degree": spec.degree,
-        "invariant_factors": list(info.invariant_factors),
-        "description": info.describe(),
-        "t_action": info.t_action,
-        "cocycle_generators": [chain.render_cochain(g) for g in gens],
-    }
+    result = _module_result(spec, info)
+    result["cocycle_generators"] = [chain.render_cochain(g) for g in gens]
+    return result
 
 
 def _construct_result(phi, x, ring):
@@ -153,13 +137,8 @@ def _construct_result(phi, x, ring):
             "quandle": _quandle_payload(x)}
 
 
-def _cmd_construct_family(family):
-    def handler(inputs):
-        params = dict(inputs)
-        params["family"] = family
-        phi, x, ring = construct_cocycle(params)
-        return _construct_result(phi, x, ring)
-    return handler
+def _cmd_construct_family(inputs):
+    return _construct_result(*_FAMILIES[inputs["family"]](inputs))
 
 
 def _cmd_construct_lift(inputs):
@@ -229,26 +208,24 @@ def _cmd_quandle_iso(inputs):
             "map": list(m.values) if m is not None else None}
 
 
-def _cmd_invariant(inputs):
-    diagram = knot.parse_pd(inputs["pd"])
+def _state_sum_result(inputs, diagram, state_sum, degree):
     x = _load_quandle(inputs["quandle"])
     ring = coeff.parse_ring(inputs["coeff"])
-    phi = chain.parse_cochain(ring, inputs["cocycle"], degree=2)
-    value, cols, weights = knot.state_sum(diagram, x, ring, phi)
+    phi = chain.parse_cochain(ring, inputs["cocycle"], degree=degree)
+    value, cols, weights = state_sum(diagram, x, ring, phi)
     return {"value": value.render(),
             "colorings": len(cols),
             "weights": [ring.render_elem(w) for w in weights]}
+
+
+def _cmd_invariant(inputs):
+    return _state_sum_result(inputs, knot.parse_pd(inputs["pd"]),
+                             knot.state_sum, 2)
 
 
 def _cmd_invariant_surface(inputs):
-    sp = knot.parse_surface(inputs["surface"])
-    x = _load_quandle(inputs["quandle"])
-    ring = coeff.parse_ring(inputs["coeff"])
-    theta = chain.parse_cochain(ring, inputs["cocycle"], degree=3)
-    value, cols, weights = knot.state_sum_surface(sp, x, ring, theta)
-    return {"value": value.render(),
-            "colorings": len(cols),
-            "weights": [ring.render_elem(w) for w in weights]}
+    return _state_sum_result(inputs, knot.parse_surface(inputs["surface"]),
+                             knot.state_sum_surface, 3)
 
 
 # -- catalog / verify-suite --------------------------------------------------
@@ -260,122 +237,94 @@ def load_catalog(text=None):
     entries = json.loads(text)
     if not isinstance(entries, list):
         raise ValueError("catalog must be a JSON list of entries")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError("catalog entry %d is not a JSON object" % i)
     return entries
 
 
-def _catalog_quandle(spec, default=None):
-    if spec is None:
-        if default is None:
-            raise ValueError("catalog entry is missing its quandle")
-        return default
-    if isinstance(spec, str):
-        return quandle.quandle_standard(spec)
+# kind: (command path, [(entry key, result field)]); the command None
+# stands for the entry's `construct` alone (see _construct).  A check
+# compares the field with the entry's value when both are there: a
+# command reports some fields only on request (homology's oracle_factors).
+_KINDS = {
+    "homology": ("homology", [("expect", "invariant_factors"),
+                              ("expect", "oracle_factors"),
+                              ("expect_t", "t_action")]),
+    "cocycle-table": (None, [("expect", "cocycle")]),
+    "lift": ("cocycle construct lift", [("expect", "cocycle"),
+                                        ("expect_tq", "is_tq")]),
+    "pairing": ("cocycle pair", [("expect", "value")]),
+    "not-coboundary": ("cocycle verify",
+                       [("is_cocycle", "is_cocycle"),
+                        ("expect_none", "primitive is None")]),
+    "invariant": ("invariant", [("expect", "value"),
+                                ("expect_colorings", "colorings")]),
+    "invariant-surface": ("invariant-surface",
+                          [("expect", "value"),
+                           ("expect_colorings", "colorings")]),
+    "iso": ("quandle iso", [("expect", "isomorphic")]),
+}
+# expected values an entry may leave out
+_EXPECT_DEFAULTS = {"is_cocycle": True, "expect_none": True}
+
+
+def _construct(params):
+    """Run `cocycle construct <family>` on a catalog construct mapping;
+    returns the inputs its report supplies to the entry's command."""
+    report = _COMMANDS["cocycle construct " + params["family"]](params)
+    x = quandle.quandle_from_table(report["quandle"]["table"])
+    return {"cocycle": report["cocycle"], "coeff": report["ring"],
+            "degree": report["degree"],
+            "quandle": quandle.render_quandle_table(x)}
+
+
+def _catalog_quandle(spec):
+    """Table text of a {"product": [a, b]} or {"extension": construct}
+    quandle spec."""
     if "product" in spec:
         a, b = spec["product"]
-        return quandle.quandle_product(quandle.quandle_standard(a),
-                                       quandle.quandle_standard(b))
-    if "extension" in spec:
-        phi, x, ring = construct_cocycle(spec["extension"])
-        return quandle.quandle_extension(x, ring, phi)
-    raise ValueError("cannot interpret quandle spec %r" % (spec,))
+        x = quandle.quandle_product(quandle.quandle_standard(a),
+                                    quandle.quandle_standard(b))
+    elif "extension" in spec:
+        made = _construct(spec["extension"])
+        ring = coeff.parse_ring(made["coeff"])
+        phi = chain.parse_cochain(ring, made["cocycle"])
+        x = quandle.quandle_extension(_load_quandle(made["quandle"]), ring,
+                                      phi)
+    else:
+        raise ValueError("cannot interpret quandle spec %r" % (spec,))
+    return quandle.render_quandle_table(x)
 
 
-def _catalog_cocycle(entry):
-    """Resolve an entry's weight cochain; returns (cochain, quandle, ring)
-    where the quandle may be None when only text data was given."""
-    if "construct" in entry:
-        return construct_cocycle(entry["construct"])
-    ring = coeff.parse_ring(entry["coeff"])
-    f = chain.parse_cochain(ring, entry["cocycle"],
-                            degree=entry.get("cocycle_degree", 2))
-    return f, None, ring
+def _catalog_result(entry):
+    """The report of the CLI command that checks a catalog entry, with
+    the field "primitive is None" for not-coboundary's check."""
+    path = _KINDS[entry["kind"]][0]
+    made = _construct(entry["construct"]) if "construct" in entry else {}
+    if path is None:
+        return made
+    inputs = {"variant": "TQ", **made, **entry}
+    for key in ("quandle", "first", "second"):
+        if isinstance(inputs.get(key), dict):
+            inputs[key] = _catalog_quandle(inputs[key])
+    result = _COMMANDS[path](inputs)
+    result["primitive is None"] = result.get("primitive") is None
+    return result
 
 
 def run_catalog_entry(entry):
     """Execute one catalog check; returns (ok, witness_text_or_None)."""
-    kind = entry["kind"]
-    if kind == "homology":
-        x = _catalog_quandle(entry["quandle"])
-        ring = coeff.parse_ring(entry["coeff"])
-        spec = chain.ComplexSpec(x, ring, entry.get("variant", "TQ"),
-                                 entry["degree"])
-        info = chain.homology(spec)
-        got = list(info.invariant_factors)
-        if got != list(entry["expect"]):
-            return False, "invariant factors %r, expected %r" % (
-                got, entry["expect"])
-        if "expect_t" in entry and info.t_action != entry["expect_t"]:
-            return False, "T-action %r, expected %r" % (
-                info.t_action, entry["expect_t"])
-        if entry.get("oracle"):
-            alt = list(chain.brute_force_homology(spec).invariant_factors)
-            if alt != got:
-                return False, "oracle disagrees: %r vs %r" % (alt, got)
-        return True, None
-    if kind == "cocycle-table":
-        phi, _x, _ring = construct_cocycle(entry["construct"])
-        got = chain.render_cochain(phi)
-        if got != entry["expect"]:
-            return False, "table mismatch:\n%s" % got
-        return True, None
-    if kind == "pairing":
-        f, x, ring = _catalog_cocycle(entry)
-        c = chain.parse_cochain(ring, entry["cycle"], degree=f.degree)
-        spec = chain.ComplexSpec(x, ring, entry.get("variant", "TQ"), f.degree)
-        got = ring.render_elem(chain.pair(spec, f, c))
-        if got != entry["expect"]:
-            return False, "pairing gave %s, expected %s" % (
-                got, entry["expect"])
-        return True, None
-    if kind == "lift":
-        x = _catalog_quandle(entry["quandle"])
-        ring = coeff.parse_ring(entry["coeff"])
-        seeds = chain.parse_cochain(ring, entry["seeds"])
-        psi, is_tq = cocycles.lift_h1(x, ring, seeds.values)
-        got = chain.render_cochain(psi)
-        if got != entry["expect"]:
-            return False, "lifted table mismatch:\n%s" % got
-        if "expect_tq" in entry and is_tq != entry["expect_tq"]:
-            return False, "is_tq == %r" % is_tq
-        return True, None
-    if kind == "not-coboundary":
-        f, x, ring = _catalog_cocycle(entry)
-        spec = chain.ComplexSpec(x, ring, entry.get("variant", "TQ"), f.degree)
-        g = chain.is_coboundary(spec, f)
-        if (g is None) != entry.get("expect_none", True):
-            return False, ("a primitive exists" if g is not None
-                           else "no primitive found")
-        return True, None
-    if kind == "invariant":
-        f, x, ring = _catalog_cocycle(entry)
-        x = _catalog_quandle(entry.get("quandle"), default=x)
-        diagram = knot.parse_pd(entry["pd"])
-        value, cols, _w = knot.state_sum(diagram, x, ring, f)
-        got = value.render()
-        if got != entry["expect"]:
-            return False, "state sum %s, expected %s" % (got, entry["expect"])
-        if "expect_colorings" in entry and len(cols) != entry["expect_colorings"]:
-            return False, "%d colorings, expected %d" % (
-                len(cols), entry["expect_colorings"])
-        return True, None
-    if kind == "invariant-surface":
-        f, x, ring = _catalog_cocycle(entry)
-        x = _catalog_quandle(entry.get("quandle"), default=x)
-        sp = knot.parse_surface(entry["surface"])
-        value, _cols, _w = knot.state_sum_surface(sp, x, ring, f)
-        got = value.render()
-        if got != entry["expect"]:
-            return False, "state sum %s, expected %s" % (got, entry["expect"])
-        return True, None
-    if kind == "iso":
-        a = _catalog_quandle(entry["first"])
-        b = _catalog_quandle(entry["second"])
-        m = quandle.find_isomorphism(a, b)
-        if (m is not None) != entry["expect"]:
-            return False, ("isomorphism %r" % (m.values,) if m is not None
-                           else "no isomorphism found")
-        return True, None
-    return False, "unknown catalog entry kind %r" % kind
+    kind = entry.get("kind")
+    if kind not in _KINDS:
+        return False, "unknown catalog entry kind %r" % kind
+    result = _catalog_result(entry)
+    want = dict(_EXPECT_DEFAULTS, **entry)
+    for key, field in _KINDS[kind][1]:
+        if key in want and field in result and result[field] != want[key]:
+            return False, "%s is %s, expected %s" % (
+                field, json.dumps(result[field]), json.dumps(want[key]))
+    return True, None
 
 
 def run_catalog(entries):
@@ -403,6 +352,26 @@ def _cmd_verify_suite(inputs):
     return result
 
 
+# command path -> handler; build_parser names the same paths
+_COMMANDS = {
+    "homology": _cmd_homology,
+    "cohomology": _cmd_cohomology,
+    "cocycle construct modular": _cmd_construct_family,
+    "cocycle construct polynomial": _cmd_construct_family,
+    "cocycle construct dihedral": _cmd_construct_family,
+    "cocycle construct obstruction2": _cmd_construct_obstruction2,
+    "cocycle construct obstruction3": _cmd_construct_obstruction3,
+    "cocycle construct lift": _cmd_construct_lift,
+    "cocycle verify": _cmd_verify,
+    "cocycle pair": _cmd_pair,
+    "quandle info": _cmd_quandle_info,
+    "quandle iso": _cmd_quandle_iso,
+    "invariant": _cmd_invariant,
+    "invariant-surface": _cmd_invariant_surface,
+    "verify-suite": _cmd_verify_suite,
+}
+
+
 # -- parser ------------------------------------------------------------------
 
 def _add_complex_args(p):
@@ -427,11 +396,11 @@ def build_parser():
     _add_complex_args(p)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check with the brute-force engine")
-    p.set_defaults(func=_cmd_homology, command_path="homology")
+    p.set_defaults(command_path="homology")
 
     p = sub.add_parser("cohomology")
     _add_complex_args(p)
-    p.set_defaults(func=_cmd_cohomology, command_path="cohomology")
+    p.set_defaults(command_path="cohomology")
 
     p = sub.add_parser("cocycle")
     csub = p.add_subparsers(dest="action", required=True,
@@ -444,18 +413,15 @@ def build_parser():
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--h", required=True)
-    q.set_defaults(func=_cmd_construct_family("modular"),
-                   command_path="cocycle construct modular")
+    q.set_defaults(command_path="cocycle construct modular")
     q = fsub.add_parser("polynomial")
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--h", required=True)
     q.add_argument("--m", type=int, required=True)
-    q.set_defaults(func=_cmd_construct_family("polynomial"),
-                   command_path="cocycle construct polynomial")
+    q.set_defaults(command_path="cocycle construct polynomial")
     q = fsub.add_parser("dihedral")
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=_cmd_construct_family("dihedral"),
-                   command_path="cocycle construct dihedral")
+    q.set_defaults(command_path="cocycle construct dihedral")
     q = fsub.add_parser("obstruction2")
     q.add_argument("--ambient", required=True, help="the ambient module G")
     q.add_argument("--sub", required=True,
@@ -464,64 +430,60 @@ def build_parser():
     q.add_argument("--eta", required=True,
                    help="images in G/N, comma-separated indices")
     q.add_argument("--search-lift", action="store_true", dest="search_lift")
-    q.set_defaults(func=_cmd_construct_obstruction2,
-                   command_path="cocycle construct obstruction2")
+    q.set_defaults(command_path="cocycle construct obstruction2")
     q = fsub.add_parser("obstruction3")
     q.add_argument("--ambient", required=True)
     q.add_argument("--sub", required=True)
     q.add_argument("--quandle", required=True)
     q.add_argument("--phi", required=True,
                    help="file with a 2-cochain valued in G")
-    q.set_defaults(func=_cmd_construct_obstruction3,
-                   command_path="cocycle construct obstruction3")
+    q.set_defaults(command_path="cocycle construct obstruction3")
     q = fsub.add_parser("lift")
     q.add_argument("--quandle", required=True)
     q.add_argument("--coeff", required=True)
     q.add_argument("--seeds", required=True, help="file with seed values")
-    q.set_defaults(func=_cmd_construct_lift,
-                   command_path="cocycle construct lift")
+    q.set_defaults(command_path="cocycle construct lift")
 
     pv = csub.add_parser("verify")
     _add_complex_args(pv)
     pv.add_argument("--cocycle", required=True, help="cochain file")
-    pv.set_defaults(func=_cmd_verify, command_path="cocycle verify")
+    pv.set_defaults(command_path="cocycle verify")
 
     pp = csub.add_parser("pair")
     _add_complex_args(pp)
     pp.add_argument("--cocycle", required=True, help="cochain file")
     pp.add_argument("--cycle", required=True, help="chain file")
-    pp.set_defaults(func=_cmd_pair, command_path="cocycle pair")
+    pp.set_defaults(command_path="cocycle pair")
 
     p = sub.add_parser("quandle")
     qsub = p.add_subparsers(dest="action", required=True,
                             parser_class=CliParser)
     qi = qsub.add_parser("info")
     qi.add_argument("--quandle", required=True)
-    qi.set_defaults(func=_cmd_quandle_info, command_path="quandle info")
+    qi.set_defaults(command_path="quandle info")
     qx = qsub.add_parser("iso")
     qx.add_argument("--first", required=True)
     qx.add_argument("--second", required=True)
-    qx.set_defaults(func=_cmd_quandle_iso, command_path="quandle iso")
+    qx.set_defaults(command_path="quandle iso")
 
     p = sub.add_parser("invariant")
     p.add_argument("--pd", required=True, help="diagram file")
     p.add_argument("--quandle", required=True)
     p.add_argument("--coeff", required=True)
     p.add_argument("--cocycle", required=True, help="2-cochain file")
-    p.set_defaults(func=_cmd_invariant, command_path="invariant")
+    p.set_defaults(command_path="invariant")
 
     p = sub.add_parser("invariant-surface")
     p.add_argument("--surface", required=True, help="presentation file")
     p.add_argument("--quandle", required=True)
     p.add_argument("--coeff", required=True)
     p.add_argument("--cocycle", required=True, help="3-cochain file")
-    p.set_defaults(func=_cmd_invariant_surface,
-                   command_path="invariant-surface")
+    p.set_defaults(command_path="invariant-surface")
 
     p = sub.add_parser("verify-suite")
     p.add_argument("--catalog", help="path to a catalog JSON file "
                                      "(default: the bundled catalog)")
-    p.set_defaults(func=_cmd_verify_suite, command_path="verify-suite")
+    p.set_defaults(command_path="verify-suite")
 
     return parser
 
@@ -532,7 +494,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         inputs = _resolve_inputs(args)
-        result = args.func(inputs)
+        result = _COMMANDS[args.command_path](inputs)
     except (OSError, ValueError) as exc:
         # RingError, QuandleError, CocycleError and DiagramError are all
         # ValueErrors: a violated precondition of the computation

@@ -415,12 +415,17 @@ def solve_linear(M, b, modulus=0):
     mod-n solutions are reduced to canonical residues, so the result is
     deterministic.
     """
-    n = modulus
     if len(b) != M.rows:
         raise ValueError("vector length mismatch")
-    f = _Factored(_columns(M, n), M.rows, n)
+    return _solve(_columns(M, modulus), M.rows, b, modulus)
+
+
+def _solve(cols, nrows, b, n):
+    """solve_linear for M given by its column dicts ({row: entry mod n},
+    rows ascending; consumed) and row count."""
+    w = [0] * len(cols)
+    f = _Factored(cols, nrows, n)
     c = _apply(f.rows, [v % n if n else v for v in b], n)
-    w = [0] * M.cols
     for i, j, d in f.diag:
         g = math.gcd(d, n)
         if c[i] % g:

@@ -176,6 +176,22 @@ def test_criterion_08(capsys):
            "phi(x) evaluates to 0 where -1 was expected")
 
 
+def test_criterion_08_by_hand():
+    # read phi(1, 0) and phi(2, 0) off the rendered modular carry table
+    table = "0,2 -> 1\n1,0 -> 2\n1,2 -> 1\n2,0 -> 2\n"
+    phi, q, r = modular_extension_cocycle(3, 2, [1, 1])
+    assert render_cochain(phi) == table
+    values = dict(line.split(" -> ") for line in table.splitlines())
+    assert values["1,0"] == values["2,0"] == "2"
+    # x = (1, 0) - (2, 0) has zero boundary, so it is a 2-cycle and
+    # <phi, x> = phi(1, 0) - phi(2, 0) = 2 - 2 = 0 in Z3, not -1
+    cx, _ = _standard_cycles(r)
+    assert set(cx.values) == {(1, 0), (2, 0)}
+    assert boundary(ComplexSpec(q, r, "TQ", 2), cx).is_zero()
+    assert r.modulus == 3
+    assert (int(values["1,0"]) - int(values["2,0"])) % 3 == 0
+
+
 @pytest.mark.xfail(strict=True,
                    reason="expected -1 but direct evaluation of the "
                           "pairing gives 0")

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import argparse
 import json
 
 import pytest
@@ -288,3 +289,68 @@ class TestVerifySuite:
         report = json.loads(out)
         assert report["result"]["failed"] == 0
         assert "warning" in report["result"] and "nothing" in err
+
+
+def _wrong(value):
+    """A value of the same type that differs from `value`."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "1"
+    return value[1:] if value else [7]
+
+
+_EXPECT_KEYS = ("expect", "expect_t", "expect_tq", "expect_colorings",
+                "expect_none")
+_PERTURBED = [(entry["id"], key) for entry in cli.load_catalog()
+              for key in _EXPECT_KEYS if key in entry]
+
+
+class TestCatalogDispatch:
+    def test_non_object_entry_is_refused(self, capsys, tmp_path):
+        with pytest.raises(ValueError, match="catalog entry 1 is not"):
+            cli.load_catalog('[{"kind": "iso"}, 2]')
+        bad = tmp_path / "catalog.json"
+        bad.write_text("[1, 2]")
+        code, out, err = run(capsys, ["verify-suite", "--catalog", str(bad)])
+        assert code == 2 and out == ""
+        assert err == "error: catalog entry 0 is not a JSON object\n"
+
+    @pytest.mark.parametrize("eid,key", _PERTURBED,
+                             ids=["%s:%s" % p for p in _PERTURBED])
+    def test_every_expectation_is_checked(self, eid, key):
+        entry = next(e for e in cli.load_catalog() if e["id"] == eid)
+        assert cli.run_catalog_entry(entry) == (True, None)
+        ok, witness = cli.run_catalog_entry(dict(entry,
+                                                 **{key: _wrong(entry[key])}))
+        assert not ok and witness
+
+    def test_every_kind_and_field_is_exercised(self):
+        # a check skips a field its result lacks, so every field named in
+        # the kind table must occur in the result of a bundled entry
+        entries = cli.load_catalog()
+        assert set(cli._KINDS) <= {e["kind"] for e in entries}
+        for kind, (_path, checks) in cli._KINDS.items():
+            results = [cli._catalog_result(e) for e in entries
+                       if e["kind"] == kind]
+            for _key, field in checks:
+                assert any(field in r for r in results), (kind, field)
+
+    def test_unknown_kind_fails_with_witness(self):
+        assert cli.run_catalog_entry({"kind": "nope"}) == \
+            (False, "unknown catalog entry kind 'nope'")
+
+    def test_parser_and_command_table_agree(self):
+        paths = set()
+        todo = [cli.build_parser()]
+        while todo:
+            p = todo.pop()
+            subs = [a for a in p._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                paths.add(p.get_default("command_path"))
+            for a in subs:
+                todo.extend(a.choices.values())
+        assert paths == set(cli._COMMANDS)

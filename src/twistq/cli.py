@@ -86,10 +86,10 @@ _FAMILIES = {
 }
 
 
-def _make_ses(args_or_params):
-    g = coeff.parse_ring(args_or_params["ambient"])
+def _make_ses(inputs):
+    g = coeff.parse_ring(inputs["ambient"])
     gens = tuple(g.reduce(coeff.parse_poly(s))
-                 for s in str(args_or_params["sub"]).split(";"))
+                 for s in str(inputs["sub"]).split(";"))
     return cocycles.SesSpec(g, gens)
 
 

@@ -36,13 +36,10 @@ class CliParser(argparse.ArgumentParser):
 
 
 def _load_quandle(text):
-    """A quandle argument is a standard name (T(n), R(n), A(n;h)),
-    '@path' pointing at an operation-table file, or the table text
-    itself (report inputs carry @files inlined), told apart from a name
-    by its first non-comment line, the size."""
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            text = fh.read()
+    """A quandle argument is a standard name (T(n), R(n), A(n;h)) or
+    the table text itself (main inlines an '@path' argument before the
+    handler runs), told apart from a name by its first non-comment line,
+    the size."""
     lines = [ln for ln in map(str.strip, text.splitlines())
              if ln and not ln.startswith("#")]
     if lines and lines[0][0].isdigit():
@@ -196,8 +193,7 @@ def _cmd_pair(inputs):
 
 
 def _cmd_quandle_info(inputs):
-    x = _load_quandle(inputs["quandle"])
-    return _quandle_payload(x)
+    return _quandle_payload(_load_quandle(inputs["quandle"]))
 
 
 def _cmd_quandle_iso(inputs):
@@ -243,40 +239,40 @@ def load_catalog(text=None):
     return entries
 
 
-# kind: (command path, [(entry key, result field)]); the command None
-# stands for the entry's `construct` alone (see _construct).  A check
-# compares the field with the entry's value when both are there: a
-# command reports some fields only on request (homology's oracle_factors).
+# kind: (command path, {result field: reader}).  A reader gives the value
+# the entry expects in the field, raises KeyError for a key the entry
+# must give, or returns _SKIP for a check the entry does not ask for.
+# The command None stands for the entry's `construct` alone.
+_SKIP = object()
+_STATE_SUM = {"value": lambda e: e["expect"],
+              "colorings": lambda e: e.get("expect_colorings", _SKIP)}
 _KINDS = {
-    "homology": ("homology", [("expect", "invariant_factors"),
-                              ("expect", "oracle_factors"),
-                              ("expect_t", "t_action")]),
-    "cocycle-table": (None, [("expect", "cocycle")]),
-    "lift": ("cocycle construct lift", [("expect", "cocycle"),
-                                        ("expect_tq", "is_tq")]),
-    "pairing": ("cocycle pair", [("expect", "value")]),
-    "not-coboundary": ("cocycle verify",
-                       [("is_cocycle", "is_cocycle"),
-                        ("expect_none", "primitive is None")]),
-    "invariant": ("invariant", [("expect", "value"),
-                                ("expect_colorings", "colorings")]),
-    "invariant-surface": ("invariant-surface",
-                          [("expect", "value"),
-                           ("expect_colorings", "colorings")]),
-    "iso": ("quandle iso", [("expect", "isomorphic")]),
+    "homology": ("homology", {
+        "invariant_factors": lambda e: e["expect"],
+        # homology reports oracle_factors only when the entry asks
+        "oracle_factors": lambda e: e["expect"] if e.get("oracle") else _SKIP,
+        "t_action": lambda e: e.get("expect_t", _SKIP)}),
+    "cocycle-table": (None, {"cocycle": lambda e: e["expect"]}),
+    "lift": ("cocycle construct lift", {
+        "cocycle": lambda e: e["expect"],
+        "is_tq": lambda e: e.get("expect_tq", _SKIP)}),
+    "pairing": ("cocycle pair", {"value": lambda e: e["expect"]}),
+    "not-coboundary": ("cocycle verify", {
+        "is_cocycle": lambda e: True,
+        "is_coboundary": lambda e: not e.get("expect_none", True)}),
+    "invariant": ("invariant", _STATE_SUM),
+    "invariant-surface": ("invariant-surface", _STATE_SUM),
+    "iso": ("quandle iso", {"isomorphic": lambda e: e["expect"]}),
 }
-# expected values an entry may leave out
-_EXPECT_DEFAULTS = {"is_cocycle": True, "expect_none": True}
 
 
 def _construct(params):
-    """Run `cocycle construct <family>` on a catalog construct mapping;
-    returns the inputs its report supplies to the entry's command."""
-    report = _COMMANDS["cocycle construct " + params["family"]](params)
-    x = quandle.quandle_from_table(report["quandle"]["table"])
-    return {"cocycle": report["cocycle"], "coeff": report["ring"],
-            "degree": report["degree"],
-            "quandle": quandle.render_quandle_table(x)}
+    """The report of `cocycle construct <family>` on a catalog construct
+    mapping."""
+    family = params.get("family")
+    if family not in _FAMILIES and family != "lift":
+        raise cocycles.CocycleError("unknown cocycle family %r" % family)
+    return _COMMANDS["cocycle construct " + family](params)
 
 
 def _catalog_quandle(spec):
@@ -288,29 +284,34 @@ def _catalog_quandle(spec):
                                     quandle.quandle_standard(b))
     elif "extension" in spec:
         made = _construct(spec["extension"])
-        ring = coeff.parse_ring(made["coeff"])
-        phi = chain.parse_cochain(ring, made["cocycle"])
-        x = quandle.quandle_extension(_load_quandle(made["quandle"]), ring,
-                                      phi)
+        ring = coeff.parse_ring(made["ring"])
+        x = quandle.quandle_extension(
+            quandle.quandle_from_table(made["quandle"]["table"]), ring,
+            chain.parse_cochain(ring, made["cocycle"]))
     else:
         raise ValueError("cannot interpret quandle spec %r" % (spec,))
     return quandle.render_quandle_table(x)
 
 
 def _catalog_result(entry):
-    """The report of the CLI command that checks a catalog entry, with
-    the field "primitive is None" for not-coboundary's check."""
+    """The report of the CLI command that checks a catalog entry.  A
+    construct's report supplies the command's cocycle, coeff, degree and
+    quandle (table text)."""
     path = _KINDS[entry["kind"]][0]
     made = _construct(entry["construct"]) if "construct" in entry else {}
     if path is None:
         return made
-    inputs = {"variant": "TQ", **made, **entry}
+    inputs = {"variant": "TQ", **entry}
+    if made:
+        rows = [[made["quandle"]["size"]]] + made["quandle"]["table"]
+        inputs = {"cocycle": made["cocycle"], "coeff": made["ring"],
+                  "degree": made["degree"], "quandle": "".join(
+                      " ".join(map(str, row)) + "\n" for row in rows),
+                  **inputs}
     for key in ("quandle", "first", "second"):
         if isinstance(inputs.get(key), dict):
             inputs[key] = _catalog_quandle(inputs[key])
-    result = _COMMANDS[path](inputs)
-    result["primitive is None"] = result.get("primitive") is None
-    return result
+    return _COMMANDS[path](inputs)
 
 
 def run_catalog_entry(entry):
@@ -318,12 +319,19 @@ def run_catalog_entry(entry):
     kind = entry.get("kind")
     if kind not in _KINDS:
         return False, "unknown catalog entry kind %r" % kind
+    try:
+        want = {field: read(entry) for field, read in _KINDS[kind][1].items()}
+    except KeyError as exc:
+        return False, "%s is missing" % exc.args[0]
     result = _catalog_result(entry)
-    want = dict(_EXPECT_DEFAULTS, **entry)
-    for key, field in _KINDS[kind][1]:
-        if key in want and field in result and result[field] != want[key]:
+    for field, value in want.items():
+        if value is _SKIP:
+            continue
+        if field not in result:
+            return False, "%s is missing from the report" % field
+        if result[field] != value:
             return False, "%s is %s, expected %s" % (
-                field, json.dumps(result[field]), json.dumps(want[key]))
+                field, json.dumps(result[field]), json.dumps(value))
     return True, None
 
 
@@ -345,8 +353,7 @@ def run_catalog(entries):
 
 
 def _cmd_verify_suite(inputs):
-    entries = load_catalog(inputs.get("catalog"))
-    result = run_catalog(entries)
+    result = run_catalog(load_catalog(inputs.get("catalog")))
     if "warning" in result:
         print("warning: %s" % result["warning"], file=sys.stderr)
     return result
@@ -409,16 +416,12 @@ def build_parser():
     pc = csub.add_parser("construct")
     fsub = pc.add_subparsers(dest="family", required=True,
                              parser_class=CliParser)
-    q = fsub.add_parser("modular")
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--h", required=True)
-    q.set_defaults(command_path="cocycle construct modular")
-    q = fsub.add_parser("polynomial")
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--h", required=True)
-    q.add_argument("--m", type=int, required=True)
-    q.set_defaults(command_path="cocycle construct polynomial")
+    for name in ("modular", "polynomial"):
+        q = fsub.add_parser(name)
+        q.add_argument("--p", type=int, required=True)
+        q.add_argument("--m", type=int, required=True)
+        q.add_argument("--h", required=True)
+        q.set_defaults(command_path="cocycle construct " + name)
     q = fsub.add_parser("dihedral")
     q.add_argument("--n", type=int, required=True)
     q.set_defaults(command_path="cocycle construct dihedral")
@@ -466,19 +469,16 @@ def build_parser():
     qx.add_argument("--second", required=True)
     qx.set_defaults(command_path="quandle iso")
 
-    p = sub.add_parser("invariant")
-    p.add_argument("--pd", required=True, help="diagram file")
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--coeff", required=True)
-    p.add_argument("--cocycle", required=True, help="2-cochain file")
-    p.set_defaults(command_path="invariant")
-
-    p = sub.add_parser("invariant-surface")
-    p.add_argument("--surface", required=True, help="presentation file")
-    p.add_argument("--quandle", required=True)
-    p.add_argument("--coeff", required=True)
-    p.add_argument("--cocycle", required=True, help="3-cochain file")
-    p.set_defaults(command_path="invariant-surface")
+    for name, flag, what, degree in (
+            ("invariant", "--pd", "diagram", 2),
+            ("invariant-surface", "--surface", "presentation", 3)):
+        p = sub.add_parser(name)
+        p.add_argument(flag, required=True, help=what + " file")
+        p.add_argument("--quandle", required=True)
+        p.add_argument("--coeff", required=True)
+        p.add_argument("--cocycle", required=True,
+                       help="%d-cochain file" % degree)
+        p.set_defaults(command_path=name)
 
     p = sub.add_parser("verify-suite")
     p.add_argument("--catalog", help="path to a catalog JSON file "

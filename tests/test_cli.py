@@ -306,6 +306,7 @@ _EXPECT_KEYS = ("expect", "expect_t", "expect_tq", "expect_colorings",
                 "expect_none")
 _PERTURBED = [(entry["id"], key) for entry in cli.load_catalog()
               for key in _EXPECT_KEYS if key in entry]
+_IDS = [entry["id"] for entry in cli.load_catalog() if "expect" in entry]
 
 
 class TestCatalogDispatch:
@@ -328,15 +329,60 @@ class TestCatalogDispatch:
         assert not ok and witness
 
     def test_every_kind_and_field_is_exercised(self):
-        # a check skips a field its result lacks, so every field named in
-        # the kind table must occur in the result of a bundled entry
+        # every field the kind table reads is in a bundled entry's report
         entries = cli.load_catalog()
         assert set(cli._KINDS) <= {e["kind"] for e in entries}
-        for kind, (_path, checks) in cli._KINDS.items():
+        for kind, (_path, reads) in cli._KINDS.items():
             results = [cli._catalog_result(e) for e in entries
                        if e["kind"] == kind]
-            for _key, field in checks:
+            for field in reads:
                 assert any(field in r for r in results), (kind, field)
+
+    @pytest.mark.parametrize("eid", _IDS)
+    def test_entry_without_expect_fails(self, eid):
+        entry = next(e for e in cli.load_catalog() if e["id"] == eid)
+        del entry["expect"]
+        assert cli.run_catalog_entry(entry) == (False, "expect is missing")
+
+    def test_cocycle_table_without_construct_fails(self):
+        item, = cli.run_catalog([{"kind": "cocycle-table",
+                                  "expect": "0,2 -> 1\n"}])["items"]
+        assert not item["pass"]
+        assert item["witness"] == "cocycle is missing from the report"
+
+    def test_unknown_construct_family_fails(self):
+        for kind in ("cocycle-table", "pairing"):
+            item, = cli.run_catalog([{
+                "kind": kind, "construct": {"family": "obstruction2"},
+                "cycle": "", "expect": "0"}])["items"]
+            assert item == {"id": "entry-0", "pass": False, "witness":
+                            "CocycleError: unknown cocycle family "
+                            "'obstruction2'"}
+
+    def test_non_cocycle_is_not_passed(self):
+        entry = {"kind": "not-coboundary", "quandle": "R(3)",
+                 "coeff": "Z3[T]/(T+1)", "degree": 2,
+                 "cocycle": "0,1 -> 1\n"}
+        expected = (False, "is_cocycle is false, expected true")
+        assert cli.run_catalog_entry(entry) == expected
+        # the requirement is fixed: an entry cannot ask for a non-cocycle
+        assert cli.run_catalog_entry(dict(entry, is_cocycle=False)) == \
+            expected
+
+    def test_catalog_reads_no_quandle_file(self, tmp_path):
+        table = tmp_path / "r3.txt"
+        table.write_text("3\n0 2 1\n2 1 0\n1 0 2\n")
+        iso = {"kind": "iso", "first": "@%s" % table, "second": "R(3)",
+               "expect": True}
+        lift = {"kind": "lift", "quandle": "@%s" % table,
+                "coeff": "Z3[T]/(T+1)", "seeds": "0,1 -> 1\n", "expect": ""}
+        pairing = {"kind": "pairing", "construct": dict(lift, family="lift"),
+                   "cycle": "", "expect": "0"}
+        for entry in (iso, lift, pairing):
+            item, = cli.run_catalog([entry])["items"]
+            assert not item["pass"]
+            assert "unknown quandle name '@" in item["witness"]
+            assert "0 2 1" not in item["witness"]
 
     def test_unknown_kind_fails_with_witness(self):
         assert cli.run_catalog_entry({"kind": "nope"}) == \

@@ -11,9 +11,9 @@ tuples, "TD" the degenerate ones (some x_i == x_{i+1}), and "TQ" the
 quotient, realized on the non-degenerate tuples by deleting degenerate
 terms from the boundary.
 
-Integer matrices for the homology engine are blocks of size d x d (d the
-ring degree over Z_n), each block a polynomial in T evaluated at the
-companion matrix of the defining polynomial.
+The homology engine gets the boundary, coboundary and T-action as
+column dicts over Z_n made of d x d blocks (d the ring degree over Z_n),
+each block c_0 + c_1 T acting on coefficient tuples.
 """
 
 import itertools
@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .coeff import RingError
-from .exactlin import IntMatrix, ModuleInfo, _homology, _solve
+from .exactlin import ModuleInfo, homology_segment, solve_linear
 from .quandle import FiniteQuandle
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "basis_tuples",
     "is_degenerate",
     "boundary",
-    "boundary_matrix",
-    "t_matrix",
-    "delta_matrix",
     "homology",
     "cohomology",
     "delta",
@@ -189,32 +186,32 @@ def _boundary_polys(x, n, variant):
 
 
 def _block_columns(ring, polys, target_basis, source_basis):
-    """The matrix with the given blocks, each polynomial in T evaluated
-    at the ring's companion matrix, as column dicts {row: entry mod n}
-    with rows ascending, plus its row count.  Rows ascending is the
-    order in which exactlin reads a dense matrix, and its pivot choice
-    and so the printed generators depend on it."""
+    """The matrix with the given blocks c_0 + c_1 T ({0: c_0, 1: c_1}) as
+    column dicts {row: entry mod n} with rows ascending, plus its row
+    count.  exactlin breaks pivot ties in row order, so the printed
+    generators depend on it."""
     d, n = ring.degree, ring.modulus
     tindex = {t: i for i, t in enumerate(target_basis)}
     sindex = {s: j for j, s in enumerate(source_basis)}
     cols = [{} for _ in range(len(source_basis) * d)]
-    comp = IntMatrix(d, d, ring.companion_matrix())
-    powers = [IntMatrix.identity(d)]  # of the companion matrix
+    # column j of the T block: T times the j-th unit coefficient tuple
+    t_block = [ring.t_act(tuple(int(i == j) for i in range(d)))
+               for j in range(d)]
     for (tgt, src), poly in polys:
         if not any(poly.values()):
             # fully cancelled entry; its target may even lie outside the
             # variant's basis (boundaries of degenerate tuples)
             continue
-        while len(powers) <= max(poly):
-            powers.append(comp @ powers[-1])
-        r0, c0 = tindex[tgt] * d, sindex[src] * d
-        for i in range(d):
-            for j in range(d):
-                v = sum(c * powers[e].data[i][j] for e, c in poly.items())
+        c0, c1 = poly.get(0, 0), poly.get(1, 0)
+        r0, j0 = tindex[tgt] * d, sindex[src] * d
+        for j in range(d):
+            col = cols[j0 + j]
+            for i, t in enumerate(t_block[j]):
+                v = c1 * t + (c0 if i == j else 0)
                 if n:
                     v %= n
                 if v:
-                    cols[c0 + j][r0 + i] = v
+                    col[r0 + i] = v
     return [dict(sorted(c.items())) for c in cols], len(target_basis) * d
 
 
@@ -247,29 +244,6 @@ def _t_columns(spec):
                           basis, basis)
 
 
-def _dense(cols, rows):
-    return IntMatrix.from_columns(
-        [[col.get(i, 0) for i in range(rows)] for col in cols], rows)
-
-
-def boundary_matrix(spec):
-    """Integer matrix of the boundary C_n -> C_{n-1} in block coordinates
-    (basis tuple index major, ring coefficient index minor), entries
-    reduced mod n."""
-    return _dense(*_boundary_columns(spec))
-
-
-def t_matrix(spec):
-    """The T-action on the degree-n chain coordinates (block diagonal)."""
-    return _dense(*_t_columns(spec))
-
-
-def delta_matrix(spec):
-    """Integer matrix of the coboundary C^n -> C^{n+1},
-    (delta f)(c) = (-1)^{n+1} f(d c) for an (n+1)-chain c."""
-    return _dense(*_delta_columns(spec))
-
-
 def _vector(spec, fs, n=None):
     basis = basis_tuples(spec.x, spec.degree if n is None else n, spec.variant)
     vec = []
@@ -298,8 +272,8 @@ def _from_vector(spec, vec, n, cls):
 def homology(spec):
     """Degree-n twisted homology as a ModuleInfo."""
     in_cols, _ = _boundary_columns(replace(spec, degree=spec.degree + 1))
-    return _homology(in_cols, *_boundary_columns(spec), spec.ring.modulus,
-                     _t_columns(spec)[0])
+    return homology_segment(in_cols, *_boundary_columns(spec),
+                            spec.ring.modulus, _t_columns(spec)[0])
 
 
 def cohomology(spec):
@@ -307,8 +281,9 @@ def cohomology(spec):
     where cocycle_gens generate the group of n-cocycles."""
     n = spec.degree
     in_cols = _delta_columns(replace(spec, degree=n - 1))[0] if n else []
-    info = _homology(in_cols, *_delta_columns(spec), spec.ring.modulus,
-                     _t_columns(spec)[0], cycles=True)
+    info = homology_segment(in_cols, *_delta_columns(spec),
+                            spec.ring.modulus, _t_columns(spec)[0],
+                            cycles=True)
     return info, [_from_vector(spec, z, n, Cochain) for z in info.cycles]
 
 
@@ -352,7 +327,8 @@ def is_coboundary(spec, f):
     if n == 0:
         return None if not f.is_zero() else Cochain(spec.ring, 0)
     low = replace(spec, degree=n - 1)
-    x = _solve(*_delta_columns(low), _vector(spec, f), spec.ring.modulus)
+    x = solve_linear(*_delta_columns(low), _vector(spec, f),
+                     spec.ring.modulus)
     if x is None:
         return None
     g = _from_vector(low, x, n - 1, Cochain)

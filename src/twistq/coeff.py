@@ -1,10 +1,10 @@
 """Exact arithmetic in quotients of the Laurent polynomial ring Z_n[T, T^-1].
 
-A coefficient ring is determined by a modulus n >= 0 (n = 0 means the
-integers) and a polynomial h(T) with invertible leading and constant
-coefficients mod n.  Invertibility of the constant coefficient makes T a
-unit in Z_n[T]/(h), so the quotient already contains T^-1 and no separate
-localization is needed.
+A coefficient ring is determined by a modulus n, 0 for the integers or
+at least 2 (Z_1 is the zero ring), and a polynomial h(T) with invertible
+leading and constant coefficients mod n.  Invertibility of the constant
+coefficient makes T a unit in Z_n[T]/(h), so the quotient already
+contains T^-1 and no separate localization is needed.
 
 Elements are represented as tuples of d = deg(h) canonical residues
 (c_0, ..., c_{d-1}) encoding c_0 + c_1*T + ... + c_{d-1}*T^{d-1}.  The
@@ -51,6 +51,9 @@ class AlexanderRing:
     def __init__(self, modulus, h_coeffs):
         if modulus < 0:
             raise RingError("modulus must be >= 0")
+        if modulus == 1:
+            raise RingError("modulus 1 gives the zero ring Z1; use 0 (the "
+                            "integers) or a modulus >= 2")
         coeffs = [_red(int(c), modulus) for c in h_coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -130,16 +133,6 @@ class AlexanderRing:
     def quandle_op(self, a, b):
         """a * b = T a + (1 - T) b, the Alexander quandle operation."""
         return self.add(self.t_act(self.sub(a, b)), b)
-
-    def companion_matrix(self):
-        """Integer matrix of multiplication by T on coefficient columns."""
-        d, n = self.degree, self.modulus
-        mat = [[0] * d for _ in range(d)]
-        for j in range(d - 1):
-            mat[j + 1][j] = 1
-        for i in range(d):
-            mat[i][d - 1] = _red(-self.h[i], n)
-        return mat
 
     # -- enumeration -----------------------------------------------------
 

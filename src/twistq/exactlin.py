@@ -8,22 +8,20 @@ pivot is a unit of Z/n (+-1 over Z).  The block of non-units that it
 leaves goes to the dense Smith normal form (Dumas, Saunders and
 Villard, J. Symbolic Comput. 32 (2001)).  U and V are kept as the lists
 of elementary operations that built them, so applying either of them,
-or its inverse, to a vector is one pass over a list.  Kernels, solves
-and homology all read the one factorization.
+or its inverse, to a vector is one pass over a list.  Solves and
+homology, with its kernels, all read the one factorization.
 
-Matrices carry explicit shape so that zero-row / zero-column maps at the
-ends of a chain complex stay well defined.  Everything is plain Python
-integers, so nothing overflows.
+A matrix is the list of its columns as dicts {row: entry mod n}, rows
+ascending, together with its row count, so that zero-row maps at the
+ends of a chain complex stay well defined.  Pivot ties are broken in
+that row order, so the generators returned depend on it.  Everything
+is plain Python integers, so nothing overflows.
 """
 
 import math
 
 __all__ = [
-    "IntMatrix",
-    "smith_normal_form",
-    "kernel_basis",
     "solve_linear",
-    "lattice_basis",
     "ModuleInfo",
     "homology_segment",
     "NotAComplexError",
@@ -32,73 +30,6 @@ __all__ = [
 
 class NotAComplexError(ValueError):
     pass
-
-
-class IntMatrix:
-    def __init__(self, rows, cols, data=None):
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            self.data = [[0] * cols for _ in range(rows)]
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("shape mismatch")
-            self.data = [list(r) for r in data]
-
-    @staticmethod
-    def identity(n):
-        m = IntMatrix(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    @staticmethod
-    def scalar(n, c):
-        m = IntMatrix(n, n)
-        for i in range(n):
-            m.data[i][i] = c
-        return m
-
-    @staticmethod
-    def from_columns(cols, rows):
-        m = IntMatrix(rows, len(cols))
-        for j, col in enumerate(cols):
-            if len(col) != rows:
-                raise ValueError("column length mismatch")
-            for i in range(rows):
-                m.data[i][j] = col[i]
-        return m
-
-    def __matmul__(self, other):
-        if isinstance(other, IntMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in product")
-            out = IntMatrix(self.rows, other.cols)
-            for i in range(self.rows):
-                row = self.data[i]
-                orow = out.data[i]
-                for k in range(self.cols):
-                    a = row[k]
-                    if a:
-                        brow = other.data[k]
-                        for j in range(other.cols):
-                            orow[j] += a * brow[j]
-            return out
-        # vector
-        if len(other) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [sum(r[j] * other[j] for j in range(self.cols))
-                for r in self.data]
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def is_zero(self):
-        return all(all(c == 0 for c in row) for row in self.data)
-
-    def __repr__(self):
-        return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
 
 
 # -- elementary operations ---------------------------------------------------
@@ -256,32 +187,7 @@ def _smith(A):
     return rows, cols
 
 
-def smith_normal_form(M):
-    """Smith normal form: returns (D, U, V) with U @ M @ V == D."""
-    A = [row[:] for row in M.data]
-    rows, cols = _smith(A)
-    U = IntMatrix.from_columns(
-        [_apply(rows, _unit_vector(M.rows, k), 0) for k in range(M.rows)],
-        M.rows)
-    V = IntMatrix.from_columns(
-        [_unapply(cols, _unit_vector(M.cols, k), 0) for k in range(M.cols)],
-        M.cols)
-    return IntMatrix(M.rows, M.cols, A), U, V
-
-
 # -- the factorization -------------------------------------------------------
-
-def _columns(M, n):
-    """The columns of M as {row: entry} dicts, entries reduced mod n."""
-    cols = [{} for _ in range(M.cols)]
-    for i, row in enumerate(M.data):
-        for j, v in enumerate(row):
-            if n:
-                v %= n
-            if v:
-                cols[j][i] = v
-    return cols
-
 
 class _Factored:
     """U M V == D over Z/n (n = 0: over Z), for M given by its column
@@ -400,29 +306,16 @@ def _image(cols, x, n):
     return {i: v for i, v in out.items() if (v % n if n else v)}
 
 
-def kernel_basis(M):
-    """Basis columns of the integer kernel {x : M @ x == 0}."""
-    f = _Factored(_columns(M, 0), M.rows, 0)
-    taken = {j for _, j, _ in f.diag}
-    return [_unapply(f.cols, _unit_vector(M.cols, j), 0)
-            for j in range(M.cols) if j not in taken]
-
-
-def solve_linear(M, b, modulus=0):
-    """Solve M @ x == b over Z (modulus 0) or over Z_modulus.
+def solve_linear(cols, nrows, b, n):
+    """Solve M x == b over Z (n = 0) or over Z/n, for M given by its
+    column dicts (consumed) and row count.
 
     Returns a solution vector or None; free coordinates are set to 0 and
     mod-n solutions are reduced to canonical residues, so the result is
     deterministic.
     """
-    if len(b) != M.rows:
+    if len(b) != nrows:
         raise ValueError("vector length mismatch")
-    return _solve(_columns(M, modulus), M.rows, b, modulus)
-
-
-def _solve(cols, nrows, b, n):
-    """solve_linear for M given by its column dicts ({row: entry mod n},
-    rows ascending; consumed) and row count."""
     w = [0] * len(cols)
     f = _Factored(cols, nrows, n)
     c = _apply(f.rows, [v % n if n else v for v in b], n)
@@ -436,16 +329,6 @@ def _solve(cols, nrows, b, n):
         return None
     x = _unapply(f.cols, w, n)
     return [v % n for v in x] if n else x
-
-
-def lattice_basis(cols, dim):
-    """Basis of the lattice in Z^dim spanned by the given columns."""
-    if not cols:
-        return []
-    f = _Factored(_columns(IntMatrix.from_columns(cols, dim), 0), dim, 0)
-    # the columns of M V for the pivots are d * U^-1 e_row
-    return [[d * v for v in _unapply(f.rows, _unit_vector(dim, i), 0)]
-            for i, _, d in f.diag]
 
 
 class ModuleInfo:
@@ -487,36 +370,15 @@ class ModuleInfo:
         return "ModuleInfo(%s)" % self.describe()
 
 
-def _modulus(relations):
-    """n for relations presenting Z^r / n Z^r: n * identity, or no
-    columns for n = 0."""
-    if relations.cols == 0:
-        return 0
-    c = relations.data[0][0]
-    if relations != IntMatrix.scalar(relations.rows, c):
-        raise ValueError("relations must be n * identity or have no columns")
-    return abs(c)
+def homology_segment(in_cols, out_cols, out_rows, n, t_cols, cycles=False):
+    """Homology ker(d_out) / im(d_in) of a segment of free Z/n-modules
+    (n = 0: Z-modules).
 
-
-def homology_segment(d_in, d_out, relations, t_mat, cycles=False):
-    """Homology ker(d_out) / im(d_in) of a segment of free Z_n-modules.
-
-    `relations` is n * identity for Z_n coefficients, or has no columns
-    for Z; the same n applies to the target of d_out.  `t_mat` is the
-    T-action on the middle coordinates.  With cycles=True the result
-    also lists generators of the whole cycle group ker(d_out).
+    d_in, d_out and the T-action on the middle coordinates are given by
+    their column dicts (not consumed), and d_out also by its row count.
+    With cycles=True the result also lists generators of the whole cycle
+    group ker(d_out).
     """
-    if d_in.rows != d_out.cols or relations.rows != d_out.cols:
-        raise ValueError("middle rank mismatch")
-    n = _modulus(relations)
-    return _homology(_columns(d_in, n), _columns(d_out, n), d_out.rows, n,
-                     _columns(t_mat, n), cycles)
-
-
-def _homology(in_cols, out_cols, out_rows, n, t_cols, cycles=False):
-    """homology_segment for d_in, d_out and the T-action given by their
-    column dicts ({row: entry mod n}, rows ascending; not consumed) and
-    the row count of d_out."""
     r = len(out_cols)
 
     # cycles: for each column j of D (entry d, or none), V e_j times

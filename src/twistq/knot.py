@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .coeff import GroupRingElem, RingError
 from .chain import ComplexSpec, is_cocycle
-from .exactlin import IntMatrix, solve_linear
+from .exactlin import solve_linear
 
 __all__ = [
     "DiagramError",
@@ -259,23 +259,19 @@ def alexander_numbering(diagram):
                 raise DiagramError("inconsistent region numbering")
         return [num[i] for i in range(nf)]
 
+    # one row per semiarc, num(left) - num(right) = 1, then the anchor
     p = diagram.mod_p
-    rows, rhs = [], []
-    for s in diagram.semiarcs:
+    cols = [{} for _ in range(nf)]
+    for r, s in enumerate(diagram.semiarcs):
         left, right = diagram.left_right_faces(s)
-        row = [0] * nf
-        row[left] += 1
-        row[right] -= 1
-        rows.append(row)
-        rhs.append(1)
+        cols[left][r] = cols[left].get(r, 0) + 1
+        cols[right][r] = cols[right].get(r, 0) - 1
     anchor = (diagram._face_id_index(diagram.base)
               if diagram.base is not None else 0)
-    row = [0] * nf
-    row[anchor] = 1
-    rows.append(row)
-    rhs.append(0)
-    sol = solve_linear(IntMatrix(len(rows), nf, rows), rhs, p)
-    return sol
+    nrows = len(diagram.semiarcs) + 1
+    cols[anchor][nrows - 1] = 1
+    cols = [{r: v % p for r, v in col.items() if v % p} for col in cols]
+    return solve_linear(cols, nrows, [1] * (nrows - 1) + [0], p)
 
 
 def _colorings(cells, rels, x):

@@ -20,14 +20,14 @@ def bench():
     try:
         import cases
         import runner
+        import spans
     finally:
         sys.path.remove(BENCH)
         sys.dont_write_bytecode = saved
-    return cases, runner
+    return cases, runner, spans
 
 
-def test_light_homology_cases_pass_their_checks(bench):
-    cases, runner = bench
+def _run_light(cases, runner):
     ctx = cases.setup_homology(1)
     by_name = {c.name: c for c in ctx.cases}
     for name in LIGHT:
@@ -37,3 +37,23 @@ def test_light_homology_cases_pass_their_checks(bench):
         assert case.checks, name
         for label, check in case.checks:
             assert check(raw) is None, (name, label)
+
+
+def test_light_homology_cases_pass_their_checks(bench):
+    cases, runner, _ = bench
+    _run_light(cases, runner)
+
+
+def test_traced_light_cases_reach_the_engine(bench):
+    # the per-layer metrics wrap exactlin's public functions, so they
+    # read 0 when the engine is entered through any other name
+    cases, runner, spans = bench
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _run_light(cases, runner)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["exactlin.homology_segment.calls"] > 0
+    assert metrics["exactlin.solve_linear.calls"] > 0

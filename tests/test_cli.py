@@ -90,6 +90,13 @@ class TestExitCodes:
                                       "--degree", "2"])
         assert code == 2 and out == "" and "error" in err
 
+    def test_zero_ring_named(self, capsys):
+        code, out, err = run(capsys, ["homology", "--quandle", "R(3)",
+                                      "--coeff", "Z1[T]/(T+1)",
+                                      "--degree", "2"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "zero ring" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["invariant",
                                     "--pd", str(tmp_path / "nope.pd"),

@@ -96,14 +96,6 @@ class TestArithmetic:
             images = {r.quandle_op(a, b) for a in r.elements()}
             assert len(images) == r.size()
 
-    def test_companion_matrix_matches_t_act(self):
-        r = AlexanderRing(3, [1, 2, 1])
-        comp = r.companion_matrix()
-        for e in r.elements():
-            by_mat = tuple(sum(comp[i][j] * e[j] for j in range(2)) % 3
-                           for i in range(2))
-            assert by_mat == r.t_act(e)
-
 
 class TestText:
     def test_parse_render_roundtrip(self):

@@ -136,6 +136,34 @@ class TestNumbering:
         num = alexander_numbering(d)
         assert sorted(num) == [0, 1]
 
+    @pytest.mark.parametrize("p", range(2, 8))
+    def test_mod_p_matches_enumeration(self, torus_pd, p):
+        # the numbering must be one of the solutions in Z_p^faces with
+        # the base face at 0, and None when there are none: mod p >= 3
+        # the two-crossing torus diagram has none, and p > 2 puts p - 1
+        # entries for the right faces into the system
+        texts = [TORUS_MOD2.replace("mod 2\n", ""), HOPF, KINK]
+        texts += [torus_pd(n) for n in range(1, 10)]
+        checked = 0
+        for text in texts:
+            d = parse_pd(text.replace("outer", "base") + "mod %d\n" % p)
+            nf = len(d.faces)
+            if p ** (nf - 1) > 4096:
+                continue
+            anchor = d._face_id_index(d.base) if d.base is not None else 0
+            edges = [d.left_right_faces(s) for s in d.semiarcs]
+            found = []
+            for rest in itertools.product(range(p), repeat=nf - 1):
+                num = list(rest[:anchor]) + [0] + list(rest[anchor:])
+                if all((num[left] - num[right]) % p == 1
+                       for left, right in edges):
+                    found.append(num)
+            got = alexander_numbering(d)
+            assert (got is None) == (not found), (text, p)
+            assert got is None or got in found, (text, p)
+            checked += 1
+        assert checked >= 4
+
     def test_non_planar_without_mod_rejected(self):
         with pytest.raises(DiagramError, match="Euler"):
             alexander_numbering(parse_pd("Xp[2,3,1,4]\nXp[1,4,2,3]\n"

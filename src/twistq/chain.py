@@ -11,9 +11,16 @@ tuples, "TD" the degenerate ones (some x_i == x_{i+1}), and "TQ" the
 quotient, realized on the non-degenerate tuples by deleting degenerate
 terms from the boundary.
 
-The homology engine gets the boundary, coboundary and T-action as
-column dicts over Z_n made of d x d blocks (d the ring degree over Z_n),
-each block c_0 + c_1 T acting on coefficient tuples.
+One pass over the quandle table, _boundary_polys, evaluates this
+formula: it streams source tuples and gives each one's boundary as
+blocks c_0 + c_1 T per target tuple.  Everything that needs the boundary
+reads that pass: `boundary` and `delta` on formal sums, and the column
+dicts over Z_n of the boundary and coboundary, made of d x d blocks (d
+the ring degree over Z_n), that `homology`, `cohomology`,
+`is_coboundary` and the brute-force oracle give the engine; the
+T-action is built from the same blocks.  For TQ the column builders
+keep the targets in their basis and `boundary` the non-degenerate ones,
+while `delta` reads a cochain on every target, degenerate or not.
 """
 
 import itertools
@@ -125,28 +132,53 @@ def basis_tuples(x, n, variant):
         raise RingError(
             "degree-%d basis has %d tuples (limit %d; set TWISTQ_MAX_BASIS)"
             % (n, count, limit))
-    allt = itertools.product(range(x.size), repeat=n)
     if variant == "TR":
-        return list(allt)
+        return list(itertools.product(range(x.size), repeat=n))
     if variant == "TD":
-        return [t for t in allt if is_degenerate(t)]
-    return [t for t in allt if not is_degenerate(t)]
-
-
-def _boundary_terms(x, key):
-    """The boundary of a basis tuple as [(tuple, t_exponent, sign), ...],
-    meaning sign * T^t_exponent * tuple.  No variant filtering."""
-    n = len(key)
-    out = []
-    if n <= 1:
-        return out
-    for i in range(1, n + 1):
-        sign = -1 if i % 2 else 1
-        omitted = key[:i - 1] + key[i:]
-        acted = tuple(x.op(key[j], key[i - 1]) for j in range(i - 1)) + key[i:]
-        out.append((omitted, 1, sign))
-        out.append((acted, 0, -sign))
+        return [t for t in itertools.product(range(x.size), repeat=n)
+                if is_degenerate(t)]
+    # TQ: each prefix extended by every element except its last one
+    others = [[(a,) for a in range(x.size) if a != b] for b in range(x.size)]
+    out = [(a,) for a in range(x.size)]
+    for _ in range(n - 1):
+        out = [t + a for t in out for a in others[t[-1]]]
     return out
+
+
+def _boundary_polys(x, sources):
+    """The boundary of each source tuple, one at a time (so a boundary
+    matrix is never held whole): yields (source, {target: (c0, c1)}),
+    d source = sum (c0 + c1 T) target, without the blocks that cancel.
+    No variant filtering: consumers keep the targets in their basis."""
+    right = list(zip(*x.table))  # right[b][a] == a * b
+    for src in sources:
+        n = len(src)
+        if n <= 1:
+            yield src, {}
+            continue
+        # i = 1: -(T (x_2, ..., x_n) - (x_2, ..., x_n))
+        acc = {src[1:]: (1, -1)}
+        for i in range(1, n):
+            sign = 1 if i % 2 else -1  # (-1)^(i + 1), i counted from 0
+            head, rest = src[:i], src[i + 1:]
+            omitted = head + rest
+            c0, c1 = acc.get(omitted, (0, 0))
+            acc[omitted] = (c0, c1 + sign)
+            by = right[src[i]]
+            acted = tuple([by[a] for a in head]) + rest
+            c0, c1 = acc.get(acted, (0, 0))
+            acc[acted] = (c0 - sign, c1)
+        yield src, {t: p for t, p in acc.items() if p[0] or p[1]}
+
+
+def _block_sum(ring, terms):
+    """The ring element sum (c0 + c1 T) v over (c0, c1, v) in terms."""
+    acc = [0] * ring.degree
+    for c0, c1, v in terms:
+        tv = ring.t_act(v)
+        for k in range(ring.degree):
+            acc[k] += c0 * v[k] + c1 * tv[k]
+    return ring.reduce(acc)
 
 
 def boundary(spec, c):
@@ -157,53 +189,39 @@ def boundary(spec, c):
     out = Chain(spec.ring, spec.degree - 1 if spec.degree else 0)
     if spec.degree <= 1:
         return out
-    for key, coef in c.values.items():
-        if spec.variant == "TQ" and is_degenerate(key):
-            raise ValueError("degenerate tuple %r in a TQ chain" % (key,))
-        for tup, texp, sign in _boundary_terms(spec.x, key):
-            if spec.variant == "TQ" and is_degenerate(tup):
-                continue
-            term = spec.ring.t_pow(coef, texp)
-            if sign < 0:
-                term = spec.ring.neg(term)
-            out.add_term(tup, term)
+    tq = spec.variant == "TQ"
+    if tq:
+        for key in c.values:
+            if is_degenerate(key):
+                raise ValueError("degenerate tuple %r in a TQ chain" % (key,))
+    for key, polys in _boundary_polys(spec.x, c.values):
+        coef = c.values[key]
+        for tup, (c0, c1) in polys.items():
+            if not (tq and is_degenerate(tup)):
+                out.add_term(tup, _block_sum(spec.ring, [(c0, c1, coef)]))
     return out
 
 
-def _boundary_polys(x, n, variant):
-    """Boundary matrix of degree n over the Laurent ring, one source
-    tuple at a time (so it is never held whole): yields
-    ((target_tuple, source_tuple), {t_exponent: int})."""
-    for src in basis_tuples(x, n, variant):
-        polys = {}
-        for tup, texp, sign in _boundary_terms(x, src):
-            if variant == "TQ" and is_degenerate(tup):
-                continue
-            p = polys.setdefault(tup, {})
-            p[texp] = p.get(texp, 0) + sign
-        for tup, p in polys.items():
-            yield (tup, src), p
-
-
-def _block_columns(ring, polys, target_basis, source_basis):
-    """The matrix with the given blocks c_0 + c_1 T ({0: c_0, 1: c_1}) as
-    column dicts {row: entry mod n} with rows ascending, plus its row
-    count.  exactlin breaks pivot ties in row order, so the printed
-    generators depend on it."""
+def _block_columns(ring, blocks, nrows, ncols):
+    """The nrows x ncols matrix of d x d blocks c_0 + c_1 T acting on
+    coefficient tuples, given as (row, col, c_0, c_1) with the rows of
+    each column in ascending order, as column dicts {row: entry mod n}
+    (rows ascending) plus the row count.  exactlin breaks pivot ties in
+    row order, so the printed generators depend on it."""
     d, n = ring.degree, ring.modulus
-    tindex = {t: i for i, t in enumerate(target_basis)}
-    sindex = {s: j for j, s in enumerate(source_basis)}
-    cols = [{} for _ in range(len(source_basis) * d)]
+    cols = [{} for _ in range(ncols * d)]
+    if d == 1:
+        t = ring.t_act((1,))[0]
+        for r, j, c0, c1 in blocks:
+            v = (c0 + c1 * t) % n if n else c0 + c1 * t
+            if v:
+                cols[j][r] = v
+        return cols, nrows
     # column j of the T block: T times the j-th unit coefficient tuple
     t_block = [ring.t_act(tuple(int(i == j) for i in range(d)))
                for j in range(d)]
-    for (tgt, src), poly in polys:
-        if not any(poly.values()):
-            # fully cancelled entry; its target may even lie outside the
-            # variant's basis (boundaries of degenerate tuples)
-            continue
-        c0, c1 = poly.get(0, 0), poly.get(1, 0)
-        r0, j0 = tindex[tgt] * d, sindex[src] * d
+    for r, c, c0, c1 in blocks:
+        r0, j0 = r * d, c * d
         for j in range(d):
             col = cols[j0 + j]
             for i, t in enumerate(t_block[j]):
@@ -212,16 +230,25 @@ def _block_columns(ring, polys, target_basis, source_basis):
                     v %= n
                 if v:
                     col[r0 + i] = v
-    return [dict(sorted(c.items())) for c in cols], len(target_basis) * d
+    return cols, nrows * d
 
 
 def _boundary_columns(spec):
-    """The boundary C_n -> C_{n-1} as _block_columns."""
+    """The boundary C_n -> C_{n-1} as _block_columns; a target outside
+    the degree-(n-1) basis (a degenerate tuple for TQ) is dropped."""
     n = spec.degree
     src = basis_tuples(spec.x, n, spec.variant)
     tgt = basis_tuples(spec.x, n - 1, spec.variant) if n >= 1 else []
-    return _block_columns(spec.ring, _boundary_polys(spec.x, n, spec.variant),
-                          tgt, src)
+    row = {t: i for i, t in enumerate(tgt)}.get
+
+    def blocks():
+        for j, (_, polys) in enumerate(_boundary_polys(spec.x, src)):
+            entries = [(r, p) for t, p in polys.items()
+                       if (r := row(t)) is not None]
+            entries.sort()
+            for r, (c0, c1) in entries:
+                yield r, j, c0, c1
+    return _block_columns(spec.ring, blocks(), len(tgt), len(src))
 
 
 def _delta_columns(spec):
@@ -230,18 +257,23 @@ def _delta_columns(spec):
     n = spec.degree
     src = basis_tuples(spec.x, n, spec.variant)
     tgt = basis_tuples(spec.x, n + 1, spec.variant)
+    col = {s: j for j, s in enumerate(src)}.get
     sign = 1 if n % 2 else -1
-    polys = (((high, low), {e: sign * c for e, c in poly.items()})
-             for (low, high), poly in _boundary_polys(spec.x, n + 1,
-                                                      spec.variant))
-    return _block_columns(spec.ring, polys, tgt, src)
+
+    def blocks():
+        for r, (_, polys) in enumerate(_boundary_polys(spec.x, tgt)):
+            for t, (c0, c1) in polys.items():
+                j = col(t)
+                if j is not None:
+                    yield r, j, sign * c0, sign * c1
+    return _block_columns(spec.ring, blocks(), len(tgt), len(src))
 
 
 def _t_columns(spec):
     """The T-action on the degree-n chain coordinates as _block_columns."""
-    basis = basis_tuples(spec.x, spec.degree, spec.variant)
-    return _block_columns(spec.ring, (((b, b), {1: 1}) for b in basis),
-                          basis, basis)
+    size = len(basis_tuples(spec.x, spec.degree, spec.variant))
+    return _block_columns(spec.ring, ((i, i, 0, 1) for i in range(size)),
+                          size, size)
 
 
 def _vector(spec, fs, n=None):
@@ -288,23 +320,22 @@ def cohomology(spec):
 
 
 def delta(spec, f):
-    """Coboundary of a degree-n cochain; the result has degree n + 1."""
+    """Coboundary of a degree-n cochain; the result has degree n + 1.
+    For TQ it also reads f on degenerate tuples, where a TQ cocycle is
+    zero."""
     if f.degree != spec.degree:
         raise ValueError("cochain degree %d != spec degree %d"
                          % (f.degree, spec.degree))
     n = spec.degree
     out = Cochain(spec.ring, n + 1)
     sign = 1 if n % 2 else -1
-    for key in basis_tuples(spec.x, n + 1, spec.variant):
-        acc = spec.ring.zero()
-        for tup, texp, s in _boundary_terms(spec.x, key):
-            v = f(tup)
-            if spec.ring.is_zero(v):
-                continue
-            v = spec.ring.t_pow(v, texp)
-            acc = spec.ring.add(acc, v) if s * sign > 0 else spec.ring.sub(acc, v)
-        if not spec.ring.is_zero(acc):
-            out.add_term(key, acc)
+    for key, polys in _boundary_polys(
+            spec.x, basis_tuples(spec.x, n + 1, spec.variant)):
+        v = _block_sum(spec.ring, [(sign * c0, sign * c1, f.values[t])
+                                   for t, (c0, c1) in polys.items()
+                                   if t in f.values])
+        if not spec.ring.is_zero(v):
+            out.add_term(key, v)
     return out
 
 

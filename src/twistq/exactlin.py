@@ -13,12 +13,23 @@ homology, with its kernels, all read the one factorization.
 
 A matrix is the list of its columns as dicts {row: entry mod n}, rows
 ascending, together with its row count, so that zero-row maps at the
-ends of a chain complex stay well defined.  Pivot ties are broken in
-that row order, so the generators returned depend on it.  Everything
-is plain Python integers, so nothing overflows.
+ends of a chain complex stay well defined.  Everything is plain Python
+integers, so nothing overflows.
+
+The pivot is a unit in the shortest column that has one, ties going to
+the lowest column index; within that column, the unit in the row with
+the fewest entries, ties going to the first in the column's dict order
+(ascending rows, then fill-in in the order it arose).  The generators
+returned depend on this rule.  Active columns are kept in buckets by
+length, so the search does not rescan them; the columns that hold the
+pivot row are still found by a scan, because a row -> columns index
+raised the peak memory of homology runs (25.8 to 27.9 MB) and saved no
+time on them.
 """
 
+import itertools
 import math
+import operator
 
 __all__ = [
     "solve_linear",
@@ -202,6 +213,9 @@ class _Factored:
     core_cols: the tail of `cols` from the non-unit block.  The unit
         pivots' operations change only coordinates of pivot columns, so
         on every other coordinate V^-1 acts as core_cols alone.
+
+    Pivots follow the module's rule: shortest column with a unit, then
+    lowest column index, then lightest row, then dict order.
     """
 
     def __init__(self, cols, nrows, n, keep_u=True, keep_v=True):
@@ -210,18 +224,21 @@ class _Factored:
         # entries per row; a count, not the set of columns, which would
         # cost more memory than the matrix
         weight = [0] * nrows
-        for col in cols:
+        # the nonempty columns by length: {length: set of columns}
+        by_len = {}
+        for j, col in enumerate(cols):
             for i in col:
                 weight[i] += 1
-        active = {j for j, col in enumerate(cols) if col}
+            if col:
+                by_len.setdefault(len(col), set()).add(j)
         while True:
-            piv = self._pivot(cols, weight, active)
+            piv = self._pivot(cols, weight, by_len)
             if piv is None:
                 break
             i, j, inv = piv
             col = cols[j]
-            cols[j] = None
-            active.discard(j)
+            cols[j] = {}
+            _move(by_len, j, len(col), 0)
             for i2 in col:
                 weight[i2] -= 1
             self.diag.append((i, j, col[i]))
@@ -231,32 +248,41 @@ class _Factored:
                     if i2 != i:
                         q = -v * inv
                         self.rows.append((i2, i, q % n if n else q))
-            # column ops clear the pivot row: the Schur complement
-            for j2 in sorted(j2 for j2 in active if i in cols[j2]):
+            # column ops clear the pivot row: the Schur complement, on the
+            # columns that hold row i, ascending (pivot columns are empty)
+            hits = list(itertools.compress(range(len(cols)), map(
+                operator.contains, cols, itertools.repeat(i))))
+            # f * col[i] == c2[i]: row i leaves c2, the other rows update
+            rest = [(i2, v) for i2, v in col.items() if i2 != i]
+            for j2 in hits:
                 c2 = cols[j2]
-                f = c2[i] * inv
+                before = len(c2)
+                f = c2.pop(i) * inv
+                weight[i] -= 1
                 if n:
                     f %= n
                 if keep_v:
                     self.cols.append((j, j2, f))
-                for i2, v in col.items():
-                    w = c2.get(i2, 0) - f * v
-                    if n:
-                        w %= n
-                    if w:
-                        if i2 not in c2:
+                for i2, v in rest:
+                    old = c2.get(i2)
+                    if old is None:
+                        w = -f * v % n if n else -f * v
+                        if w:
+                            c2[i2] = w
                             weight[i2] += 1
-                        c2[i2] = w
-                    elif i2 in c2:
-                        del c2[i2]
-                        weight[i2] -= 1
-                if not c2:
-                    active.discard(j2)
-                    cols[j2] = None
+                    else:
+                        w = (old - f * v) % n if n else old - f * v
+                        if w:
+                            c2[i2] = w
+                        else:
+                            del c2[i2]
+                            weight[i2] -= 1
+                if len(c2) != before:
+                    _move(by_len, j2, before, len(c2))
 
         # the block of non-units left over
-        core_rows = sorted({i for j in active for i in cols[j]})
-        core_cols = sorted(active)
+        core_cols = [j for j, col in enumerate(cols) if col]
+        core_rows = sorted({i for j in core_cols for i in cols[j]})
         A = [[cols[j].get(i, 0) for j in core_cols] for i in core_rows]
         rows, ops = _smith(A)
         if keep_u:
@@ -268,27 +294,39 @@ class _Factored:
             if d:
                 self.diag.append((core_rows[t], core_cols[t], d))
 
-    def _pivot(self, cols, weight, active):
-        """(row, col, inverse) of a unit entry in the sparsest column that
-        has one, in its sparsest row; None when no unit is left."""
+    def _pivot(self, cols, weight, by_len):
+        """(row, col, inverse) of the pivot: a unit entry in the shortest
+        column that has one, ties to the lowest column index, in its
+        lightest row, ties in dict order; None when no unit is left."""
         n = self.n
-        best, best_len = None, None
-        for j in active:
-            col = cols[j]
-            if best is not None and len(col) >= best_len:
-                continue
-            rows = [i for i, a in col.items()
-                    if (math.gcd(a, n) == 1 if n else a in (1, -1))]
-            if rows:
-                best = (min(rows, key=weight.__getitem__), j)
-                best_len = len(col)
-                if best_len == 1:
-                    break
-        if best is None:
-            return None
-        i, j = best
-        a = cols[j][i]
-        return i, j, pow(a, -1, n) if n else a
+        for length in sorted(by_len):
+            bucket = by_len[length]
+            # the lowest column first: over a field it has a unit, so the
+            # bucket is sorted only when it does not
+            for j in itertools.chain([min(bucket)], sorted(bucket)):
+                col = cols[j]
+                rows = [i for i, a in col.items()
+                        if (math.gcd(a, n) == 1 if n else a in (1, -1))]
+                if rows:
+                    i = min(rows, key=weight.__getitem__)
+                    a = col[i]
+                    return i, j, pow(a, -1, n) if n else a
+        return None
+
+
+def _move(by_len, j, old, new):
+    """Move column j from the bucket of length old to that of length new
+    (new == 0: out of the buckets)."""
+    bucket = by_len[old]
+    bucket.discard(j)
+    if not bucket:
+        del by_len[old]
+    if new:
+        bucket = by_len.get(new)
+        if bucket is None:
+            by_len[new] = {j}
+        else:
+            bucket.add(j)
 
 
 def _relabel(ops, names):

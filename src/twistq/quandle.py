@@ -7,6 +7,8 @@ self-distributive ((a * b) * c == (a * c) * (b * c)).  Elements are the
 integers 0 .. q-1; an optional label list carries human-readable names.
 """
 
+import os
+
 from . import coeff
 
 __all__ = [
@@ -29,6 +31,20 @@ __all__ = [
 
 class QuandleError(ValueError):
     pass
+
+
+# default of the table guard, order 256 (validation takes order^3
+# steps); TWISTQ_MAX_TABLE overrides it and is read on every call
+_MAX_TABLE = 65536
+
+
+def _check_order(q):
+    """Refuse a quandle of order q before its q x q table is built."""
+    limit = int(os.environ.get("TWISTQ_MAX_TABLE", _MAX_TABLE))
+    if q * q > limit:
+        raise QuandleError(
+            "a quandle of order %d has a %d-cell table (limit %d; set "
+            "TWISTQ_MAX_TABLE)" % (q, q * q, limit))
 
 
 class FiniteQuandle:
@@ -121,12 +137,14 @@ def quandle_from_table(table, labels=None, name=None):
 def trivial_quandle(n):
     if n < 1:
         raise QuandleError("trivial quandle needs n >= 1")
+    _check_order(n)
     return FiniteQuandle([[a] * n for a in range(n)], name="T(%d)" % n)
 
 
 def dihedral_quandle(n):
     if n < 1:
         raise QuandleError("dihedral quandle needs n >= 1")
+    _check_order(n)
     return FiniteQuandle([[(2 * b - a) % n for b in range(n)] for a in range(n)],
                          name="R(%d)" % n)
 
@@ -135,6 +153,8 @@ def alexander_quandle(ring, name=None):
     """Quandle on the elements of a finite coefficient ring,
     a * b = T a + (1 - T) b.  Elements are indexed in the ring's
     enumeration order; labels are the rendered polynomials."""
+    if ring.modulus:
+        _check_order(ring.size())
     elems = ring.elements()
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[ring.quandle_op(a, b)] for b in elems] for a in elems]

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,18 @@ class TestExitCodes:
                                       "--degree", "2"])
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "zero ring" in err
+
+    def test_oversized_quandle_refused_before_its_table(self, capsys,
+                                                        monkeypatch):
+        # the table would have 10^10 cells
+        monkeypatch.delenv("TWISTQ_MAX_TABLE", raising=False)
+        start = time.monotonic()
+        code, out, err = run(capsys, ["homology", "--quandle", "R(100000)",
+                                      "--coeff", "Z3[T]/(T+1)",
+                                      "--degree", "2"])
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "limit 65536; set TWISTQ_MAX_TABLE" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["invariant",

@@ -6,8 +6,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistq.exactlin import (ModuleInfo, NotAComplexError, _smith,
-                             homology_segment, solve_linear)
+from twistq.exactlin import (ModuleInfo, NotAComplexError, _Factored,
+                             _relabel, _smith, homology_segment,
+                             solve_linear)
 
 
 def _cols(rows, n, ncols=None):
@@ -292,3 +293,93 @@ class TestCompositeModuli:
                           if tuple(m * v % n for v in z) in bound)
             predicted = math.prod(math.gcd(f, m) for f in factors)
             assert counted == predicted * len(bound), (m, factors)
+
+
+def _reference_factor(cols, nrows, n):
+    """(diag, rows, cols) of the elimination by the documented pivot rule,
+    found by a full scan at every step: the shortest column with a unit,
+    ties to the lowest column index, then its lightest row, ties in dict
+    order (the order in which rows entered the column)."""
+    cols = [dict(c) for c in cols]
+    diag, rops, cops = [], [], []
+
+    def unit(a):
+        return math.gcd(a, n) == 1 if n else a in (1, -1)
+
+    while True:
+        found = [(len(c), j) for j, c in enumerate(cols)
+                 if any(unit(a) for a in c.values())]
+        if not found:
+            break
+        j = min(found)[1]
+        weight = [sum(i in c for c in cols) for i in range(nrows)]
+        col = cols[j]
+        i = min((i for i, a in col.items() if unit(a)),
+                key=weight.__getitem__)
+        inv = pow(col[i], -1, n) if n else col[i]
+        cols[j] = {}
+        diag.append((i, j, col[i]))
+        for i2, v in col.items():
+            if i2 != i:
+                rops.append((i2, i, -v * inv % n if n else -v * inv))
+        for j2, c2 in enumerate(cols):
+            if i in c2:
+                f = c2[i] * inv % n if n else c2[i] * inv
+                cops.append((j, j2, f))
+                for i2, v in col.items():
+                    w = c2.get(i2, 0) - f * v
+                    w = w % n if n else w
+                    if w:
+                        c2[i2] = w
+                    else:
+                        c2.pop(i2, None)
+    core_cols = [j for j, c in enumerate(cols) if c]
+    core_rows = sorted({i for j in core_cols for i in cols[j]})
+    A = [[cols[j].get(i, 0) for j in core_cols] for i in core_rows]
+    r, c = _smith(A)
+    rops += _relabel(r, core_rows)
+    cops += _relabel(c, core_cols)
+    for t in range(min(len(core_rows), len(core_cols))):
+        d = A[t][t] % n if n else A[t][t]
+        if d:
+            diag.append((core_rows[t], core_cols[t], d))
+    return diag, rops, cops
+
+
+@st.composite
+def _sparse_matrix(draw):
+    """Column dicts over Z/n (Z for n = 0), rows ascending, where most
+    columns may be empty: a set of the few nonempty column indices does
+    not iterate in ascending order."""
+    n = draw(st.sampled_from([0, 4, 5, 6, 9]))
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 40))
+    filled = draw(st.floats(0.05, 1.0))
+    entry = (st.integers(-3, 3).filter(bool) if n == 0
+             else st.integers(1, n - 1))
+    cols = []
+    for _ in range(ncols):
+        if draw(st.floats(0, 1)) < filled:
+            rows = draw(st.sets(st.integers(0, nrows - 1), max_size=nrows))
+            cols.append({i: draw(entry) for i in sorted(rows)})
+        else:
+            cols.append({})
+    return cols, nrows, n
+
+
+class TestPivotRule:
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_matrix())
+    def test_pivots_follow_the_documented_rule(self, matrix):
+        cols, nrows, n = matrix
+        want = _reference_factor(cols, nrows, n)
+        f = _Factored([dict(c) for c in cols], nrows, n)
+        assert (f.diag, f.rows, f.cols) == want
+
+    def test_ties_go_to_the_lowest_column(self):
+        # {9, 3} iterates as 9, 3 in a set: the rule picks column 3
+        cols = [{} for _ in range(10)]
+        cols[3] = {0: 1, 1: 1}
+        cols[9] = {0: 2, 1: 1}
+        f = _Factored(cols, 2, 5)
+        assert f.diag[0] == (0, 3, 1)

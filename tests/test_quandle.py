@@ -64,6 +64,21 @@ class TestStandardFamilies:
         with pytest.raises(QuandleError):
             quandle_standard("A(4)")
 
+    def test_table_guard_reads_the_environment(self, monkeypatch):
+        monkeypatch.setenv("TWISTQ_MAX_TABLE", "15")
+        ring = AlexanderRing(2, [1, 1, 1])
+        # the guard runs before the ring's elements are listed
+        monkeypatch.setattr(ring, "elements",
+                            lambda: pytest.fail("elements listed"))
+        for build in (lambda: trivial_quandle(4), lambda: dihedral_quandle(4),
+                      lambda: alexander_quandle(ring)):
+            with pytest.raises(QuandleError, match=(
+                    r"order 4 has a 16-cell table \(limit 15; "
+                    r"set TWISTQ_MAX_TABLE\)")):
+                build()
+        monkeypatch.setenv("TWISTQ_MAX_TABLE", "16")
+        assert dihedral_quandle(4).size == 4
+
     def test_dihedral_is_alexander_mod_t_plus_1(self):
         assert alexander_quandle(AlexanderRing(5, [1, 1])).table == \
             dihedral_quandle(5).table

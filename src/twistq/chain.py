@@ -190,11 +190,9 @@ def boundary(spec, c):
     if spec.degree <= 1:
         return out
     tq = spec.variant == "TQ"
-    if tq:
-        for key in c.values:
-            if is_degenerate(key):
-                raise ValueError("degenerate tuple %r in a TQ chain" % (key,))
     for key, polys in _boundary_polys(spec.x, c.values):
+        if tq and is_degenerate(key):
+            raise ValueError("degenerate tuple %r in a TQ chain" % (key,))
         coef = c.values[key]
         for tup, (c0, c1) in polys.items():
             if not (tq and is_degenerate(tup)):

@@ -215,7 +215,9 @@ class _Factored:
         on every other coordinate V^-1 acts as core_cols alone.
 
     Pivots follow the module's rule: shortest column with a unit, then
-    lowest column index, then lightest row, then dict order.
+    lowest column index, then lightest row, then dict order, searched
+    in buckets of columns by length.  There is no row -> columns index:
+    it was measured to cost memory and save no time (module docstring).
     """
 
     def __init__(self, cols, nrows, n, keep_u=True, keep_v=True):

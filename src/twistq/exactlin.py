@@ -251,9 +251,11 @@ class _Factored:
                         q = -v * inv
                         self.rows.append((i2, i, q % n if n else q))
             # column ops clear the pivot row: the Schur complement, on the
-            # columns that hold row i, ascending (pivot columns are empty)
-            hits = list(itertools.compress(range(len(cols)), map(
-                operator.contains, cols, itertools.repeat(i))))
+            # columns that hold row i, ascending (pivot columns are empty);
+            # weight[i] of them, so the scan stops at the last one
+            hits = list(itertools.islice(itertools.compress(
+                range(len(cols)), map(operator.contains, cols,
+                                      itertools.repeat(i))), weight[i]))
             # f * col[i] == c2[i]: row i leaves c2, the other rows update
             rest = [(i2, v) for i2, v in col.items() if i2 != i]
             for j2 in hits:

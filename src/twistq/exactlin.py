@@ -27,9 +27,7 @@ raised the peak memory of homology runs (25.8 to 27.9 MB) and saved no
 time on them.
 """
 
-import itertools
 import math
-import operator
 
 __all__ = [
     "solve_linear",
@@ -251,11 +249,8 @@ class _Factored:
                         q = -v * inv
                         self.rows.append((i2, i, q % n if n else q))
             # column ops clear the pivot row: the Schur complement, on the
-            # columns that hold row i, ascending (pivot columns are empty);
-            # weight[i] of them, so the scan stops at the last one
-            hits = list(itertools.islice(itertools.compress(
-                range(len(cols)), map(operator.contains, cols,
-                                      itertools.repeat(i))), weight[i]))
+            # columns that hold row i, ascending (pivot columns are empty)
+            hits = [j2 for j2, c2 in enumerate(cols) if i in c2]
             # f * col[i] == c2[i]: row i leaves c2, the other rows update
             rest = [(i2, v) for i2, v in col.items() if i2 != i]
             for j2 in hits:
@@ -304,10 +299,7 @@ class _Factored:
         lightest row, ties in dict order; None when no unit is left."""
         n = self.n
         for length in sorted(by_len):
-            bucket = by_len[length]
-            # the lowest column first: over a field it has a unit, so the
-            # bucket is sorted only when it does not
-            for j in itertools.chain([min(bucket)], sorted(bucket)):
+            for j in sorted(by_len[length]):
                 col = cols[j]
                 rows = [i for i, a in col.items()
                         if (math.gcd(a, n) == 1 if n else a in (1, -1))]

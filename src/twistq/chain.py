@@ -24,11 +24,11 @@ while `delta` reads a cochain on every target, degenerate or not.
 """
 
 import itertools
-import os
 from dataclasses import dataclass, replace
 
 from .coeff import RingError
 from .exactlin import ModuleInfo, homology_segment, solve_linear
+from .limits import check_limit
 from .quandle import FiniteQuandle
 
 __all__ = [
@@ -127,11 +127,8 @@ def basis_tuples(x, n, variant):
     if n == 0:
         return [] if variant == "TD" else [()]
     count = x.size ** n
-    limit = int(os.environ.get("TWISTQ_MAX_BASIS", _MAX_BASIS))
-    if count > limit:
-        raise RingError(
-            "degree-%d basis has %d tuples (limit %d; set TWISTQ_MAX_BASIS)"
-            % (n, count, limit))
+    check_limit(count, "TWISTQ_MAX_BASIS", _MAX_BASIS, RingError,
+                "degree-%d basis has %d tuples", n, count)
     if variant == "TR":
         return list(itertools.product(range(x.size), repeat=n))
     if variant == "TD":
@@ -449,10 +446,8 @@ def brute_force_homology(spec):
     basis = basis_tuples(spec.x, n, spec.variant)
     k = len(basis) * ring.degree
     total = m ** k
-    limit = int(os.environ.get("TWISTQ_MAX_BRUTE", _MAX_BRUTE))
-    if total > limit:
-        raise RingError("chain group has %d elements (limit %d; set "
-                        "TWISTQ_MAX_BRUTE)" % (total, limit))
+    check_limit(total, "TWISTQ_MAX_BRUTE", _MAX_BRUTE, RingError,
+                "chain group has %d elements", total)
     out_cols, _ = _boundary_columns(spec)
     in_cols, _ = _boundary_columns(replace(spec, degree=n + 1))
 

@@ -7,9 +7,8 @@ self-distributive ((a * b) * c == (a * c) * (b * c)).  Elements are the
 integers 0 .. q-1; an optional label list carries human-readable names.
 """
 
-import os
-
 from . import coeff
+from .limits import check_limit
 
 __all__ = [
     "QuandleError",
@@ -40,11 +39,8 @@ _MAX_TABLE = 65536
 
 def _check_order(q):
     """Refuse a quandle of order q before its q x q table is built."""
-    limit = int(os.environ.get("TWISTQ_MAX_TABLE", _MAX_TABLE))
-    if q * q > limit:
-        raise QuandleError(
-            "a quandle of order %d has a %d-cell table (limit %d; set "
-            "TWISTQ_MAX_TABLE)" % (q, q * q, limit))
+    check_limit(q * q, "TWISTQ_MAX_TABLE", _MAX_TABLE, QuandleError,
+                "a quandle of order %d has a %d-cell table", q, q * q)
 
 
 class FiniteQuandle:

@@ -24,12 +24,12 @@ while `delta` reads a cochain on every target, degenerate or not.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
+from . import VARIANTS
 from .coeff import RingError
 from .exactlin import ModuleInfo, homology_segment, solve_linear
 from .limits import check_limit
-from .quandle import FiniteQuandle
 
 __all__ = [
     "ComplexSpec",
@@ -49,26 +49,28 @@ __all__ = [
     "render_cochain",
 ]
 
-VARIANTS = ("TR", "TD", "TQ")
-
 # defaults of the resource guards; TWISTQ_MAX_BASIS and TWISTQ_MAX_BRUTE
 # override them and are read on every call
 _MAX_BASIS = 20000
 _MAX_BRUTE = 729
 
 
-@dataclass(frozen=True)
-class ComplexSpec:
-    x: FiniteQuandle
-    ring: object
-    variant: str
-    degree: int
+class ComplexSpec(namedtuple("ComplexSpec", "x ring variant degree")):
+    """The degree-`degree` group of the `variant` complex of the quandle
+    x over `ring`: an immutable value, compared field by field."""
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
+    __slots__ = ()
+
+    def __new__(cls, x, ring, variant, degree):
+        if variant not in VARIANTS:
             raise ValueError("variant must be one of %s" % (VARIANTS,))
-        if self.degree < 0:
+        if degree < 0:
             raise ValueError("degree must be >= 0")
+        return super().__new__(cls, x, ring, variant, degree)
+
+    def at_degree(self, degree):
+        """The same complex in another degree."""
+        return ComplexSpec(self.x, self.ring, self.variant, degree)
 
 
 class _FormalSum:
@@ -300,7 +302,7 @@ def _from_vector(spec, vec, n, cls):
 
 def homology(spec):
     """Degree-n twisted homology as a ModuleInfo."""
-    in_cols, _ = _boundary_columns(replace(spec, degree=spec.degree + 1))
+    in_cols, _ = _boundary_columns(spec.at_degree(spec.degree + 1))
     return homology_segment(in_cols, *_boundary_columns(spec),
                             spec.ring.modulus, _t_columns(spec)[0])
 
@@ -309,7 +311,7 @@ def cohomology(spec):
     """Degree-n twisted cohomology; returns (ModuleInfo, cocycle_gens)
     where cocycle_gens generate the group of n-cocycles."""
     n = spec.degree
-    in_cols = _delta_columns(replace(spec, degree=n - 1))[0] if n else []
+    in_cols = _delta_columns(spec.at_degree(n - 1))[0] if n else []
     info = homology_segment(in_cols, *_delta_columns(spec),
                             spec.ring.modulus, _t_columns(spec)[0],
                             cycles=True)
@@ -354,7 +356,7 @@ def is_coboundary(spec, f):
     n = spec.degree
     if n == 0:
         return None if not f.is_zero() else Cochain(spec.ring, 0)
-    low = replace(spec, degree=n - 1)
+    low = spec.at_degree(n - 1)
     x = solve_linear(*_delta_columns(low), _vector(spec, f),
                      spec.ring.modulus)
     if x is None:
@@ -458,7 +460,7 @@ def brute_force_homology(spec):
     check_limit(total, "TWISTQ_MAX_BRUTE", _MAX_BRUTE, RingError,
                 "chain group has %d elements", total)
     out_cols, _ = _boundary_columns(spec)
-    in_cols, _ = _boundary_columns(replace(spec, degree=n + 1))
+    in_cols, _ = _boundary_columns(spec.at_degree(n + 1))
 
     cycles = []
     for vec in itertools.product(range(m), repeat=k):

@@ -9,6 +9,10 @@ replaced by their contents), so identical inputs always produce
 byte-identical reports; wall-clock time goes to standard error.  Exit
 status is 0 on success, 2 when a precondition of the requested
 computation fails, and 64 for usage errors.
+
+Parsing and dispatch need no computation module: each handler imports
+the modules its command runs when it runs, so a process loads only
+those.
 """
 
 import argparse
@@ -16,9 +20,8 @@ import hashlib
 import json
 import sys
 import time
-from importlib import resources
 
-from . import chain, cocycles, coeff, knot, quandle
+from . import VARIANTS
 
 EX_USAGE = 64
 
@@ -40,6 +43,7 @@ def _load_quandle(text):
     the table text itself (main inlines an '@path' argument before the
     handler runs), told apart from a name by its first non-comment line,
     the size."""
+    from . import quandle
     lines = [ln for ln in map(str.strip, text.splitlines())
              if ln and not ln.startswith("#")]
     if lines and lines[0][0].isdigit():
@@ -73,17 +77,21 @@ def _digest(command, inputs):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-# cocycle families: parameters -> (cochain, quandle, ring)
+# cocycle families: (cocycles, coeff, parameters) -> (cochain, quandle,
+# ring); the handler passes the two modules in
 _FAMILIES = {
-    "modular": lambda p: cocycles.modular_extension_cocycle(
+    "modular": lambda cocycles, coeff, p: cocycles.modular_extension_cocycle(
         int(p["p"]), int(p["m"]), coeff.parse_poly(p["h"])),
-    "polynomial": lambda p: cocycles.polynomial_extension_cocycle(
-        int(p["p"]), coeff.parse_poly(p["h"]), int(p["m"])),
-    "dihedral": lambda p: cocycles.dihedral_integral_cocycle(int(p["n"])),
+    "polynomial": lambda cocycles, coeff, p:
+        cocycles.polynomial_extension_cocycle(
+            int(p["p"]), coeff.parse_poly(p["h"]), int(p["m"])),
+    "dihedral": lambda cocycles, coeff, p:
+        cocycles.dihedral_integral_cocycle(int(p["n"])),
 }
 
 
 def _make_ses(inputs):
+    from . import cocycles, coeff
     g = coeff.parse_ring(inputs["ambient"])
     gens = tuple(g.reduce(coeff.parse_poly(s))
                  for s in str(inputs["sub"]).split(";"))
@@ -93,6 +101,7 @@ def _make_ses(inputs):
 # -- subcommand handlers -----------------------------------------------------
 
 def _spec_from(inputs):
+    from . import chain, coeff
     x = _load_quandle(inputs["quandle"])
     ring = coeff.parse_ring(inputs["coeff"])
     return chain.ComplexSpec(x, ring, inputs["variant"], inputs["degree"])
@@ -111,6 +120,7 @@ def _module_result(spec, info):
 
 
 def _cmd_homology(inputs):
+    from . import chain
     spec = _spec_from(inputs)
     result = _module_result(spec, chain.homology(spec))
     if inputs.get("oracle"):
@@ -120,6 +130,7 @@ def _cmd_homology(inputs):
 
 
 def _cmd_cohomology(inputs):
+    from . import chain
     spec = _spec_from(inputs)
     info, gens = chain.cohomology(spec)
     result = _module_result(spec, info)
@@ -128,6 +139,7 @@ def _cmd_cohomology(inputs):
 
 
 def _construct_result(phi, x, ring):
+    from . import chain
     return {"cocycle": chain.render_cochain(phi),
             "degree": phi.degree,
             "ring": ring.descriptor(),
@@ -135,10 +147,13 @@ def _construct_result(phi, x, ring):
 
 
 def _cmd_construct_family(inputs):
-    return _construct_result(*_FAMILIES[inputs["family"]](inputs))
+    from . import cocycles, coeff
+    return _construct_result(
+        *_FAMILIES[inputs["family"]](cocycles, coeff, inputs))
 
 
 def _cmd_construct_lift(inputs):
+    from . import chain, cocycles, coeff
     x = _load_quandle(inputs["quandle"])
     ring = coeff.parse_ring(inputs["coeff"])
     seeds = chain.parse_cochain(ring, inputs["seeds"])
@@ -149,6 +164,7 @@ def _cmd_construct_lift(inputs):
 
 
 def _cmd_construct_obstruction2(inputs):
+    from . import cocycles, quandle
     ses = _make_ses(inputs)
     x = _load_quandle(inputs["quandle"])
     eta = quandle.QuandleMap(
@@ -163,6 +179,7 @@ def _cmd_construct_obstruction2(inputs):
 
 
 def _cmd_construct_obstruction3(inputs):
+    from . import chain, cocycles
     ses = _make_ses(inputs)
     x = _load_quandle(inputs["quandle"])
     phi = chain.parse_cochain(ses.g_ring, inputs["phi"], degree=2)
@@ -171,6 +188,7 @@ def _cmd_construct_obstruction3(inputs):
 
 
 def _cmd_verify(inputs):
+    from . import chain
     spec = _spec_from(inputs)
     f = chain.parse_cochain(spec.ring, inputs["cocycle"], degree=spec.degree)
     ok, witness = chain.is_cocycle(spec, f)
@@ -185,6 +203,7 @@ def _cmd_verify(inputs):
 
 
 def _cmd_pair(inputs):
+    from . import chain
     spec = _spec_from(inputs)
     f = chain.parse_cochain(spec.ring, inputs["cocycle"], degree=spec.degree)
     c = chain.parse_cochain(spec.ring, inputs["cycle"], degree=spec.degree)
@@ -197,6 +216,7 @@ def _cmd_quandle_info(inputs):
 
 
 def _cmd_quandle_iso(inputs):
+    from . import quandle
     a = _load_quandle(inputs["first"])
     b = _load_quandle(inputs["second"])
     m = quandle.find_isomorphism(a, b)
@@ -205,6 +225,7 @@ def _cmd_quandle_iso(inputs):
 
 
 def _state_sum_result(inputs, diagram, state_sum, degree):
+    from . import chain, coeff
     x = _load_quandle(inputs["quandle"])
     ring = coeff.parse_ring(inputs["coeff"])
     phi = chain.parse_cochain(ring, inputs["cocycle"], degree=degree)
@@ -215,11 +236,13 @@ def _state_sum_result(inputs, diagram, state_sum, degree):
 
 
 def _cmd_invariant(inputs):
+    from . import knot
     return _state_sum_result(inputs, knot.parse_pd(inputs["pd"]),
                              knot.state_sum, 2)
 
 
 def _cmd_invariant_surface(inputs):
+    from . import knot
     return _state_sum_result(inputs, knot.parse_surface(inputs["surface"]),
                              knot.state_sum_surface, 3)
 
@@ -228,6 +251,7 @@ def _cmd_invariant_surface(inputs):
 
 def load_catalog(text=None):
     if text is None:
+        from importlib import resources
         text = resources.files("twistq").joinpath(
             "data/catalog.json").read_text()
     entries = json.loads(text)
@@ -269,6 +293,7 @@ _KINDS = {
 def _construct(params):
     """The report of `cocycle construct <family>` on a catalog construct
     mapping."""
+    from . import cocycles
     family = params.get("family")
     if family not in _FAMILIES and family != "lift":
         raise cocycles.CocycleError("unknown cocycle family %r" % family)
@@ -278,6 +303,7 @@ def _construct(params):
 def _catalog_quandle(spec):
     """Table text of a {"product": [a, b]} or {"extension": construct}
     quandle spec."""
+    from . import chain, coeff, quandle
     if "product" in spec:
         a, b = spec["product"]
         x = quandle.quandle_product(quandle.quandle_standard(a),
@@ -386,7 +412,7 @@ def _add_complex_args(p):
                    help="T(n), R(n), A(n;h) or @table-file")
     p.add_argument("--coeff", required=True,
                    help="coefficient ring, e.g. \"Z3[T]/(T+1)\"")
-    p.add_argument("--variant", choices=chain.VARIANTS, default="TQ")
+    p.add_argument("--variant", choices=VARIANTS, default="TQ")
     p.add_argument("--degree", type=int, required=True)
 
 

@@ -8,7 +8,6 @@ constructor verifies the cocycle condition before returning.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .coeff import AlexanderRing, RingError
 from .chain import ComplexSpec, Cochain, delta, is_cocycle, is_degenerate
@@ -163,7 +162,6 @@ def dihedral_integral_cocycle(n):
 
 # -- short exact sequences of coefficients ----------------------------------
 
-@dataclass
 class SesSpec:
     """0 -> N -> G -> A -> 0 of modules over the Laurent ring, with G a
     finite coefficient ring and N the submodule generated by `n_gens`.
@@ -172,11 +170,11 @@ class SesSpec:
     `a_quandle` carries the Alexander quandle structure of A and
     `section` maps an A-index to its representative in G.
     """
-    g_ring: AlexanderRing
-    n_gens: tuple
 
-    def __post_init__(self):
-        g = self.g_ring
+    def __init__(self, g_ring, n_gens):
+        self.g_ring = g_ring
+        self.n_gens = n_gens
+        g = g_ring
         if g.modulus == 0:
             raise CocycleError("the ambient module must be finite")
         gens = [g.reduce(v) for v in self.n_gens]
@@ -340,6 +338,12 @@ def lift_h1(x, ring, seeds):
     n1 = degrees.pop()
     if n1 < 2:
         raise CocycleError("seed keys must have length >= 2")
+    for key in seeds:
+        bad = [k for k in key if not 0 <= k < x.size]
+        if bad:
+            raise CocycleError("seed key %r names element %d, but the "
+                               "quandle's elements are 0..%d"
+                               % (tuple(key), bad[0], x.size - 1))
 
     table = {}
 

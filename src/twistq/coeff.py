@@ -15,6 +15,8 @@ not change the ideal), which makes reduction a plain division step.
 import math
 import re
 
+from .limits import check_limit
+
 __all__ = [
     "RingError",
     "AlexanderRing",
@@ -27,6 +29,11 @@ __all__ = [
 
 class RingError(ValueError):
     pass
+
+
+# default of the degree guard on polynomial text; TWISTQ_MAX_DEGREE
+# overrides it and is read on every call
+_MAX_DEGREE = 1024
 
 
 def _inverse_mod(a, n):
@@ -207,6 +214,8 @@ def parse_poly(text):
         while pos < len(s) and s[pos].isspace():
             pos += 1
     deg = max(coeffs)
+    check_limit(deg, "TWISTQ_MAX_DEGREE", _MAX_DEGREE, RingError,
+                "polynomial %r has degree %d", text, deg)
     return [coeffs.get(i, 0) for i in range(deg + 1)]
 
 

@@ -21,7 +21,6 @@ collects exp(total weight) over all colorings in the group ring Z[A].
 """
 
 import re
-from dataclasses import dataclass, field
 
 from .coeff import GroupRingElem, RingError
 from .chain import ComplexSpec, is_cocycle
@@ -50,16 +49,16 @@ _CROSSING_RE = re.compile(
     re.IGNORECASE)
 
 
-@dataclass
 class Diagram:
-    crossings: list                      # [(sign, (a, b, c, d)), ...]
-    mod_p: int = 0
-    outer: str = None                    # face id (planar numbering)
-    base: str = None                     # face id (mod-p numbering)
-    declared_faces: dict = field(default_factory=dict)
-    l_overrides: dict = field(default_factory=dict)  # crossing index -> L
-
-    def __post_init__(self):
+    def __init__(self, crossings, mod_p=0, outer=None, base=None,
+                 declared_faces=None, l_overrides=None):
+        self.crossings = crossings       # [(sign, (a, b, c, d)), ...]
+        self.mod_p = mod_p
+        self.outer = outer               # face id (planar numbering)
+        self.base = base                 # face id (mod-p numbering)
+        self.declared_faces = {} if declared_faces is None else declared_faces
+        # crossing index -> L
+        self.l_overrides = {} if l_overrides is None else l_overrides
         self._index_semiarcs()
         self._trace_faces()
         if self.declared_faces:
@@ -399,17 +398,16 @@ def state_sum(diagram, x, ring, phi, check=True):
 
 # -- knotted surface presentations ------------------------------------------
 
-@dataclass
 class SurfacePresentation:
     """Combinatorial data of a knotted-surface diagram: sheet names,
     broken-sheet relations 'c = a * b' along double curves, and triple
     points with sign, source-region number L and the three sheet colors
     (x bottom, y middle, z top)."""
-    sheets: list
-    rels: list          # [(c, a, b)]
-    triples: list       # [(sign, L, x, y, z)]
 
-    def __post_init__(self):
+    def __init__(self, sheets, rels, triples):
+        self.sheets = sheets
+        self.rels = rels            # [(c, a, b)]
+        self.triples = triples      # [(sign, L, x, y, z)]
         known = set(self.sheets)
         for c, a, b in self.rels:
             if {c, a, b} - known:

@@ -7,6 +7,8 @@ self-distributive ((a * b) * c == (a * c) * (b * c)).  Elements are the
 integers 0 .. q-1; an optional label list carries human-readable names.
 """
 
+from operator import itemgetter
+
 from . import coeff
 from .limits import check_limit
 
@@ -81,22 +83,25 @@ class FiniteQuandle:
                 raise QuandleError(
                     "idempotency fails: %d * %d == %d"
                     % (a, a, self.table[a][a]))
+        # right[b] is the right translation a -> a * b as a tuple
+        right = list(zip(*self.table))
         for b in range(q):
-            seen = {self.table[a][b] for a in range(q)}
-            if len(seen) != q:
+            if len(set(right[b])) != q:
                 raise QuandleError(
                     "right translation by %d is not a bijection" % b)
-        for a in range(q):
-            for b in range(q):
-                ab = self.table[a][b]
-                for c in range(q):
-                    lhs = self.table[ab][c]
-                    rhs = self.table[self.table[a][c]][self.table[b][c]]
-                    if lhs != rhs:
-                        raise QuandleError(
-                            "self-distributivity fails at (a, b, c) = "
-                            "(%d, %d, %d): (a*b)*c == %d but (a*c)*(b*c) == %d"
-                            % (a, b, c, lhs, rhs))
+        # (a*b)*c == (a*c)*(b*c) for every a says R_c R_b == R_{b*c} R_c;
+        # after[b](g) is the tuple of g[a * b] over a (a scalar if q == 1)
+        after = [itemgetter(*r) for r in right]
+        t = self.table
+        if any(after[b](right[c]) != after[c](right[t[b][c]])
+               for b in range(q) for c in range(q)):
+            a, b, c = next((a, b, c) for a in range(q) for b in range(q)
+                           for c in range(q)
+                           if t[t[a][b]][c] != t[t[a][c]][t[b][c]])
+            raise QuandleError(
+                "self-distributivity fails at (a, b, c) = "
+                "(%d, %d, %d): (a*b)*c == %d but (a*c)*(b*c) == %d"
+                % (a, b, c, t[t[a][b]][c], t[t[a][c]][t[b][c]]))
 
     def __eq__(self, other):
         return isinstance(other, FiniteQuandle) and self.table == other.table
@@ -179,6 +184,7 @@ def quandle_standard(name):
 def quandle_product(x, y):
     """Direct product, (a1, a2) * (b1, b2) componentwise.
     Element (a, b) is encoded as a * y.size + b."""
+    _check_order(x.size * y.size)
     table = []
     labels = []
     for a1 in range(x.size):
@@ -203,6 +209,7 @@ def quandle_extension(x, ring, phi, check=True):
     """
     if ring.modulus == 0:
         raise QuandleError("extension needs a finite coefficient ring")
+    _check_order(ring.size() * x.size)
     if check:
         from . import chain
         spec = chain.ComplexSpec(x, ring, "TQ", 2)

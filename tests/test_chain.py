@@ -269,6 +269,27 @@ class TestText:
         assert parse_cochain(R3, "", degree=2).is_zero()
 
 
+class TestComplexSpec:
+    def test_immutable_value(self):
+        s = spec(dihedral_quandle(3), R3)
+        assert s == spec(dihedral_quandle(3), R3)
+        assert s != spec(dihedral_quandle(3), R3, degree=3)
+        assert repr(s) == ("ComplexSpec(x=FiniteQuandle(size=3, name='R(3)'),"
+                           " ring=%r, variant='TQ', degree=2)" % (R3,))
+        with pytest.raises(AttributeError):
+            s.degree = 3
+        assert s.at_degree(3) == spec(dihedral_quandle(3), R3, degree=3)
+
+    def test_fields_are_checked(self):
+        x = dihedral_quandle(3)
+        with pytest.raises(ValueError, match="variant must be one of"):
+            spec(x, R3, "TX")
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            spec(x, R3, degree=-1)
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            spec(x, R3, degree=0).at_degree(-1)
+
+
 class TestGuards:
     def test_basis_guard(self, monkeypatch):
         import twistq.chain as chain_mod

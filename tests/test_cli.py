@@ -1,7 +1,11 @@
 """End-to-end checks of the command-line front end."""
 
 import argparse
+import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -109,6 +113,34 @@ class TestExitCodes:
         assert time.monotonic() - start < 1
         assert code == 2 and out == "" and err.count("\n") == 1
         assert "limit 65536; set TWISTQ_MAX_TABLE" in err
+
+    @pytest.mark.parametrize("key", ["9,9", "0,-1"])
+    def test_lift_seed_key_out_of_range(self, capsys, tmp_path, key):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("%s -> 1\n" % key)
+        code, out, err = run(capsys, ["cocycle", "construct", "lift",
+                                      "--quandle", "R(3)",
+                                      "--coeff", "Z3[T]/(T+1)",
+                                      "--seeds", str(seeds)])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "the quandle's elements are 0..2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["quandle", "info", "--quandle", "A(3;T^99999999+1)"],
+        ["homology", "--quandle", "R(3)", "--coeff", "Z[T]/(T^99999999+1)",
+         "--degree", "2"],
+        ["cocycle", "construct", "polynomial", "--p", "3", "--m", "2",
+         "--h", "T^99999999+1"],
+    ], ids=["quandle", "coeff", "construct"])
+    def test_huge_exponent_refused_before_its_coefficients(
+            self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("TWISTQ_MAX_DEGREE", raising=False)
+        start = time.monotonic()
+        code, out, err = run(capsys, argv)
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "has degree 99999999 (limit 1024; set TWISTQ_MAX_DEGREE)" \
+            in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["invariant",
@@ -301,6 +333,21 @@ class TestVerifySuite:
         broken = [it for it in result["items"] if not it["pass"]]
         assert broken[0]["witness"]
 
+    def test_oversized_product_fails_its_entry(self, capsys, tmp_path,
+                                                monkeypatch):
+        # the product table would have 1.6 * 10^9 cells
+        monkeypatch.delenv("TWISTQ_MAX_TABLE", raising=False)
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(json.dumps([{
+            "kind": "iso", "first": {"product": ["R(200)", "R(200)"]},
+            "second": "R(3)", "expect": False}]))
+        report = run_json(capsys, ["verify-suite", "--catalog", str(catalog)])
+        item, = report["result"]["items"]
+        assert not item["pass"]
+        assert item["witness"] == (
+            "QuandleError: a quandle of order 40000 has a 1600000000-cell "
+            "table (limit 65536; set TWISTQ_MAX_TABLE)")
+
     def test_empty_catalog_warns(self, capsys, tmp_path):
         empty = tmp_path / "catalog.json"
         empty.write_text("[]")
@@ -420,3 +467,77 @@ class TestCatalogDispatch:
             for a in subs:
                 todo.extend(a.choices.values())
         assert paths == set(cli._COMMANDS)
+
+
+# A child process runs one command through main() and reports the twistq
+# modules (and dataclasses) it holds afterwards.  It starts with -S, so
+# the site module's imports do not count, and finds twistq on an
+# explicit sys.path.
+_PROBE = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from twistq import cli
+try:
+    code = cli.main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] in ("twistq",
+                                                      "dataclasses"))]))
+"""
+_BASE = ["twistq", "twistq.cli"]
+_QUANDLE = _BASE + ["twistq.coeff", "twistq.limits", "twistq.quandle"]
+_CHAIN = _QUANDLE + ["twistq.chain", "twistq.exactlin"]
+_COCYCLES = _CHAIN + ["twistq.cocycles"]
+_KNOT = _CHAIN + ["twistq.knot"]
+_COMPLEX = ["--quandle", "R(3)", "--coeff", "Z3[T]/(T+1)", "--degree", "2"]
+_SES = ["--ambient", "Z9[T]/(T+1)", "--sub", "3", "--quandle", "R(3)"]
+_STATE_SUM = ["--quandle", "T(2)", "--coeff", "Z[T]/(T^2-1)"]
+_LOADS = [
+    (["no-such-command"], 64, _BASE),
+    (["homology"] + _COMPLEX, 0, _CHAIN),
+    (["cohomology"] + _COMPLEX, 0, _CHAIN),
+    (["cocycle", "verify", "--cocycle", "{phi}"] + _COMPLEX, 0, _CHAIN),
+    (["cocycle", "pair", "--cocycle", "{phi}", "--cycle", "{cycle}"]
+     + _COMPLEX, 0, _CHAIN),
+    (["cocycle", "construct", "modular", "--p", "3", "--m", "2",
+      "--h", "T+1"], 0, _COCYCLES),
+    (["cocycle", "construct", "polynomial", "--p", "3", "--m", "2",
+      "--h", "T+1"], 0, _COCYCLES),
+    (["cocycle", "construct", "dihedral", "--n", "3"], 0, _COCYCLES),
+    (["cocycle", "construct", "obstruction2", "--eta", "0,1,2"] + _SES, 0,
+     _COCYCLES),
+    (["cocycle", "construct", "obstruction3", "--phi", "{zero}"] + _SES, 0,
+     _COCYCLES),
+    (["cocycle", "construct", "lift", "--quandle", "R(3)",
+      "--coeff", "Z3[T]/(T+1)", "--seeds", "{seeds}"], 0, _COCYCLES),
+    (["quandle", "info", "--quandle", "R(3)"], 0, _QUANDLE),
+    (["quandle", "iso", "--first", "R(3)", "--second", "T(3)"], 0,
+     _QUANDLE),
+    (["invariant", "--pd", "{hopf}", "--cocycle", "{hopf_phi}"]
+     + _STATE_SUM, 0, _KNOT),
+    (["invariant-surface", "--surface", "{surface}", "--cocycle", "{zero}"]
+     + _STATE_SUM, 0, _KNOT),
+    (["verify-suite"], 0, _COCYCLES + ["twistq.knot"]),
+]
+
+
+@pytest.mark.parametrize("argv,code,modules", _LOADS, ids=[
+    " ".join(itertools.takewhile(lambda a: a[0] != "-", argv))
+    for argv, _, _ in _LOADS])
+def test_command_loads_only_its_modules(tmp_path, argv, code, modules):
+    files = {"phi": "0,1 -> 2\n0,2 -> 1\n1,0 -> 1\n1,2 -> 2\n"
+                    "2,0 -> 2\n2,1 -> 1\n",
+             "cycle": "1,0 -> 1\n2,0 -> 2\n", "zero": "",
+             "seeds": "0,1 -> 1\n", "hopf": HOPF,
+             "hopf_phi": "0,1 -> T\n1,0 -> 1\n",
+             "surface": "sheets: x y\ntp: sign=+1 L=0 x=x y=y z=x\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(**{n: str(tmp_path / n) for n in files}) for a in argv]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", _PROBE, src] + argv,
+                          capture_output=True, text=True, timeout=60)
+    got_code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert got_code == code, proc.stderr
+    assert loaded == sorted(modules)

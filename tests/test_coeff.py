@@ -116,6 +116,18 @@ class TestText:
         with pytest.raises(RingError):
             parse_poly("")
 
+    def test_degree_guard_reads_the_environment(self, monkeypatch):
+        monkeypatch.setenv("TWISTQ_MAX_DEGREE", "3")
+        with pytest.raises(RingError, match=(
+                r"polynomial 'T\^4 \+ 1' has degree 4 \(limit 3; "
+                r"set TWISTQ_MAX_DEGREE\)")):
+            parse_poly("T^4 + 1")
+        assert parse_poly("T^3 + 1") == [1, 0, 0, 1]
+        monkeypatch.delenv("TWISTQ_MAX_DEGREE")
+        assert len(parse_poly("T^1024")) == 1025
+        with pytest.raises(RingError, match="limit 1024"):
+            parse_poly("T^1025")
+
     def test_descriptor(self):
         assert R(3).descriptor() == "Z3[T]/(T + 1)"
         assert parse_ring(R(3).descriptor()) == R(3)

@@ -1,5 +1,7 @@
 """Quandle validation, standard families, extensions and isomorphisms."""
 
+import random
+
 import pytest
 
 from twistq.coeff import AlexanderRing
@@ -10,6 +12,22 @@ from twistq.quandle import (QuandleError, QuandleMap, alexander_quandle,
                             quandle_extension, quandle_from_table,
                             quandle_product, quandle_standard,
                             render_quandle_table, trivial_quandle)
+
+
+def _first_distributivity_failure(t):
+    """The error message for the first (a, b, c), in lexicographic
+    order, where (a*b)*c != (a*c)*(b*c), found triple by triple; None
+    when there is none."""
+    q = len(t)
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                lhs, rhs = t[t[a][b]][c], t[t[a][c]][t[b][c]]
+                if lhs != rhs:
+                    return ("self-distributivity fails at (a, b, c) = "
+                            "(%d, %d, %d): (a*b)*c == %d but (a*c)*(b*c) "
+                            "== %d" % (a, b, c, lhs, rhs))
+    return None
 
 
 class TestValidation:
@@ -34,6 +52,31 @@ class TestValidation:
         with pytest.raises(QuandleError, match="self-distributivity"):
             quandle_from_table([[0, 0, 3, 0], [2, 1, 0, 1],
                                 [3, 3, 2, 2], [1, 2, 1, 3]])
+
+    def test_distributivity_check_matches_triple_loop(self):
+        # fixed diagonal and bijective right translations, so only
+        # self-distributivity can fail
+        rng = random.Random(8)
+        failed = passed = 0
+        for _ in range(400):
+            q = rng.randint(2, 5)
+            cols = []
+            for b in range(q):
+                col = [v for v in range(q) if v != b]
+                rng.shuffle(col)
+                col.insert(b, b)
+                cols.append(col)
+            table = [[cols[b][a] for b in range(q)] for a in range(q)]
+            want = _first_distributivity_failure(table)
+            if want is None:
+                assert quandle_from_table(table).size == q
+                passed += 1
+            else:
+                with pytest.raises(QuandleError) as exc:
+                    quandle_from_table(table)
+                assert str(exc.value) == want
+                failed += 1
+        assert failed > 100 and passed > 10
 
     def test_op_inverse(self):
         x = dihedral_quandle(5)
@@ -106,6 +149,25 @@ class TestProductAndExtension:
         bad = Cochain(ring, 2, {(0, 1): (1,), (1, 0): (1,)})
         with pytest.raises(QuandleError):
             quandle_extension(x, ring, bad)
+
+    def test_guarded_before_building(self, monkeypatch):
+        monkeypatch.setenv("TWISTQ_MAX_TABLE", "35")
+        x = dihedral_quandle(3)
+        ring = AlexanderRing(2, [1, 1])
+        monkeypatch.setattr(x, "op", lambda a, b: pytest.fail("table read"))
+        monkeypatch.setattr(ring, "elements",
+                            lambda: pytest.fail("elements listed"))
+        # not a cocycle: the guard runs before the cocycle check
+        bad = Cochain(ring, 2, {(0, 1): (1,)})
+        for build in (lambda: quandle_product(x, trivial_quandle(2)),
+                      lambda: quandle_extension(x, ring, bad)):
+            with pytest.raises(QuandleError, match=(
+                    r"order 6 has a 36-cell table \(limit 35; "
+                    r"set TWISTQ_MAX_TABLE\)")):
+                build()
+        monkeypatch.setenv("TWISTQ_MAX_TABLE", "36")
+        assert quandle_product(dihedral_quandle(3),
+                               trivial_quandle(2)).size == 6
 
     def test_infinite_ring_rejected(self):
         with pytest.raises(QuandleError):

@@ -130,7 +130,7 @@ def basis_tuples(x, n, variant):
         return [] if variant == "TD" else [()]
     count = x.size ** n
     check_limit(count, "TWISTQ_MAX_BASIS", _MAX_BASIS, RingError,
-                "degree-%d basis has %d tuples", n, count)
+                "degree-%s basis has %s tuples", n, count)
     if variant == "TR":
         return list(itertools.product(range(x.size), repeat=n))
     if variant == "TD":
@@ -458,7 +458,7 @@ def brute_force_homology(spec):
     k = len(basis) * ring.degree
     total = m ** k
     check_limit(total, "TWISTQ_MAX_BRUTE", _MAX_BRUTE, RingError,
-                "chain group has %d elements", total)
+                "chain group has %s elements", total)
     out_cols, _ = _boundary_columns(spec)
     in_cols, _ = _boundary_columns(spec.at_degree(n + 1))
 

@@ -37,6 +37,12 @@ class CliParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, "%s: error: %s\n" % (self.prog, message))
 
+    def _get_values(self, action, arg_strings):
+        # argparse turns an option's value "--" (as in --h=--) into []
+        if action.option_strings and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
 
 def _load_quandle(text):
     """A quandle argument is a standard name (T(n), R(n), A(n;h)) or

@@ -3,16 +3,25 @@
 Three explicit families (modular carry, polynomial carry, and an
 integral cocycle on dihedral quandles), the obstruction cocycles of a
 short exact sequence of coefficient modules, and the lifting of a
-cocycle valued in degree-one cohomology to one degree higher.  Every
-constructor verifies the cocycle condition before returning.
+cocycle valued in degree-one cohomology to one degree higher.
+
+As for group extensions, each family and obstruction cocycle is the
+coboundary `chain.delta` s of a set-theoretic section s read in the
+bigger coefficient module.  A family divides the carry unit (p^(m-1),
+h^(m-1) or n) out of the values of delta s; an obstruction keeps them
+in G after checking that they lie in N.  Every constructor verifies the
+cocycle condition before returning.
 """
 
 import itertools
+import math
 
-from .coeff import AlexanderRing, RingError
-from .chain import ComplexSpec, Cochain, delta, is_cocycle, is_degenerate
-from .quandle import (FiniteQuandle, QuandleMap, QuandleError,
-                      alexander_quandle, dihedral_quandle)
+from .coeff import _MAX_DEGREE, AlexanderRing, RingError
+from .chain import (ComplexSpec, Cochain, basis_tuples, delta, is_cocycle,
+                    is_degenerate)
+from .limits import LONG_DIGITS, check_limit
+from .quandle import (_MAX_TABLE, FiniteQuandle, QuandleMap, QuandleError,
+                      alexander_quandle, dihedral_quandle, is_homomorphism)
 
 __all__ = [
     "CocycleError",
@@ -43,6 +52,16 @@ def _verified(spec, f, what):
 
 # -- carry cocycles --------------------------------------------------------
 
+def _carry_cocycle(x, big, lift, small, unit, what):
+    """(phi, x, small), phi = unit(delta s) for s(i) = lift[i] in big:
+    (delta s)(x1, x2) = T s(x1) + (1 - T) s(x2) - s(x1 * x2), the operation
+    in big minus the section of the result, is the carry times the unit."""
+    s = Cochain(big, 1, {(i,): v for i, v in enumerate(lift)})
+    ds = delta(ComplexSpec(x, big, "TQ", 1), s)
+    phi = Cochain(small, 2, {k: unit(v) for k, v in ds.values.items()})
+    return _verified(ComplexSpec(x, small, "TQ", 2), phi, what), x, small
+
+
 def modular_extension_cocycle(p, m, h_coeffs):
     """2-cocycle phi with AE(X, A, phi) = Lambda_{p^m}/(h) for the base
     quandle X on Lambda_{p^{m-1}}/(h) and coefficients A on Lambda_p/(h).
@@ -53,21 +72,17 @@ def modular_extension_cocycle(p, m, h_coeffs):
     """
     if p < 2 or m < 2:
         raise CocycleError("need p >= 2 and m >= 2")
+    if (m - 1) * math.log10(p) > LONG_DIGITS:  # p^m: seconds at 10^6
+        e = 2 * (m - 1) * (p.bit_length() - 1)  # |X|^2 >= p^(2m-2) >= 2^e
+        check_limit(1 << e, "TWISTQ_MAX_TABLE", _MAX_TABLE, QuandleError,
+                    "a quandle of order at least %s^%s has a table of at "
+                    "least 2^%s cells", p, m - 1, e)
     big = AlexanderRing(p ** m, h_coeffs)
     mid = AlexanderRing(p ** (m - 1), h_coeffs)
     small = AlexanderRing(p, h_coeffs)
-    x = alexander_quandle(mid)
-    elems = mid.elements()
-    q = p ** (m - 1)
-    phi = Cochain(small, 2)
-    for i1, e1 in enumerate(elems):
-        for i2, e2 in enumerate(elems):
-            u = big.quandle_op(tuple(e1), tuple(e2))  # residues < p^m
-            top = tuple(c // q for c in u)
-            if not small.is_zero(top):
-                phi.add_term((i1, i2), top)
-    spec = ComplexSpec(x, small, "TQ", 2)
-    return _verified(spec, phi, "modular carry cochain"), x, small
+    return _carry_cocycle(alexander_quandle(mid), big, mid.elements(), small,
+                          lambda v: tuple(c // mid.modulus for c in v),
+                          "modular carry cochain")
 
 
 def _poly_pow(p, h, m):
@@ -81,8 +96,8 @@ def _poly_pow(p, h, m):
     return out
 
 
-def _poly_divmod(num, den, p):
-    """Polynomial division over Z_p; den must be monic."""
+def _poly_quotient(num, den, p):
+    """num // den over Z_p; den must be monic."""
     num = [c % p for c in num]
     d = len(den) - 1
     quo = [0] * max(len(num) - d, 0)
@@ -92,17 +107,7 @@ def _poly_divmod(num, den, p):
             quo[i - d] = c
             for j in range(d + 1):
                 num[i - d + j] = (num[i - d + j] - c * den[j]) % p
-    return quo, num[:d]
-
-
-def _monic_mod_p(h_coeffs, p):
-    h = [c % p for c in h_coeffs]
-    while h and h[-1] == 0:
-        h.pop()
-    if len(h) < 2:
-        raise CocycleError("polynomial degenerates mod %d" % p)
-    inv = pow(h[-1], -1, p)
-    return [(c * inv) % p for c in h]
+    return quo
 
 
 def polynomial_extension_cocycle(p, h_coeffs, m):
@@ -112,27 +117,20 @@ def polynomial_extension_cocycle(p, h_coeffs, m):
     The section zero-pads h-adic digits; phi is the top h-adic digit of
     the quandle operation in the big ring.  Returns (phi, x_quandle, a_ring).
     """
-    if m < 2:
-        raise CocycleError("need m >= 2")
-    h = _monic_mod_p(h_coeffs, p)
+    if m < 2 or p < 2:
+        raise CocycleError("need p >= 2 and m >= 2" if m >= 2 else
+                           "need m >= 2")
+    small = AlexanderRing(p, h_coeffs)
+    h, d = small.h, small.degree
+    check_limit(m * d, "TWISTQ_MAX_DEGREE", _MAX_DEGREE, RingError,
+                "h^%s has degree %s", m, m * d)
     big = AlexanderRing(p, _poly_pow(p, h, m))
     mid = AlexanderRing(p, _poly_pow(p, h, m - 1))
-    small = AlexanderRing(p, h)
     x = alexander_quandle(mid)
-    elems = mid.elements()
-    d = len(h) - 1
-    pad = big.degree - mid.degree
-    phi = Cochain(small, 2)
-    for i1, e1 in enumerate(elems):
-        for i2, e2 in enumerate(elems):
-            u = list(big.quandle_op(e1 + (0,) * pad, e2 + (0,) * pad))
-            for _ in range(m - 1):  # strip the m-1 low h-adic digits
-                u, _low = _poly_divmod(u, h, p)
-            top = tuple((u + [0] * d)[:d])
-            if not small.is_zero(top):
-                phi.add_term((i1, i2), top)
-    spec = ComplexSpec(x, small, "TQ", 2)
-    return _verified(spec, phi, "polynomial carry cochain"), x, small
+    lift = [e + (0,) * d for e in mid.elements()]
+    return _carry_cocycle(x, big, lift, small,
+                          lambda v: tuple(_poly_quotient(v, mid.h, p)),
+                          "polynomial carry cochain")
 
 
 def dihedral_integral_cocycle(n):
@@ -143,21 +141,9 @@ def dihedral_integral_cocycle(n):
     if n < 2:
         raise CocycleError("need n >= 2")
     ring = AlexanderRing(0, [1, 1])  # Z[T]/(T+1), T acts as -1
-    x = dihedral_quandle(n)
-    phi = Cochain(ring, 2)
-    for a in range(n):
-        for b in range(n):
-            d = 2 * b
-            if d < a:
-                v = -1
-            elif d < n + a:
-                v = 0
-            else:
-                v = 1
-            if v:
-                phi.add_term((a, b), ring.from_int(v))
-    spec = ComplexSpec(x, ring, "TQ", 2)
-    return _verified(spec, phi, "dihedral integral cochain"), x, ring
+    return _carry_cocycle(dihedral_quandle(n), ring,
+                          [(a,) for a in range(n)], ring,
+                          lambda v: (v[0] // n,), "dihedral integral cochain")
 
 
 # -- short exact sequences of coefficients ----------------------------------
@@ -172,36 +158,26 @@ class SesSpec:
     """
 
     def __init__(self, g_ring, n_gens):
-        self.g_ring = g_ring
+        self.g_ring = g = g_ring
         self.n_gens = n_gens
-        g = g_ring
         if g.modulus == 0:
             raise CocycleError("the ambient module must be finite")
-        gens = [g.reduce(v) for v in self.n_gens]
+        gens = [g.reduce(v) for v in n_gens]
         # close under addition, negation and T in both directions
-        seen = {g.zero()}
-        frontier = list(seen)
+        seen, frontier = {g.zero()}, [g.zero()]
         while frontier:
             base = frontier.pop()
-            nxt = [g.add(base, v) for v in gens]
-            nxt.append(g.t_act(base))
-            nxt.append(g.t_pow(base, -1))
-            nxt.append(g.neg(base))
-            for e in nxt:
+            for e in [g.add(base, v) for v in gens] + [
+                    g.t_act(base), g.t_pow(base, -1), g.neg(base)]:
                 if e not in seen:
                     seen.add(e)
                     frontier.append(e)
         self.n_set = frozenset(seen)
-        reps = {}
-        for e in g.elements():
-            key = min(g.add(e, v) for v in self.n_set)
-            reps.setdefault(key, []).append(e)
-        self.a_reps = sorted(reps)
+        # a coset is represented by its least element
+        self._coset_rep = {e: min(g.add(e, v) for v in self.n_set)
+                           for e in g.elements()}
+        self.a_reps = sorted(set(self._coset_rep.values()))
         self._rep_index = {r: i for i, r in enumerate(self.a_reps)}
-        self._coset_rep = {}
-        for rep, members in reps.items():
-            for e in members:
-                self._coset_rep[e] = rep
         table = [[self.project(g.quandle_op(a, b)) for b in self.a_reps]
                  for a in self.a_reps]
         self.a_quandle = FiniteQuandle(
@@ -227,24 +203,17 @@ def obstruction_2cocycle(ses, x, eta):
 
     with values in N, returned as a G-valued 2-cocycle.  eta must be a
     QuandleMap into ses.a_quandle."""
-    from .quandle import is_homomorphism
     if eta.codomain != ses.a_quandle:
         raise CocycleError("eta must land in the quotient quandle of the sequence")
     ok, witness = is_homomorphism(eta)
     if not ok:
         raise CocycleError("eta is not a quandle homomorphism (at %r)" % (witness,))
     g = ses.g_ring
-    phi = Cochain(g, 2)
-    for x1 in range(x.size):
-        for x2 in range(x.size):
-            v = g.sub(g.quandle_op(ses.section(eta(x1)), ses.section(eta(x2))),
-                      ses.section(eta(x.op(x1, x2))))
-            if not ses.in_n(v):
-                raise CocycleError("obstruction value escapes the submodule")
-            if not g.is_zero(v):
-                phi.add_term((x1, x2), v)
-    spec = ComplexSpec(x, g, "TQ", 2)
-    return _verified(spec, phi, "lifting obstruction")
+    s_eta = Cochain(g, 1, {(a,): ses.section(eta(a)) for a in range(x.size)})
+    phi = delta(ComplexSpec(x, g, "TQ", 1), s_eta)
+    if not all(ses.in_n(v) for v in phi.values.values()):
+        raise CocycleError("obstruction value escapes the submodule")
+    return _verified(ComplexSpec(x, g, "TQ", 2), phi, "lifting obstruction")
 
 
 def extension_homomorphism(ses, x, eta):
@@ -278,40 +247,17 @@ def obstruction_3cocycle(ses, x, phi):
 
     Values lie in N; returned as a G-valued 3-cocycle."""
     g = ses.g_ring
-    # phi must be an A-valued TQ 2-cocycle: check all conditions mod N
-    for key, v in phi.values.items():
-        if is_degenerate(key) and not ses.in_n(v):
-            raise CocycleError("phi is not normalized on degenerate pairs")
-    def s_phi(a, b):
-        return ses.section(ses.project(phi((a, b))))
-    for x1 in range(x.size):
-        for x2 in range(x.size):
-            for x3 in range(x.size):
-                lhs = g.add(g.t_act(s_phi(x1, x2)), s_phi(x.op(x1, x2), x3))
-                rhs = g.add(g.sub(g.t_act(s_phi(x1, x3)),
-                                  g.t_act(s_phi(x2, x3))),
-                            g.add(s_phi(x2, x3),
-                                  s_phi(x.op(x1, x3), x.op(x2, x3))))
-                if not ses.in_n(g.sub(lhs, rhs)):
-                    raise CocycleError(
-                        "phi is not a 2-cocycle over the quotient module")
-    theta = Cochain(g, 3)
-    for x1 in range(x.size):
-        for x2 in range(x.size):
-            for x3 in range(x.size):
-                v = g.zero()
-                v = g.add(v, g.t_act(s_phi(x1, x2)))
-                v = g.add(v, s_phi(x.op(x1, x2), x3))
-                v = g.add(v, g.t_act(s_phi(x2, x3)))
-                v = g.sub(v, s_phi(x2, x3))
-                v = g.sub(v, g.t_act(s_phi(x1, x3)))
-                v = g.sub(v, s_phi(x.op(x1, x3), x.op(x2, x3)))
-                if not ses.in_n(v):
-                    raise CocycleError("obstruction value escapes the submodule")
-                if not g.is_zero(v):
-                    theta.add_term((x1, x2, x3), v)
-    spec = ComplexSpec(x, g, "TQ", 3)
-    return _verified(spec, theta, "3-cocycle obstruction")
+    if any(is_degenerate(key) and not ses.in_n(v)
+           for key, v in phi.values.items()):
+        raise CocycleError("phi is not normalized on degenerate pairs")
+    s_phi = Cochain(g, 2, {key: ses.section(ses.project(v))
+                           for key, v in phi.values.items()})
+    # delta at degree 2 has sign -1, which gives theta term for term
+    theta = delta(ComplexSpec(x, g, "TQ", 2), s_phi)
+    if not all(ses.in_n(v) for v in theta.values.values()):
+        raise CocycleError("phi is not a 2-cocycle over the quotient module")
+    return _verified(ComplexSpec(x, g, "TQ", 3), theta,
+                     "3-cocycle obstruction")
 
 
 # -- lifting a cocycle valued in H^1 ----------------------------------------
@@ -349,15 +295,12 @@ def lift_h1(x, ring, seeds):
 
     def assign(key, v):
         v = ring.reduce(v)
-        old = table.get(key)
-        if old is None:
-            table[key] = v
-        elif old != v:
+        if table.setdefault(key, v) != v:
             raise CocycleError("inconsistent value forced at %r" % (key,))
 
-    for key in itertools.product(range(x.size), repeat=n1):
-        if is_degenerate(key):
-            assign(key, ring.zero())
+    degenerate = basis_tuples(x, n1, "TD")
+    for key in degenerate:
+        assign(key, ring.zero())
     for key, v in seeds.items():
         assign(tuple(key), ring.reduce(v))
 
@@ -365,8 +308,7 @@ def lift_h1(x, ring, seeds):
     while changed:
         changed = False
         # T-equivariance under the diagonal action
-        for key in list(table):
-            v = table[key]
+        for key, v in list(table.items()):
             for a in range(x.size):
                 moved = tuple(x.op(k, a) for k in key)
                 if moved not in table:
@@ -382,20 +324,10 @@ def lift_h1(x, ring, seeds):
                     z3 = x.op(z1, z2)
                     if z3 in known:
                         continue
-                    v = ring.add(ring.t_act(known[z1]),
-                                 ring.sub(known[z2], ring.t_act(known[z2])))
-                    assign(pre + (z3,), v)
-                    known[z3] = table[pre + (z3,)]
+                    known[z3] = table[pre + (z3,)] = ring.quandle_op(
+                        known[z1], known[z2])
                     changed = True
 
-    psi = Cochain(ring, n1)
-    for key, v in table.items():
-        psi.add_term(key, v)
-    # default unreached tuples to zero (already implicit in the cochain)
-
-    tr_spec = ComplexSpec(x, ring, "TR", n1)
-    _verified(tr_spec, psi, "lifted cochain")
-    is_tq = all(ring.is_zero(psi(k))
-                for k in itertools.product(range(x.size), repeat=n1)
-                if is_degenerate(k))
-    return psi, is_tq
+    psi = Cochain(ring, n1, table)  # unreached tuples are zero
+    _verified(ComplexSpec(x, ring, "TR", n1), psi, "lifted cochain")
+    return psi, all(ring.is_zero(psi(k)) for k in degenerate)

@@ -215,7 +215,7 @@ def parse_poly(text):
             pos += 1
     deg = max(coeffs)
     check_limit(deg, "TWISTQ_MAX_DEGREE", _MAX_DEGREE, RingError,
-                "polynomial %r has degree %d", text, deg)
+                "polynomial %r has degree %s", text, deg)
     return [coeffs.get(i, 0) for i in range(deg + 1)]
 
 

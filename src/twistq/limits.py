@@ -5,13 +5,25 @@ variable TWISTQ_MAX_* overrides the default and is read on every call,
 so a shell or a test can change it without a reload.
 """
 
+import math
 import os
+
+LONG_DIGITS = 4300  # str() refuses longer integers unless told otherwise
 
 
 def check_limit(size, var, default, error, what, *args):
     """Raise error("<what % args> (limit L; set <var>)") when size
     exceeds L, the integer in the environment variable var (default
-    when it is unset)."""
+    when it is unset).  what takes integers with %s: one too long for
+    str() (over 4300 digits by default) shows as ~10^<log10, floored>."""
     limit = int(os.environ.get(var, default))
     if size > limit:
-        raise error("%s (limit %d; set %s)" % (what % args, limit, var))
+        shown = tuple(_decimal(a) if isinstance(a, int) else a for a in args)
+        raise error("%s (limit %d; set %s)" % (what % shown, limit, var))
+
+
+def _decimal(k):
+    try:
+        return str(k)
+    except ValueError:
+        return "~10^%d" % math.log10(k)

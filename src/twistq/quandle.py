@@ -7,10 +7,11 @@ self-distributive ((a * b) * c == (a * c) * (b * c)).  Elements are the
 integers 0 .. q-1; an optional label list carries human-readable names.
 """
 
+import math
 from operator import itemgetter
 
 from . import coeff
-from .limits import check_limit
+from .limits import LONG_DIGITS, check_limit
 
 __all__ = [
     "QuandleError",
@@ -39,10 +40,19 @@ class QuandleError(ValueError):
 _MAX_TABLE = 65536
 
 
-def _check_order(q):
-    """Refuse a quandle of order q before its q x q table is built."""
-    check_limit(q * q, "TWISTQ_MAX_TABLE", _MAX_TABLE, QuandleError,
-                "a quandle of order %d has a %d-cell table", q, q * q)
+def _check_order(q, power=1):
+    """Refuse a quandle of order q^power before its table is built.  An
+    order too long to print is bounded by logarithms, not computed (which
+    can take seconds), and shows as ~10^k, as check_limit shows it."""
+    digits = power * math.log10(max(q, 1))
+    if digits > LONG_DIGITS:
+        size = 1 << int(2 * power * math.log2(q))
+        args = "~10^%d" % digits, "~10^%d" % (2 * digits)
+    else:
+        q **= power
+        size, args = q * q, (q, q * q)
+    check_limit(size, "TWISTQ_MAX_TABLE", _MAX_TABLE, QuandleError,
+                "a quandle of order %s has a %s-cell table", *args)
 
 
 class FiniteQuandle:
@@ -155,7 +165,7 @@ def alexander_quandle(ring, name=None):
     a * b = T a + (1 - T) b.  Elements are indexed in the ring's
     enumeration order; labels are the rendered polynomials."""
     if ring.modulus:
-        _check_order(ring.size())
+        _check_order(ring.modulus, ring.degree)
     elems = ring.elements()
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[ring.quandle_op(a, b)] for b in elems] for a in elems]

@@ -9,6 +9,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from twistq import cli
 
@@ -142,6 +143,71 @@ class TestExitCodes:
         assert "has degree 99999999 (limit 1024; set TWISTQ_MAX_DEGREE)" \
             in err
 
+    @pytest.mark.parametrize("argv,reason", [
+        (["polynomial", "--p", "0", "--h", "T+1", "--m", "2"],
+         "need p >= 2 and m >= 2"),
+        (["polynomial", "--p", "3", "--h", "T+1", "--m", "100000"],
+         "h^100000 has degree 100000 (limit 1024; set TWISTQ_MAX_DEGREE)"),
+        # |X| = 2^99999 is bounded before 2^100000 is computed
+        (["modular", "--p", "2", "--m", "100000", "--h", "T+1"],
+         "a quandle of order at least 2^99999 has a table of at least "
+         "2^199998 cells (limit 65536; set TWISTQ_MAX_TABLE)"),
+        (["modular", "--p", "1000000", "--m", "1000000", "--h", "T+1"],
+         "(limit 65536; set TWISTQ_MAX_TABLE)"),
+        # |X| = 2^7199 prints, |X|^2 = 2^14398 (4335 digits) does not
+        (["modular", "--p", "2", "--m", "7200", "--h", "T+1"],
+         "has a ~10^4334-cell table (limit 65536; set TWISTQ_MAX_TABLE)"),
+        # |X| = 1153^(1152 * 999) is bounded, not computed
+        (["modular", "--p", "1153", "--m", "1153", "--h", "T^999+1"],
+         "error: a quandle of order ~10^3523700 has a ~10^7047400-cell "
+         "table (limit 65536; set TWISTQ_MAX_TABLE)\n"),
+    ], ids=["p0", "h-power", "modular-bound", "modular-p-and-m",
+            "long-square", "long-order"])
+    def test_construct_refused_in_one_line(self, capsys, monkeypatch, argv,
+                                           reason):
+        for var in ("TWISTQ_MAX_DEGREE", "TWISTQ_MAX_TABLE"):
+            monkeypatch.delenv(var, raising=False)
+        start = time.monotonic()
+        code, out, err = run(capsys, ["cocycle", "construct"] + argv)
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and reason in err
+
+    def test_long_quandle_order_named(self, capsys, monkeypatch):
+        # 10^6000 elements: the sizes are too long for str()
+        monkeypatch.delenv("TWISTQ_MAX_TABLE", raising=False)
+        code, out, err = run(capsys, ["quandle", "info", "--quandle",
+                                      "A(1000000;T^1000+1)"])
+        assert code == 2 and out == ""
+        assert err == ("error: a quandle of order ~10^6000 has a "
+                       "~10^12000-cell table (limit 65536; set "
+                       "TWISTQ_MAX_TABLE)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["cocycle", "construct", "modular", "--p=3", "--m=2", "--h=--"],
+        ["homology", "--quandle=--", "--coeff", "Z3[T]/(T+1)",
+         "--degree", "2"],
+    ], ids=["h", "quandle"])
+    def test_double_dash_value_is_text(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "'--'" in err
+
+    def test_long_lift_seed_key_refused_by_the_basis_guard(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("TWISTQ_MAX_BASIS", raising=False)
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text(",".join("01" * 9) + " -> 1\n")
+        start = time.monotonic()
+        code, out, err = run(capsys, ["cocycle", "construct", "lift",
+                                      "--quandle", "R(3)",
+                                      "--coeff", "Z3[T]/(T+1)",
+                                      "--seeds", str(seeds)])
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "degree-18 basis has 387420489 tuples (limit 20000; set " \
+            "TWISTQ_MAX_BASIS)" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["invariant",
                                     "--pd", str(tmp_path / "nope.pd"),
@@ -149,6 +215,40 @@ class TestExitCodes:
                                     "--coeff", "Z[T]/(T^2-1)",
                                     "--cocycle", str(tmp_path / "nope.co")])
         assert code == 2 and "error" in err
+
+
+_POLY_TEXT = st.one_of(
+    st.sampled_from(["T+1", "T^2+T+1", "2T+1", "T", "1", "3T+3", "T-1",
+                     "T^2+1", "T^999+1", "T^99999999"]),
+    st.text(alphabet="T0123456789+-^ ", max_size=8))
+# anywhere in -2 .. 10^6, but often small enough to build
+_PARAMETER = st.one_of(st.integers(-2, 8), st.integers(-2, 10 ** 6))
+
+
+class TestConstructContract:
+    """`cocycle construct modular|polynomial|dihedral` through main():
+    every input ends in exit 0 or in exit 2 with one `error: ` line."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(family=st.sampled_from(["modular", "polynomial", "dihedral"]),
+           p=_PARAMETER, m=_PARAMETER, n=_PARAMETER, h=_POLY_TEXT)
+    def test_exit_contract(self, capsys, monkeypatch, family, p, m, n, h):
+        # small enough that a valid example builds and verifies quickly
+        monkeypatch.setenv("TWISTQ_MAX_TABLE", "400")
+        monkeypatch.setenv("TWISTQ_MAX_BASIS", "400")
+        monkeypatch.delenv("TWISTQ_MAX_DEGREE", raising=False)
+        if family == "dihedral":
+            argv = ["--n=%d" % n]
+        else:
+            argv = ["--p=%d" % p, "--m=%d" % m, "--h=%s" % h]
+        code, out, err = run(capsys, ["cocycle", "construct", family] + argv)
+        assert code in (0, 2), err
+        if code == 2:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: ")
+        else:
+            assert json.loads(out)["result"]["degree"] == 2
 
 
 class TestConstruct:

@@ -1,5 +1,8 @@
 """Carry cocycles, obstruction cocycles, and degree-raising lifts."""
 
+import itertools
+import random
+
 import pytest
 
 from twistq.coeff import AlexanderRing, parse_ring
@@ -10,7 +13,8 @@ from twistq.cocycles import (CocycleError, SesSpec, dihedral_integral_cocycle,
                              modular_extension_cocycle,
                              obstruction_2cocycle, obstruction_3cocycle,
                              polynomial_extension_cocycle)
-from twistq.quandle import QuandleMap, dihedral_quandle, is_homomorphism
+from twistq.quandle import (QuandleMap, alexander_quandle, dihedral_quandle,
+                            is_homomorphism, quandle_standard)
 
 
 class TestModularCarry:
@@ -252,3 +256,214 @@ class TestLiftH1:
             lift_h1(x, ring, {})
         with pytest.raises(CocycleError):
             lift_h1(x, ring, {(0,): (1,)})
+
+
+# -- the paper's formulas, written out as references -------------------------
+# Each reference builds the same quandle and rings as its constructor, then
+# evaluates the explicit formula on every tuple, as the constructors did
+# before they took chain.delta of a lifted section.  Comparing the two
+# (values in insertion order, quandle tables and raised messages) checks
+# that chain's sign convention is the paper's.
+
+def _checked(x, ring, n, f, what):
+    ok, witness = is_cocycle(ComplexSpec(x, ring, "TQ", n), f)
+    if not ok:
+        raise CocycleError("%s failed the cocycle condition at %r"
+                           % (what, witness))
+    return f
+
+
+def _poly_times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = (out[i + j] + u * v) % p
+    return out
+
+
+def _poly_quotient(num, den, p):
+    """num // den over Z_p for a monic den."""
+    num, d = list(num), len(den) - 1
+    quo = [0] * max(len(num) - d, 0)
+    for i in range(len(num) - 1, d - 1, -1):
+        c = num[i] % p
+        quo[i - d] = c
+        for j in range(d + 1):
+            num[i - d + j] = (num[i - d + j] - c * den[j]) % p
+    return quo
+
+
+def _ref_modular(p, m, h):
+    if p < 2 or m < 2:
+        raise CocycleError("need p >= 2 and m >= 2")
+    big = AlexanderRing(p ** m, h)
+    mid = AlexanderRing(p ** (m - 1), h)
+    small = AlexanderRing(p, h)
+    x = alexander_quandle(mid)
+    phi = Cochain(small, 2)
+    for (i1, e1), (i2, e2) in itertools.product(enumerate(mid.elements()),
+                                                repeat=2):
+        # the carry: the top base-p digit of the operation in the big ring
+        phi.add_term((i1, i2), tuple(c // p ** (m - 1)
+                                     for c in big.quandle_op(e1, e2)))
+    return _checked(x, small, 2, phi, "modular carry cochain"), x, small
+
+
+def _ref_polynomial(p, h, m):
+    if m < 2:
+        raise CocycleError("need m >= 2")
+    if p < 2:
+        raise CocycleError("need p >= 2 and m >= 2")
+    small = AlexanderRing(p, h)
+    h, d = list(small.h), small.degree
+    powers = [[1]]
+    for _ in range(m):
+        powers.append(_poly_times(powers[-1], h, p))
+    big, mid = AlexanderRing(p, powers[m]), AlexanderRing(p, powers[m - 1])
+    x = alexander_quandle(mid)
+    phi = Cochain(small, 2)
+    pad = (0,) * d
+    for (i1, e1), (i2, e2) in itertools.product(enumerate(mid.elements()),
+                                                repeat=2):
+        # the carry: the top h-adic digit of the operation in the big ring
+        u = list(big.quandle_op(e1 + pad, e2 + pad))
+        for _ in range(m - 1):
+            u = _poly_quotient(u, h, p)
+        phi.add_term((i1, i2), tuple((u + [0] * d)[:d]))
+    return _checked(x, small, 2, phi, "polynomial carry cochain"), x, small
+
+
+def _ref_dihedral(n):
+    if n < 2:
+        raise CocycleError("need n >= 2")
+    ring = AlexanderRing(0, [1, 1])
+    x = dihedral_quandle(n)
+    phi = Cochain(ring, 2)
+    for a, b in itertools.product(range(n), repeat=2):
+        v = -1 if 2 * b < a else 0 if 2 * b < n + a else 1
+        phi.add_term((a, b), ring.from_int(v))
+    return _checked(x, ring, 2, phi, "dihedral integral cochain"), x, ring
+
+
+def _ref_obstruction2(ses, x, eta):
+    if eta.codomain != ses.a_quandle:
+        raise CocycleError("eta must land in the quotient quandle of the "
+                           "sequence")
+    ok, witness = is_homomorphism(eta)
+    if not ok:
+        raise CocycleError("eta is not a quandle homomorphism (at %r)"
+                           % (witness,))
+    g, s = ses.g_ring, lambda a: ses.section(eta(a))
+    phi = Cochain(g, 2)
+    for x1, x2 in itertools.product(range(x.size), repeat=2):
+        # T s(eta x1) + (1 - T) s(eta x2) - s(eta(x1 * x2))
+        v = g.sub(g.add(g.t_act(s(x1)), g.sub(s(x2), g.t_act(s(x2)))),
+                  s(x.op(x1, x2)))
+        if not ses.in_n(v):
+            raise CocycleError("obstruction value escapes the submodule")
+        phi.add_term((x1, x2), v)
+    return _checked(x, g, 2, phi, "lifting obstruction")
+
+
+def _ref_obstruction3(ses, x, phi):
+    g, op = ses.g_ring, x.op
+    for key, v in phi.values.items():
+        if key[0] == key[1] and not ses.in_n(v):
+            raise CocycleError("phi is not normalized on degenerate pairs")
+    s = lambda a, b: ses.section(ses.project(phi((a, b))))
+    theta = Cochain(g, 3)
+    for x1, x2, x3 in itertools.product(range(x.size), repeat=3):
+        v = g.zero()
+        for sign, t, value in (
+                (1, 1, s(x1, x2)), (1, 0, s(op(x1, x2), x3)),
+                (1, 1, s(x2, x3)), (-1, 0, s(x2, x3)),
+                (-1, 1, s(x1, x3)), (-1, 0, s(op(x1, x3), op(x2, x3)))):
+            v = g.add(v, g.scalar_mul(sign, g.t_act(value) if t else value))
+        if not ses.in_n(v):
+            raise CocycleError(
+                "phi is not a 2-cocycle over the quotient module")
+        theta.add_term((x1, x2, x3), v)
+    return _checked(x, g, 3, theta, "3-cocycle obstruction")
+
+
+def _outcome(fn, *args):
+    """Values in insertion order and the quandle table and ring, or the
+    type and message of the error."""
+    try:
+        out = fn(*args)
+    except ValueError as e:
+        return type(e).__name__, str(e)
+    if isinstance(out, Cochain):
+        return list(out.values.items())
+    phi, x, ring = out
+    return list(phi.values.items()), x.table, ring
+
+
+_H = [[1, 1], [1, 1, 1], [2, 1], [1, 2], [3, 3], [1], [0, 1]]
+
+
+class TestPaperFormulas:
+    @pytest.mark.parametrize("p,top", [(-1, 3), (2, 4), (3, 3), (4, 3),
+                                       (5, 2), (6, 2)])
+    def test_carry_families(self, p, top):
+        for m, h in itertools.product(range(1, top + 1), _H):
+            if p ** (m - 1) == 16 and len(h) == 3:
+                continue  # |X| = 256: the loops would run past the guard
+            assert _outcome(modular_extension_cocycle, p, m, h) == \
+                _outcome(_ref_modular, p, m, h)
+            assert _outcome(polynomial_extension_cocycle, p, h, m) == \
+                _outcome(_ref_polynomial, p, h, m)
+
+    def test_dihedral(self):
+        for n in range(-1, 16):
+            assert _outcome(dihedral_integral_cocycle, n) == \
+                _outcome(_ref_dihedral, n)
+
+    @pytest.mark.parametrize("ambient,sub", [
+        ("Z9[T]/(T+1)", "3"), ("Z8[T]/(T+1)", "2"), ("Z4[T]/(T^2+T+1)", "2"),
+        ("Z9[T]/(T+2)", "3")])
+    def test_obstructions(self, ambient, sub):
+        g = parse_ring(ambient)
+        ses = SesSpec(g, (g.parse_elem(sub),))
+        a = ses.a_quandle
+        rng = random.Random(ambient)
+        for name in ("R(3)", "T(2)", "R(4)"):
+            x = quandle_standard(name)
+            derived = []
+            for values in itertools.product(range(a.size), repeat=x.size):
+                eta = QuandleMap(x, a, values)
+                got = _outcome(obstruction_2cocycle, ses, x, eta)
+                assert got == _outcome(_ref_obstruction2, ses, x, eta)
+                if isinstance(got, list):
+                    derived.append(Cochain(g, 2, dict(got)))
+            elems = g.elements()
+            randoms = [Cochain(g, 2, {k: rng.choice(elems) for k in
+                                      itertools.product(range(x.size),
+                                                        repeat=2)
+                                      if normal or k[0] != k[1]})
+                       for normal in (True, False, False) for _ in range(4)]
+            for phi in derived[:6] + randoms:
+                assert _outcome(obstruction_3cocycle, ses, x, phi) == \
+                    _outcome(_ref_obstruction3, ses, x, phi)
+
+    def test_every_raise_is_reached(self):
+        # the messages the formulas raise, each compared with its reference
+        g = parse_ring("Z9[T]/(T+1)")
+        ses = SesSpec(g, ((3,),))
+        x = dihedral_quandle(3)
+        for phi, message in ((Cochain(g, 2, {(0, 1): (1,)}),
+                              "phi is not a 2-cocycle over the quotient "
+                              "module"),
+                             (Cochain(g, 2, {(1, 1): (1,)}),
+                              "phi is not normalized on degenerate pairs")):
+            assert _outcome(obstruction_3cocycle, ses, x, phi) == \
+                _outcome(_ref_obstruction3, ses, x, phi) == \
+                ("CocycleError", message)
+        # A = Z8/(2) is trivial, so any map from T(3) is a homomorphism,
+        # but it need not lift on R(3), which the values are read on
+        g = parse_ring("Z8[T]/(T+1)")
+        ses = SesSpec(g, ((2,),))
+        eta = QuandleMap(quandle_standard("T(3)"), ses.a_quandle, [0, 1, 1])
+        assert _outcome(obstruction_2cocycle, ses, x, eta) == \
+            _outcome(_ref_obstruction2, ses, x, eta) == \
+            ("CocycleError", "obstruction value escapes the submodule")

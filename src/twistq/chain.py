@@ -275,8 +275,8 @@ def _t_columns(spec):
                           size, size)
 
 
-def _vector(spec, fs, n=None):
-    basis = basis_tuples(spec.x, spec.degree if n is None else n, spec.variant)
+def _vector(spec, fs):
+    basis = basis_tuples(spec.x, spec.degree, spec.variant)
     vec = []
     for t in basis:
         vec.extend(fs(t))

@@ -303,7 +303,7 @@ def _construct(params):
     family = params.get("family")
     if family not in _FAMILIES and family != "lift":
         raise cocycles.CocycleError("unknown cocycle family %r" % family)
-    return _COMMANDS["cocycle construct " + family](params)
+    return _COMMANDS["cocycle construct " + family][0](params)
 
 
 def _catalog_quandle(spec):
@@ -343,7 +343,7 @@ def _catalog_result(entry):
     for key in ("quandle", "first", "second"):
         if isinstance(inputs.get(key), dict):
             inputs[key] = _catalog_quandle(inputs[key])
-    return _COMMANDS[path](inputs)
+    return _COMMANDS[path][0](inputs)
 
 
 def run_catalog_entry(entry):
@@ -391,35 +391,71 @@ def _cmd_verify_suite(inputs):
     return result
 
 
-# command path -> handler; build_parser names the same paths
+def _required(help=None, **keywords):
+    """add_argument keywords of a required option."""
+    return dict(required=True, help=help, **keywords)
+
+
+# option lists that several commands share
+_COMPLEX = [("--quandle", _required("T(n), R(n), A(n;h) or @table-file")),
+            ("--coeff", _required("coefficient ring, e.g. \"Z3[T]/(T+1)\"")),
+            ("--variant", {"choices": VARIANTS, "default": "TQ"}),
+            ("--degree", _required(type=int))]
+_CARRY = [("--p", _required(type=int)), ("--m", _required(type=int)),
+          ("--h", _required())]
+_COCYCLE = ("--cocycle", _required("cochain file"))
+
+
+def _state_sum_args(flag, what, degree):
+    return [(flag, _required(what + " file")), ("--quandle", _required()),
+            ("--coeff", _required()),
+            ("--cocycle", _required("%d-cochain file" % degree))]
+
+
+# command path -> (handler, [(flag, add_argument keywords), ...]): the one
+# description of the command line, read by build_parser, main and the
+# catalog; its order is the order in which the help lists commands
 _COMMANDS = {
-    "homology": _cmd_homology,
-    "cohomology": _cmd_cohomology,
-    "cocycle construct modular": _cmd_construct_family,
-    "cocycle construct polynomial": _cmd_construct_family,
-    "cocycle construct dihedral": _cmd_construct_family,
-    "cocycle construct obstruction2": _cmd_construct_obstruction2,
-    "cocycle construct obstruction3": _cmd_construct_obstruction3,
-    "cocycle construct lift": _cmd_construct_lift,
-    "cocycle verify": _cmd_verify,
-    "cocycle pair": _cmd_pair,
-    "quandle info": _cmd_quandle_info,
-    "quandle iso": _cmd_quandle_iso,
-    "invariant": _cmd_invariant,
-    "invariant-surface": _cmd_invariant_surface,
-    "verify-suite": _cmd_verify_suite,
+    "homology": (_cmd_homology, _COMPLEX + [
+        ("--oracle", {"action": "store_true",
+                      "help": "cross-check with the brute-force engine"})]),
+    "cohomology": (_cmd_cohomology, _COMPLEX),
+    "cocycle construct modular": (_cmd_construct_family, _CARRY),
+    "cocycle construct polynomial": (_cmd_construct_family, _CARRY),
+    "cocycle construct dihedral": (_cmd_construct_family,
+                                   [("--n", _required(type=int))]),
+    "cocycle construct obstruction2": (_cmd_construct_obstruction2, [
+        ("--ambient", _required("the ambient module G")),
+        ("--sub", _required("generators of N, ';'-separated polynomials")),
+        ("--quandle", _required()),
+        ("--eta", _required("images in G/N, comma-separated indices")),
+        ("--search-lift", {"action": "store_true", "dest": "search_lift"})]),
+    "cocycle construct obstruction3": (_cmd_construct_obstruction3, [
+        ("--ambient", _required()), ("--sub", _required()),
+        ("--quandle", _required()),
+        ("--phi", _required("file with a 2-cochain valued in G"))]),
+    "cocycle construct lift": (_cmd_construct_lift, [
+        ("--quandle", _required()), ("--coeff", _required()),
+        ("--seeds", _required("file with seed values"))]),
+    "cocycle verify": (_cmd_verify, _COMPLEX + [_COCYCLE]),
+    "cocycle pair": (_cmd_pair, _COMPLEX + [
+        _COCYCLE, ("--cycle", _required("chain file"))]),
+    "quandle info": (_cmd_quandle_info, [("--quandle", _required())]),
+    "quandle iso": (_cmd_quandle_iso, [("--first", _required()),
+                                       ("--second", _required())]),
+    "invariant": (_cmd_invariant, _state_sum_args("--pd", "diagram", 2)),
+    "invariant-surface": (_cmd_invariant_surface,
+                          _state_sum_args("--surface", "presentation", 3)),
+    "verify-suite": (_cmd_verify_suite, [
+        ("--catalog", {"help": "path to a catalog JSON file "
+                               "(default: the bundled catalog)"})]),
 }
 
 
 # -- parser ------------------------------------------------------------------
 
-def _add_complex_args(p):
-    p.add_argument("--quandle", required=True,
-                   help="T(n), R(n), A(n;h) or @table-file")
-    p.add_argument("--coeff", required=True,
-                   help="coefficient ring, e.g. \"Z3[T]/(T+1)\"")
-    p.add_argument("--variant", choices=VARIANTS, default="TQ")
-    p.add_argument("--degree", type=int, required=True)
+# the argparse key of the subcommand chosen at each depth (digested)
+_DESTS = ("subcommand", "action", "family")
 
 
 def build_parser():
@@ -428,95 +464,19 @@ def build_parser():
                                    "cocycle state-sum invariants.")
     parser.add_argument("--pretty", action="store_true",
                         help="indent the JSON report")
-    sub = parser.add_subparsers(dest="subcommand", required=True,
-                                parser_class=CliParser)
-
-    p = sub.add_parser("homology")
-    _add_complex_args(p)
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check with the brute-force engine")
-    p.set_defaults(command_path="homology")
-
-    p = sub.add_parser("cohomology")
-    _add_complex_args(p)
-    p.set_defaults(command_path="cohomology")
-
-    p = sub.add_parser("cocycle")
-    csub = p.add_subparsers(dest="action", required=True,
-                            parser_class=CliParser)
-
-    pc = csub.add_parser("construct")
-    fsub = pc.add_subparsers(dest="family", required=True,
-                             parser_class=CliParser)
-    for name in ("modular", "polynomial"):
-        q = fsub.add_parser(name)
-        q.add_argument("--p", type=int, required=True)
-        q.add_argument("--m", type=int, required=True)
-        q.add_argument("--h", required=True)
-        q.set_defaults(command_path="cocycle construct " + name)
-    q = fsub.add_parser("dihedral")
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(command_path="cocycle construct dihedral")
-    q = fsub.add_parser("obstruction2")
-    q.add_argument("--ambient", required=True, help="the ambient module G")
-    q.add_argument("--sub", required=True,
-                   help="generators of N, ';'-separated polynomials")
-    q.add_argument("--quandle", required=True)
-    q.add_argument("--eta", required=True,
-                   help="images in G/N, comma-separated indices")
-    q.add_argument("--search-lift", action="store_true", dest="search_lift")
-    q.set_defaults(command_path="cocycle construct obstruction2")
-    q = fsub.add_parser("obstruction3")
-    q.add_argument("--ambient", required=True)
-    q.add_argument("--sub", required=True)
-    q.add_argument("--quandle", required=True)
-    q.add_argument("--phi", required=True,
-                   help="file with a 2-cochain valued in G")
-    q.set_defaults(command_path="cocycle construct obstruction3")
-    q = fsub.add_parser("lift")
-    q.add_argument("--quandle", required=True)
-    q.add_argument("--coeff", required=True)
-    q.add_argument("--seeds", required=True, help="file with seed values")
-    q.set_defaults(command_path="cocycle construct lift")
-
-    pv = csub.add_parser("verify")
-    _add_complex_args(pv)
-    pv.add_argument("--cocycle", required=True, help="cochain file")
-    pv.set_defaults(command_path="cocycle verify")
-
-    pp = csub.add_parser("pair")
-    _add_complex_args(pp)
-    pp.add_argument("--cocycle", required=True, help="cochain file")
-    pp.add_argument("--cycle", required=True, help="chain file")
-    pp.set_defaults(command_path="cocycle pair")
-
-    p = sub.add_parser("quandle")
-    qsub = p.add_subparsers(dest="action", required=True,
-                            parser_class=CliParser)
-    qi = qsub.add_parser("info")
-    qi.add_argument("--quandle", required=True)
-    qi.set_defaults(command_path="quandle info")
-    qx = qsub.add_parser("iso")
-    qx.add_argument("--first", required=True)
-    qx.add_argument("--second", required=True)
-    qx.set_defaults(command_path="quandle iso")
-
-    for name, flag, what, degree in (
-            ("invariant", "--pd", "diagram", 2),
-            ("invariant-surface", "--surface", "presentation", 3)):
-        p = sub.add_parser(name)
-        p.add_argument(flag, required=True, help=what + " file")
-        p.add_argument("--quandle", required=True)
-        p.add_argument("--coeff", required=True)
-        p.add_argument("--cocycle", required=True,
-                       help="%d-cochain file" % degree)
-        p.set_defaults(command_path=name)
-
-    p = sub.add_parser("verify-suite")
-    p.add_argument("--catalog", help="path to a catalog JSON file "
-                                     "(default: the bundled catalog)")
-    p.set_defaults(command_path="verify-suite")
-
+    subs = {(): parser.add_subparsers(dest=_DESTS[0], required=True,
+                                      parser_class=CliParser)}
+    for path, (_, options) in _COMMANDS.items():
+        words = tuple(path.split())
+        for depth in range(1, len(words)):
+            if words[:depth] not in subs:
+                node = subs[words[:depth - 1]].add_parser(words[depth - 1])
+                subs[words[:depth]] = node.add_subparsers(
+                    dest=_DESTS[depth], required=True, parser_class=CliParser)
+        p = subs[words[:-1]].add_parser(words[-1])
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(command_path=path)
     return parser
 
 
@@ -526,7 +486,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         inputs = _resolve_inputs(args)
-        result = _COMMANDS[args.command_path](inputs)
+        result = _COMMANDS[args.command_path][0](inputs)
     except (OSError, ValueError) as exc:
         # RingError, QuandleError, CocycleError and DiagramError are all
         # ValueErrors: a violated precondition of the computation

@@ -21,7 +21,8 @@ from .chain import (ComplexSpec, Cochain, basis_tuples, delta, is_cocycle,
                     is_degenerate)
 from .limits import LONG_DIGITS, check_limit
 from .quandle import (_MAX_TABLE, FiniteQuandle, QuandleMap, QuandleError,
-                      alexander_quandle, dihedral_quandle, is_homomorphism)
+                      _check_order, alexander_quandle, dihedral_quandle,
+                      is_homomorphism)
 
 __all__ = [
     "CocycleError",
@@ -35,6 +36,7 @@ __all__ = [
     "lift_h1",
 ]
 
+# default of the correction search guard, which TWISTQ_MAX_BRUTE overrides
 _MAX_SECTION_SEARCH = 6561
 
 
@@ -124,6 +126,7 @@ def polynomial_extension_cocycle(p, h_coeffs, m):
     h, d = small.h, small.degree
     check_limit(m * d, "TWISTQ_MAX_DEGREE", _MAX_DEGREE, RingError,
                 "h^%s has degree %s", m, m * d)
+    _check_order(p, (m - 1) * d)  # |X|, before h^m is built
     big = AlexanderRing(p, _poly_pow(p, h, m))
     mid = AlexanderRing(p, _poly_pow(p, h, m - 1))
     x = alexander_quandle(mid)
@@ -162,6 +165,13 @@ class SesSpec:
         self.n_gens = n_gens
         if g.modulus == 0:
             raise CocycleError("the ambient module must be finite")
+        # N and G are listed; a size too long to print is bounded
+        # by logarithms, not computed
+        size = (g.modulus ** g.degree
+                if g.degree * math.log10(g.modulus) <= LONG_DIGITS
+                else 1 << int(g.degree * math.log2(g.modulus)))
+        check_limit(size, "TWISTQ_MAX_TABLE", _MAX_TABLE, CocycleError,
+                    "the ambient module has %s elements", size)
         gens = [g.reduce(v) for v in n_gens]
         # close under addition, negation and T in both directions
         seen, frontier = {g.zero()}, [g.zero()]
@@ -173,11 +183,16 @@ class SesSpec:
                     seen.add(e)
                     frontier.append(e)
         self.n_set = frozenset(seen)
-        # a coset is represented by its least element
-        self._coset_rep = {e: min(g.add(e, v) for v in self.n_set)
-                           for e in g.elements()}
-        self.a_reps = sorted(set(self._coset_rep.values()))
+        # a coset is represented by its least element, the first of its
+        # members met in ascending order
+        self._coset_rep, self.a_reps = {}, []
+        for e in g.elements():
+            if e not in self._coset_rep:
+                self.a_reps.append(e)
+                for v in self.n_set:
+                    self._coset_rep[g.add(e, v)] = e
         self._rep_index = {r: i for i, r in enumerate(self.a_reps)}
+        _check_order(len(self.a_reps))
         table = [[self.project(g.quandle_op(a, b)) for b in self.a_reps]
                  for a in self.a_reps]
         self.a_quandle = FiniteQuandle(
@@ -224,8 +239,9 @@ def extension_homomorphism(ses, x, eta):
     g = ses.g_ring
     phi = obstruction_2cocycle(ses, x, eta)
     n_elems = sorted(ses.n_set)
-    if len(n_elems) ** x.size > _MAX_SECTION_SEARCH:
-        raise CocycleError("correction search space too large")
+    size = len(n_elems) ** x.size
+    check_limit(size, "TWISTQ_MAX_BRUTE", _MAX_SECTION_SEARCH, CocycleError,
+                "the correction search has %s candidates", size)
     gq = alexander_quandle(g)
     index = {e: i for i, e in enumerate(g.elements())}
     for xi in itertools.product(n_elems, repeat=x.size):

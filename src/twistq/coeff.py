@@ -153,9 +153,7 @@ class AlexanderRing:
         out = [()]
         for _ in range(self.degree):
             out = [e + (c,) for e in out for c in range(self.modulus)]
-        # lexicographic on tuples: vary the last coordinate fastest would
-        # break tuple ordering, so rebuild sorted
-        return sorted(out)
+        return out
 
     # -- text ------------------------------------------------------------
 
@@ -254,6 +252,8 @@ def parse_ring(text):
 # -- group ring of the additive group of A --------------------------------
 
 _LETTERS = "stuvwxyz"
+# steps after which canonical_under_T gives up on a T-orbit closing
+_MAX_ORBIT = 4096
 
 
 class GroupRingElem:
@@ -348,18 +348,18 @@ class GroupRingElem:
                 chunks.append(("- " if mult < 0 else "+ ") + body)
         return " ".join(chunks)
 
-    def canonical_under_T(self, max_orbit=4096):
+    def canonical_under_T(self):
         """Representative of the T-orbit with lexicographically least text."""
         best, cur = self, self
         best_text = best.render()
-        for _ in range(max_orbit):
+        for _ in range(_MAX_ORBIT):
             cur = cur.t_act()
             if cur == self:
                 return best
             text = cur.render()
             if text < best_text:
                 best, best_text = cur, text
-        raise RingError("T-orbit did not close after %d steps" % max_orbit)
+        raise RingError("T-orbit did not close after %d steps" % _MAX_ORBIT)
 
     def __eq__(self, other):
         return (isinstance(other, GroupRingElem)

@@ -11,7 +11,7 @@ its four semiarcs counterclockwise starting from the incoming under-arc:
 Faces are recovered from the counterclockwise corner rotation, so the
 same code describes diagrams on surfaces; a `mod p` directive switches
 the region numbering from integers (planar, needs an `outer` face) to
-Z_p (solved as a linear system; no solution means the invariant is 0).
+Z_p (the same propagation; no numbering means the invariant is 0).
 
 The Boltzmann weight of a colored crossing tau is the additive
 contribution sign(tau) * T^{-L(tau)} * phi(x, y) where L is the number
@@ -24,7 +24,6 @@ import re
 
 from .coeff import GroupRingElem, RingError
 from .chain import ComplexSpec, is_cocycle
-from .exactlin import solve_linear
 
 __all__ = [
     "DiagramError",
@@ -224,12 +223,17 @@ def parse_pd(text):
 
 def alexander_numbering(diagram):
     """Region numbering with num(left) = num(right) + 1 across every
-    semiarc.  Planar diagrams get integers anchored at outer = 0;
-    `mod p` diagrams get residues anchored at the base face (or face 0).
-    Returns the list of face numbers, or None when no mod-p numbering
-    exists."""
+    semiarc, propagated over the faces from an anchor: planar diagrams
+    get integers anchored at outer = 0, `mod p` diagrams residues
+    anchored at the base face (or face 0).  A connected diagram has at
+    most one numbering.  Returns the list of face numbers, or None when
+    no mod-p numbering exists."""
     nf = len(diagram.faces)
-    if diagram.mod_p == 0:
+    p = diagram.mod_p
+    if p:
+        anchor = (diagram._face_id_index(diagram.base)
+                  if diagram.base is not None else 0)
+    else:
         if diagram.euler_characteristic() != 2:
             raise DiagramError(
                 "Euler characteristic %d != 2: not a planar diagram "
@@ -237,40 +241,28 @@ def alexander_numbering(diagram):
                 % diagram.euler_characteristic())
         if diagram.outer is None:
             raise DiagramError("planar numbering needs an 'outer' face")
-        outer = diagram._face_id_index(diagram.outer)
-        edges = [diagram.left_right_faces(s) for s in diagram.semiarcs]
-        adj = {f: [] for f in range(nf)}
-        for left, right in edges:
-            adj[right].append((left, 1))
-            adj[left].append((right, -1))
-        num = {outer: 0}
-        queue = [outer]
-        while queue:
-            f = queue.pop()
-            for g, delta in adj[f]:
-                if g not in num:
-                    num[g] = num[f] + delta
-                    queue.append(g)
-        if len(num) != nf:
-            raise DiagramError("diagram is not connected")
-        for left, right in edges:
-            if num[left] != num[right] + 1:
-                raise DiagramError("inconsistent region numbering")
-        return [num[i] for i in range(nf)]
-
-    # one row per semiarc, num(left) - num(right) = 1, then the anchor
-    p = diagram.mod_p
-    cols = [{} for _ in range(nf)]
-    for r, s in enumerate(diagram.semiarcs):
-        left, right = diagram.left_right_faces(s)
-        cols[left][r] = cols[left].get(r, 0) + 1
-        cols[right][r] = cols[right].get(r, 0) - 1
-    anchor = (diagram._face_id_index(diagram.base)
-              if diagram.base is not None else 0)
-    nrows = len(diagram.semiarcs) + 1
-    cols[anchor][nrows - 1] = 1
-    cols = [{r: v % p for r, v in col.items() if v % p} for col in cols]
-    return solve_linear(cols, nrows, [1] * (nrows - 1) + [0], p)
+        anchor = diagram._face_id_index(diagram.outer)
+    wrap = (lambda n: n % p) if p else (lambda n: n)
+    edges = [diagram.left_right_faces(s) for s in diagram.semiarcs]
+    adj = {f: [] for f in range(nf)}
+    for left, right in edges:
+        adj[right].append((left, 1))
+        adj[left].append((right, -1))
+    num = {anchor: 0}
+    queue = [anchor]
+    while queue:
+        f = queue.pop()
+        for g, delta in adj[f]:
+            if g not in num:
+                num[g] = wrap(num[f] + delta)
+                queue.append(g)
+    if len(num) != nf:
+        raise DiagramError("diagram is not connected")
+    if any(num[left] != wrap(num[right] + 1) for left, right in edges):
+        if p:
+            return None
+        raise DiagramError("inconsistent region numbering")
+    return [num[i] for i in range(nf)]
 
 
 def _colorings(cells, rels, x):
@@ -365,7 +357,7 @@ def _weigh(cols, terms, ring, f):
     return value, weights
 
 
-def state_sum(diagram, x, ring, phi, check=True):
+def state_sum(diagram, x, ring, phi):
     """Cocycle state sum of a link diagram.
 
     Returns (value, colorings, per_coloring) where value is a group-ring
@@ -374,8 +366,7 @@ def state_sum(diagram, x, ring, phi, check=True):
     canonicalized under the T-action (the base region is a free choice);
     an unnumberable mod-p diagram yields 0.
     """
-    if check:
-        _require_cocycle(x, ring, phi, 2)
+    _require_cocycle(x, ring, phi, 2)
     if diagram.mod_p:
         _check_t_order(ring, diagram.mod_p)
     if diagram.l_overrides and len(diagram.l_overrides) == len(diagram.crossings):
@@ -460,12 +451,11 @@ def surface_colorings(sp, x):
     return _colorings(sp.sheets, sp.rels, x)
 
 
-def state_sum_surface(sp, x, ring, theta, check=True):
+def state_sum_surface(sp, x, ring, theta):
     """Cocycle state sum of a knotted-surface presentation, using a
     3-cocycle theta; the value is canonicalized under the T-action.
     Returns (value, colorings, per_coloring)."""
-    if check:
-        _require_cocycle(x, ring, theta, 3)
+    _require_cocycle(x, ring, theta, 3)
     terms = [(sign, L, (xx, yy, zz)) for sign, L, xx, yy, zz in sp.triples]
     cols = surface_colorings(sp, x)
     value, weights = _weigh(cols, terms, ring, theta)

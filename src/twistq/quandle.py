@@ -208,7 +208,7 @@ def quandle_product(x, y):
     return FiniteQuandle(table, labels=labels)
 
 
-def quandle_extension(x, ring, phi, check=True):
+def quandle_extension(x, ring, phi):
     """Abelian extension of the quandle `x` by the finite ring A:
 
         (a1, x1) * (a2, x2) = (a1 * a2 + phi(x1, x2), x1 * x2)
@@ -220,12 +220,11 @@ def quandle_extension(x, ring, phi, check=True):
     if ring.modulus == 0:
         raise QuandleError("extension needs a finite coefficient ring")
     _check_order(ring.size() * x.size)
-    if check:
-        from . import chain
-        spec = chain.ComplexSpec(x, ring, "TQ", 2)
-        ok, witness = chain.is_cocycle(spec, phi)
-        if not ok:
-            raise QuandleError("phi is not a 2-cocycle (fails at %r)" % (witness,))
+    from . import chain
+    spec = chain.ComplexSpec(x, ring, "TQ", 2)
+    ok, witness = chain.is_cocycle(spec, phi)
+    if not ok:
+        raise QuandleError("phi is not a 2-cocycle (fails at %r)" % (witness,))
     elems = ring.elements()
     index = {e: i for i, e in enumerate(elems)}
     q = x.size
@@ -254,50 +253,43 @@ def is_homomorphism(f):
 
 
 def find_isomorphism(x, y):
-    """Backtracking search for a quandle isomorphism x -> y.
+    """The least isomorphism x -> y (by its tuple of images), or None.
 
-    Returns a QuandleMap or None.  Candidate images are pruned by the
-    partial homomorphism condition, checked each time a triple
-    (a, b, a * b) becomes fully assigned.
+    Iterative backtracking assigns images to 0, 1, ... in order, trying
+    candidates from smallest to largest.  v is kept as the image of a
+    only if it is unused and every product among 0..a that involves a
+    maps correctly, with a as a factor or as the product.
     """
     if x.size != y.size:
         return None
     q = x.size
-    img = [None] * q
-    used = [False] * q
+    img, used = [0] * q, [False] * q
 
-    def consistent(changed):
-        for a in range(q):
-            if img[a] is None:
-                continue
-            for b in range(q):
-                if img[b] is None or (a != changed and b != changed):
-                    continue
-                c = x.op(a, b)
-                if img[c] is not None and y.op(img[a], img[b]) != img[c]:
+    def fits(a, v):
+        img[a] = v
+        for b in range(a + 1):
+            for s, t in ((a, b), (b, a)):
+                c = x.table[s][t]
+                if c <= a and y.table[img[s]][img[t]] != img[c]:
                     return False
-                c = x.op(b, a)
-                if img[c] is not None and y.op(img[b], img[a]) != img[c]:
-                    return False
+            s = x.op_inv(a, b)  # s * b == a
+            if s < a and y.table[img[s]][img[b]] != v:
+                return False
         return True
 
-    def extend(a):
-        if a == q:
-            return True
-        for v in range(q):
-            if used[v]:
-                continue
-            img[a] = v
+    a = v = 0
+    while 0 <= a < q:
+        while v < q and (used[v] or not fits(a, v)):
+            v += 1
+        if v < q:
             used[v] = True
-            if consistent(a) and extend(a + 1):
-                return True
-            img[a] = None
-            used[v] = False
-        return False
-
-    if extend(0):
-        return QuandleMap(x, y, img)
-    return None
+            a, v = a + 1, 0
+        else:
+            a -= 1
+            if a >= 0:
+                used[img[a]] = False
+                v = img[a] + 1
+    return QuandleMap(x, y, img) if a == q else None
 
 
 # -- text format -----------------------------------------------------------
@@ -312,6 +304,7 @@ def parse_quandle_table(text):
         q = int(lines[0])
     except ValueError:
         raise QuandleError("first line must be the size, got %r" % lines[0])
+    _check_order(q)
     if len(lines) != q + 1:
         raise QuandleError("expected %d rows, got %d" % (q, len(lines) - 1))
     table = []

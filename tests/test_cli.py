@@ -173,6 +173,44 @@ class TestExitCodes:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith("error: ") and reason in err
 
+    @pytest.mark.parametrize("argv,reason", [
+        (["quandle", "info", "--quandle", "@{r300}"],
+         "order 300 has a 90000-cell table (limit 65536; "
+         "set TWISTQ_MAX_TABLE)"),
+        (["cocycle", "construct", "obstruction2",
+          "--ambient", "Z1000000[T]/(T^2+1)", "--sub", "2",
+          "--quandle", "R(3)", "--eta", "0,0,0"],
+         "the ambient module has 1000000000000 elements (limit 65536; "
+         "set TWISTQ_MAX_TABLE)"),
+        (["cocycle", "construct", "obstruction2",
+          "--ambient", "Z%d[T]/(T^3+1)" % 10 ** 4000, "--sub", "2",
+          "--quandle", "R(3)", "--eta", "0,0,0"],
+         "the ambient module has ~10^11999 elements (limit 65536; "
+         "set TWISTQ_MAX_TABLE)"),
+        (["cocycle", "construct", "obstruction2",
+          "--ambient", "Z9[T]/(T+1)", "--sub", "3", "--quandle", "R(9)",
+          "--eta", "0,0,0,0,0,0,0,0,0", "--search-lift"],
+         "the correction search has 19683 candidates (limit 6561; "
+         "set TWISTQ_MAX_BRUTE)"),
+        (["cocycle", "construct", "polynomial", "--p", "928", "--m", "928",
+          "--h", "T-1"],
+         "has a ~10^5501-cell table (limit 65536; set TWISTQ_MAX_TABLE)"),
+    ], ids=["table-file", "ambient", "long-ambient", "correction-search",
+            "polynomial-order"])
+    def test_guard_refuses_before_paying(self, capsys, monkeypatch, tmp_path,
+                                         argv, reason):
+        for var in ("TWISTQ_MAX_BRUTE", "TWISTQ_MAX_TABLE"):
+            monkeypatch.delenv(var, raising=False)
+        r300 = tmp_path / "r300.txt"
+        r300.write_text("300\n" + "".join(
+            " ".join(str((2 * b - a) % 300) for b in range(300)) + "\n"
+            for a in range(300)))
+        start = time.monotonic()
+        code, out, err = run(capsys, [a.format(r300=r300) for a in argv])
+        assert time.monotonic() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and reason in err
+
     def test_long_quandle_order_named(self, capsys, monkeypatch):
         # 10^6000 elements: the sizes are too long for str()
         monkeypatch.delenv("TWISTQ_MAX_TABLE", raising=False)
@@ -356,6 +394,16 @@ class TestQuandleCommands:
         report = run_json(capsys, ["quandle", "iso", "--first", "T(3)",
                                    "--second", "R(3)"])
         assert report["result"]["isomorphic"] is False
+
+    def test_iso_of_different_right_translations(self, capsys, tmp_path):
+        # a right translation of the first is a 3-cycle; the second has
+        # only transpositions, so no map between them is a homomorphism
+        first, second = tmp_path / "x.txt", tmp_path / "y.txt"
+        first.write_text("4\n0 2 0 0\n1 1 1 1\n2 3 2 2\n3 0 3 3\n")
+        second.write_text("4\n0 0 0 0\n1 1 1 2\n2 2 2 1\n3 3 3 3\n")
+        report = run_json(capsys, ["quandle", "iso", "--first", "@%s" % first,
+                                   "--second", "@%s" % second])
+        assert report["result"] == {"isomorphic": False, "map": None}
 
 
 class TestInvariant:

@@ -164,6 +164,14 @@ class TestNumbering:
             checked += 1
         assert checked >= 4
 
+    def test_split_mod_p_diagram_rejected(self):
+        # two disjoint Hopf links: the base face fixes the numbers of its
+        # own component only
+        d = parse_pd("Xp[1,3,2,4]\nXp[3,1,4,2]\nXp[5,7,6,8]\nXp[7,5,8,6]\n"
+                     "mod 2\n")
+        with pytest.raises(DiagramError, match="not connected"):
+            alexander_numbering(d)
+
     def test_non_planar_without_mod_rejected(self):
         with pytest.raises(DiagramError, match="Euler"):
             alexander_numbering(parse_pd("Xp[2,3,1,4]\nXp[1,4,2,3]\n"

@@ -1,5 +1,6 @@
 """Quandle validation, standard families, extensions and isomorphisms."""
 
+import itertools
 import random
 
 import pytest
@@ -187,7 +188,6 @@ class TestHomomorphisms:
         assert ok
 
     def test_every_permutation_of_r3(self):
-        import itertools
         x = dihedral_quandle(3)
         for perm in itertools.permutations(range(3)):
             ok, _ = is_homomorphism(QuandleMap(x, x, perm))
@@ -212,6 +212,27 @@ class TestHomomorphisms:
     def test_no_isomorphism(self):
         assert find_isomorphism(trivial_quandle(3), dihedral_quandle(3)) is None
         assert find_isomorphism(trivial_quandle(2), dihedral_quandle(3)) is None
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_least_isomorphism_matches_permutation_search(self, q):
+        # every labelled quandle of order q: a choice of right
+        # translations a -> a * b, each fixing b, that is self-distributive
+        fixing = [[p for p in itertools.permutations(range(q)) if p[b] == b]
+                  for b in range(q)]
+        quandles = []
+        for right in itertools.product(*fixing):
+            t = [[right[b][a] for b in range(q)] for a in range(q)]
+            if all(t[t[a][b]][c] == t[t[a][c]][t[b][c]]
+                   for a in range(q) for b in range(q) for c in range(q)):
+                quandles.append(quandle_from_table(t))
+        assert len(quandles) == [1, 1, 5, 36][q - 1]
+        for x in quandles:
+            for y in quandles:
+                least = next((p for p in itertools.permutations(range(q))
+                              if is_homomorphism(QuandleMap(x, y, p))[0]),
+                             None)
+                f = find_isomorphism(x, y)
+                assert (f.values if f else None) == least, (x.table, y.table)
 
 
 class TestText:

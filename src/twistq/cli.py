@@ -454,7 +454,7 @@ _COMMANDS = {
 
 # -- parser ------------------------------------------------------------------
 
-# the argparse key of the subcommand chosen at each depth (digested)
+# the argparse key of the subcommand at each depth, hashed into the digest
 _DESTS = ("subcommand", "action", "family")
 
 

@@ -172,11 +172,11 @@ def _boundary_polys(x, sources):
 
 def _block_sum(ring, terms):
     """The ring element sum (c0 + c1 T) v over (c0, c1, v) in terms."""
-    acc = [0] * ring.degree
+    acc = [0] * (ring.degree + 1)
     for c0, c1, v in terms:
-        tv = ring.t_act(v)
-        for k in range(ring.degree):
-            acc[k] += c0 * v[k] + c1 * tv[k]
+        for k, a in enumerate(v):
+            acc[k] += c0 * a
+            acc[k + 1] += c1 * a
     return ring.reduce(acc)
 
 
@@ -199,12 +199,12 @@ def boundary(spec, c):
     return out
 
 
-def _block_columns(ring, blocks, nrows, ncols):
-    """The nrows x ncols matrix of d x d blocks c_0 + c_1 T acting on
-    coefficient tuples, given as (row, col, c_0, c_1) with the rows of
+def _block_columns(ring, blocks, ncols):
+    """The matrix with ncols columns of d x d blocks c_0 + c_1 T acting
+    on coefficient tuples, given as (row, col, c_0, c_1) with the rows of
     each column in ascending order, as column dicts {row: entry mod n}
-    (rows ascending) plus the row count.  exactlin breaks pivot ties in
-    row order, so the printed generators depend on it."""
+    (rows ascending).  exactlin breaks pivot ties in row order, so the
+    printed generators depend on it."""
     d, n = ring.degree, ring.modulus
     cols = [{} for _ in range(ncols * d)]
     if d == 1:
@@ -215,7 +215,7 @@ def _block_columns(ring, blocks, nrows, ncols):
             v = (c0 + c1 * t) % n if n else c0 + c1 * t
             if v:
                 cols[j][r] = v
-        return cols, nrows
+        return cols
     # column j of the T block: T times the j-th unit coefficient tuple
     t_block = [ring.t_act(tuple(int(i == j) for i in range(d)))
                for j in range(d)]
@@ -229,7 +229,7 @@ def _block_columns(ring, blocks, nrows, ncols):
                     v %= n
                 if v:
                     col[r0 + i] = v
-    return cols, nrows * d
+    return cols
 
 
 def _boundary_columns(spec):
@@ -247,7 +247,7 @@ def _boundary_columns(spec):
             entries.sort()
             for r, (c0, c1) in entries:
                 yield r, j, c0, c1
-    return _block_columns(spec.ring, blocks(), len(tgt), len(src))
+    return _block_columns(spec.ring, blocks(), len(src))
 
 
 def _delta_columns(spec):
@@ -265,14 +265,14 @@ def _delta_columns(spec):
                 j = col(t)
                 if j is not None:
                     yield r, j, sign * c0, sign * c1
-    return _block_columns(spec.ring, blocks(), len(tgt), len(src))
+    return _block_columns(spec.ring, blocks(), len(src))
 
 
 def _t_columns(spec):
     """The T-action on the degree-n chain coordinates as _block_columns."""
     size = len(basis_tuples(spec.x, spec.degree, spec.variant))
     return _block_columns(spec.ring, ((i, i, 0, 1) for i in range(size)),
-                          size, size)
+                          size)
 
 
 def _vector(spec, fs):
@@ -288,34 +288,32 @@ def _vector(spec, fs):
     return vec
 
 
-def _from_vector(spec, vec, n, cls):
-    basis = basis_tuples(spec.x, n, spec.variant)
+def _from_vector(spec, vec, basis):
+    """The cochain with coordinates vec in basis, reduced mod n by Cochain."""
     d = spec.ring.degree
-    out = cls(spec.ring, n)
-    for i, t in enumerate(basis):
-        v = tuple(c % spec.ring.modulus if spec.ring.modulus else c
-                  for c in vec[i * d:(i + 1) * d])
-        if not spec.ring.is_zero(v):
-            out.add_term(t, v)
-    return out
+    values = {}
+    for k, c in enumerate(vec):
+        if c:
+            values.setdefault(basis[k // d], [0] * d)[k % d] = c
+    return Cochain(spec.ring, spec.degree, values)
 
 
 def homology(spec):
     """Degree-n twisted homology as a ModuleInfo."""
-    in_cols, _ = _boundary_columns(spec.at_degree(spec.degree + 1))
-    return homology_segment(in_cols, *_boundary_columns(spec),
-                            spec.ring.modulus, _t_columns(spec)[0])
+    return homology_segment(_boundary_columns(spec.at_degree(spec.degree + 1)),
+                            _boundary_columns(spec), spec.ring.modulus,
+                            _t_columns(spec))
 
 
 def cohomology(spec):
     """Degree-n twisted cohomology; returns (ModuleInfo, cocycle_gens)
     where cocycle_gens generate the group of n-cocycles."""
     n = spec.degree
-    in_cols = _delta_columns(spec.at_degree(n - 1))[0] if n else []
-    info = homology_segment(in_cols, *_delta_columns(spec),
-                            spec.ring.modulus, _t_columns(spec)[0],
-                            cycles=True)
-    return info, [_from_vector(spec, z, n, Cochain) for z in info.cycles]
+    in_cols = _delta_columns(spec.at_degree(n - 1)) if n else []
+    info = homology_segment(in_cols, _delta_columns(spec), spec.ring.modulus,
+                            _t_columns(spec), cycles=True)
+    basis = basis_tuples(spec.x, n, spec.variant)
+    return info, [_from_vector(spec, z, basis) for z in info.cycles]
 
 
 def delta(spec, f):
@@ -357,11 +355,10 @@ def is_coboundary(spec, f):
     if n == 0:
         return None if not f.is_zero() else Cochain(spec.ring, 0)
     low = spec.at_degree(n - 1)
-    x = solve_linear(*_delta_columns(low), _vector(spec, f),
-                     spec.ring.modulus)
+    x = solve_linear(_delta_columns(low), _vector(spec, f), spec.ring.modulus)
     if x is None:
         return None
-    g = _from_vector(low, x, n - 1, Cochain)
+    g = _from_vector(low, x, basis_tuples(low.x, n - 1, low.variant))
     if delta(low, g) != f:
         raise RuntimeError("the solver returned a wrong primitive")
     return g
@@ -459,8 +456,8 @@ def brute_force_homology(spec):
     total = m ** k
     check_limit(total, "TWISTQ_MAX_BRUTE", _MAX_BRUTE, RingError,
                 "chain group has %s elements", total)
-    out_cols, _ = _boundary_columns(spec)
-    in_cols, _ = _boundary_columns(spec.at_degree(n + 1))
+    out_cols = _boundary_columns(spec)
+    in_cols = _boundary_columns(spec.at_degree(n + 1))
 
     cycles = []
     for vec in itertools.product(range(m), repeat=k):

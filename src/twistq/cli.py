@@ -18,6 +18,7 @@ those.
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 
@@ -47,12 +48,12 @@ class CliParser(argparse.ArgumentParser):
 def _load_quandle(text):
     """A quandle argument is a standard name (T(n), R(n), A(n;h)) or
     the table text itself (main inlines an '@path' argument before the
-    handler runs), told apart from a name by its first non-comment line,
-    the size."""
+    handler runs).  The first non-comment line of a table is its size,
+    so it starts with a digit, or with a sign and a digit."""
     from . import quandle
     lines = [ln for ln in map(str.strip, text.splitlines())
              if ln and not ln.startswith("#")]
-    if lines and lines[0][0].isdigit():
+    if lines and re.match(r"[+-]?\d", lines[0]):
         return quandle.parse_quandle_table(text)
     return quandle.quandle_standard(text)
 

@@ -12,9 +12,9 @@ or its inverse, to a vector is one pass over a list.  Solves and
 homology, with its kernels, all read the one factorization.
 
 A matrix is the list of its columns as dicts {row: entry mod n}, rows
-ascending, together with its row count, so that zero-row maps at the
-ends of a chain complex stay well defined.  Everything is plain Python
-integers, so nothing overflows.
+ascending, and nothing else: a map into the zero module is a list of
+empty columns, and a solve takes its row count from the right-hand side.
+Everything is plain Python integers, so nothing overflows.
 
 The pivot is a unit in the shortest column that has one, ties going to
 the lowest column index; within that column, the unit in the row with
@@ -28,6 +28,7 @@ time on them.
 """
 
 import math
+from collections import defaultdict
 
 __all__ = [
     "solve_linear",
@@ -72,12 +73,6 @@ def _unapply(ops, x, n):
             x[i], x[j] = x[j], x[i]
         else:
             x[op[0]] = -x[op[0]] % n if n else -x[op[0]]
-    return x
-
-
-def _unit_vector(size, i):
-    x = [0] * size
-    x[i] = 1
     return x
 
 
@@ -200,7 +195,7 @@ def _smith(A):
 
 class _Factored:
     """U M V == D over Z/n (n = 0: over Z), for M given by its column
-    dicts (consumed) and row count.
+    dicts (consumed).
 
     diag: [(row, col, d)], the nonzero entries of D, unit pivots first,
         then the diagonal of the non-unit block in Smith order.
@@ -218,12 +213,12 @@ class _Factored:
     it was measured to cost memory and save no time (module docstring).
     """
 
-    def __init__(self, cols, nrows, n, keep_u=True, keep_v=True):
+    def __init__(self, cols, n, keep_u=True, keep_v=True):
         self.n = n
         self.diag, self.rows, self.cols = [], [], []
         # entries per row; a count, not the set of columns, which would
         # cost more memory than the matrix
-        weight = [0] * nrows
+        weight = [0] * (1 + max((max(c) for c in cols if c), default=-1))
         # the nonempty columns by length: {length: set of columns}
         by_len = {}
         for j, col in enumerate(cols):
@@ -340,18 +335,18 @@ def _image(cols, x, n):
     return {i: v for i, v in out.items() if (v % n if n else v)}
 
 
-def solve_linear(cols, nrows, b, n):
+def solve_linear(cols, b, n):
     """Solve M x == b over Z (n = 0) or over Z/n, for M given by its
-    column dicts (consumed) and row count.
+    column dicts (consumed); b has an entry for every row.
 
     Returns a solution vector or None; free coordinates are set to 0 and
     mod-n solutions are reduced to canonical residues, so the result is
     deterministic.
     """
-    if len(b) != nrows:
+    if any(max(c) >= len(b) for c in cols if c):
         raise ValueError("vector length mismatch")
     w = [0] * len(cols)
-    f = _Factored(cols, nrows, n)
+    f = _Factored(cols, n)
     c = _apply(f.rows, [v % n if n else v for v in b], n)
     for i, j, d in f.diag:
         g = math.gcd(d, n)
@@ -404,21 +399,20 @@ class ModuleInfo:
         return "ModuleInfo(%s)" % self.describe()
 
 
-def homology_segment(in_cols, out_cols, out_rows, n, t_cols, cycles=False):
+def homology_segment(in_cols, out_cols, n, t_cols, cycles=False):
     """Homology ker(d_out) / im(d_in) of a segment of free Z/n-modules
     (n = 0: Z-modules).
 
     d_in, d_out and the T-action on the middle coordinates are given by
-    their column dicts (not consumed), and d_out also by its row count.
-    With cycles=True the result also lists generators of the whole cycle
-    group ker(d_out).
+    their column dicts (not consumed).  With cycles=True the result also
+    lists generators of the whole cycle group ker(d_out).
     """
     r = len(out_cols)
 
     # cycles: for each column j of D (entry d, or none), V e_j times
     # n / gcd(d, n) spans the cycles in that direction; a cycle's
     # coordinate there is read off V^-1 x
-    cyc = _Factored([dict(c) for c in out_cols], out_rows, n, keep_u=False)
+    cyc = _Factored([dict(c) for c in out_cols], n, keep_u=False)
     d_of = {j: d for _, j, d in cyc.diag}
     kernel = []  # (column, scale, order): scale * V e_column has this order
     for j in range(r):
@@ -444,9 +438,10 @@ def homology_segment(in_cols, out_cols, out_rows, n, t_cols, cycles=False):
         return out
 
     def chain_vector(c):
-        """The chain of the cycle with coordinates c (a list)."""
+        """The chain of the cycle with coordinates c ({t: value})."""
         w = [0] * r
-        for (j, scale, _), v in zip(kernel, c):
+        for t, v in c.items():
+            j, scale, _ = kernel[t]
             w[j] = v * scale
         x = _unapply(cyc.cols, w, n)
         return [v % n for v in x] if n else x
@@ -459,7 +454,7 @@ def homology_segment(in_cols, out_cols, out_rows, n, t_cols, cycles=False):
             raise NotAComplexError("d_out . d_in != 0 at column %d" % j)
         rel.append(coordinates(col))
     rel.extend({t: g} for t, (_, _, g) in enumerate(kernel) if 1 < g < n)
-    hom = _Factored(rel, len(kernel), n, keep_v=False)
+    hom = _Factored(rel, n, keep_v=False)
 
     # summands: the non-unit pivots of the Smith block in order, then
     # the free directions; factor 1 summands vanish
@@ -468,20 +463,17 @@ def homology_segment(in_cols, out_cols, out_rows, n, t_cols, cycles=False):
     summands.extend((t, n) for t in range(len(kernel)) if t not in pivot_rows)
 
     factors = [g for _, g in summands]
-    gens = [chain_vector(_unapply(hom.rows, _unit_vector(len(kernel), t), n))
+    gens = [chain_vector(_unapply(hom.rows, defaultdict(int, {t: 1}), n))
             for t, _ in summands]
     t_action = [[0] * len(gens) for _ in gens]
     for col, g in enumerate(gens):
         tv = _image(t_cols, {i: x for i, x in enumerate(g) if x}, n)
         if _image(out_cols, tv, n):
             raise NotAComplexError("T-action does not preserve cycles")
-        s = [0] * len(kernel)
-        for t, x in coordinates(tv).items():
-            s[t] = x
-        _apply(hom.rows, s, n)
+        s = _apply(hom.rows, defaultdict(int, coordinates(tv)), n)
         for row, (t, d) in enumerate(summands):
             t_action[row][col] = s[t] % d if d else s[t]
 
-    basis = ([chain_vector(_unit_vector(len(kernel), t))
-              for t in range(len(kernel))] if cycles else [])
+    basis = ([chain_vector({t: 1}) for t in range(len(kernel))]
+             if cycles else [])
     return ModuleInfo(factors, gens, t_action, basis)

@@ -304,6 +304,8 @@ def parse_quandle_table(text):
         q = int(lines[0])
     except ValueError:
         raise QuandleError("first line must be the size, got %r" % lines[0])
+    if q < 1:
+        raise QuandleError("quandle table size must be >= 1, got %d" % q)
     _check_order(q)
     if len(lines) != q + 1:
         raise QuandleError("expected %d rows, got %d" % (q, len(lines) - 1))

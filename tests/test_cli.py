@@ -254,6 +254,37 @@ class TestExitCodes:
                                     "--cocycle", str(tmp_path / "nope.co")])
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("text,reason", [
+        ("-1\n", "error: quandle table size must be >= 1, got -1\n"),
+        ("0\n", "error: quandle table size must be >= 1, got 0\n"),
+        ("# no rows\n0\n0 0\n",
+         "error: quandle table size must be >= 1, got 0\n"),
+    ], ids=["negative", "zero", "zero-with-a-row"])
+    def test_table_size_below_one_refused(self, capsys, tmp_path, text,
+                                          reason):
+        table = tmp_path / "q.txt"
+        table.write_text(text)
+        code, out, err = run(capsys, ["quandle", "info",
+                                      "--quandle", "@%s" % table])
+        assert (code, out, err) == (2, "", reason)
+
+    def test_table_size_with_a_plus_sign(self, capsys, tmp_path):
+        table = tmp_path / "r3.txt"
+        table.write_text("+3\n0 2 1\n2 1 0\n1 0 2\n")
+        report = run_json(capsys, ["quandle", "info",
+                                   "--quandle", "@%s" % table])
+        assert report["result"]["size"] == 3
+        assert report["result"]["table"] == [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+
+    @pytest.mark.parametrize("text", ["--1\n", "-\n", "+T(2)\n"])
+    def test_sign_without_a_digit_is_a_name(self, capsys, tmp_path, text):
+        name = tmp_path / "q.txt"
+        name.write_text(text)
+        code, out, err = run(capsys, ["quandle", "info",
+                                      "--quandle", "@%s" % name])
+        assert (code, out) == (2, "")
+        assert err == "error: unknown quandle name %r\n" % text
+
 
 _POLY_TEXT = st.one_of(
     st.sampled_from(["T+1", "T^2+T+1", "2T+1", "T", "1", "3T+3", "T-1",
@@ -430,6 +461,21 @@ class TestInvariant:
                                       "--cocycle", str(co)])
         assert code == 2 and out == "" and "Traceback" not in err
         assert len(err.splitlines()) == 1 and "crossing 5" in err
+
+    def test_unnumberable_mod_p_diagram_sums_to_zero(self, capsys,
+                                                     tmp_path):
+        # the two crossings admit no Alexander numbering mod 3, so the
+        # state sum is 0 over the colorings, with no weights
+        pd = tmp_path / "unnumberable.pd"
+        pd.write_text("Xp[2,3,1,4]\nXp[1,4,2,3]\nmod 3\n")
+        co = tmp_path / "empty.txt"
+        co.write_text("")
+        report = run_json(capsys, ["invariant", "--pd", str(pd),
+                                   "--quandle", "R(3)",
+                                   "--coeff", "Z3[T]/(T^3-1)",
+                                   "--cocycle", str(co)])
+        assert report["result"] == {"colorings": 9, "value": "0",
+                                    "weights": []}
 
     def test_long_torus_knot(self, capsys, tmp_path, torus_pd):
         pd = tmp_path / "t2_601.pd"

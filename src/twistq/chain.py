@@ -14,13 +14,13 @@ terms from the boundary.
 One pass over the quandle table, _boundary_polys, evaluates this
 formula: it streams source tuples and gives each one's boundary as
 blocks c_0 + c_1 T per target tuple.  Everything that needs the boundary
-reads that pass: `boundary` and `delta` on formal sums, and the column
-dicts over Z_n of the boundary and coboundary, made of d x d blocks (d
-the ring degree over Z_n), that `homology`, `cohomology`,
-`is_coboundary` and the brute-force oracle give the engine; the
-T-action is built from the same blocks.  For TQ the column builders
-keep the targets in their basis and `boundary` the non-degenerate ones,
-while `delta` reads a cochain on every target, degenerate or not.
+reads that pass: `boundary` and `delta` on formal sums, and `_columns`,
+which gives the engine d_n and delta^{n-1} as column dicts over Z_n of
+d x d blocks (d the ring degree over Z_n): delta^{n-1} is d_n's blocks,
+signed by (-1)^n and transposed.  The T-action is built from the same
+blocks.  For TQ the column builder keeps the targets in its basis and
+`boundary` the non-degenerate ones, while `delta` reads a cochain on
+every target, degenerate or not.
 """
 
 import itertools
@@ -232,40 +232,26 @@ def _block_columns(ring, blocks, ncols):
     return cols
 
 
-def _boundary_columns(spec):
-    """The boundary C_n -> C_{n-1} as _block_columns; a target outside
-    the degree-(n-1) basis (a degenerate tuple for TQ) is dropped."""
+def _columns(spec, dual=False):
+    """The boundary d_n: C_n -> C_{n-1} as _block_columns, or with dual
+    the coboundary C^{n-1} -> C^n, (delta f)(c) = (-1)^n f(d c) for an
+    n-chain c: the same blocks, signed, at the transposed positions.  A
+    target outside the degree-(n-1) basis (a degenerate tuple for TQ)
+    is dropped."""
     n = spec.degree
     src = basis_tuples(spec.x, n, spec.variant)
-    tgt = basis_tuples(spec.x, n - 1, spec.variant) if n >= 1 else []
-    row = {t: i for i, t in enumerate(tgt)}.get
+    tgt = basis_tuples(spec.x, n - 1, spec.variant) if n else []
+    index = {t: i for i, t in enumerate(tgt)}.get
+    sign = -1 if n % 2 else 1
 
     def blocks():
         for j, (_, polys) in enumerate(_boundary_polys(spec.x, src)):
-            entries = [(r, p) for t, p in polys.items()
-                       if (r := row(t)) is not None]
+            entries = [(i, p) for t, p in polys.items()
+                       if (i := index(t)) is not None]
             entries.sort()
-            for r, (c0, c1) in entries:
-                yield r, j, c0, c1
-    return _block_columns(spec.ring, blocks(), len(src))
-
-
-def _delta_columns(spec):
-    """The coboundary C^n -> C^{n+1} as _block_columns,
-    (delta f)(c) = (-1)^{n+1} f(d c) for an (n+1)-chain c."""
-    n = spec.degree
-    src = basis_tuples(spec.x, n, spec.variant)
-    tgt = basis_tuples(spec.x, n + 1, spec.variant)
-    col = {s: j for j, s in enumerate(src)}.get
-    sign = 1 if n % 2 else -1
-
-    def blocks():
-        for r, (_, polys) in enumerate(_boundary_polys(spec.x, tgt)):
-            for t, (c0, c1) in polys.items():
-                j = col(t)
-                if j is not None:
-                    yield r, j, sign * c0, sign * c1
-    return _block_columns(spec.ring, blocks(), len(src))
+            for i, (c0, c1) in entries:
+                yield (j, i, sign * c0, sign * c1) if dual else (i, j, c0, c1)
+    return _block_columns(spec.ring, blocks(), len(tgt) if dual else len(src))
 
 
 def _t_columns(spec):
@@ -300,19 +286,18 @@ def _from_vector(spec, vec, basis):
 
 def homology(spec):
     """Degree-n twisted homology as a ModuleInfo."""
-    return homology_segment(_boundary_columns(spec.at_degree(spec.degree + 1)),
-                            _boundary_columns(spec), spec.ring.modulus,
+    return homology_segment(_columns(spec.at_degree(spec.degree + 1)),
+                            _columns(spec), spec.ring.modulus,
                             _t_columns(spec))
 
 
 def cohomology(spec):
     """Degree-n twisted cohomology; returns (ModuleInfo, cocycle_gens)
     where cocycle_gens generate the group of n-cocycles."""
-    n = spec.degree
-    in_cols = _delta_columns(spec.at_degree(n - 1)) if n else []
-    info = homology_segment(in_cols, _delta_columns(spec), spec.ring.modulus,
-                            _t_columns(spec), cycles=True)
-    basis = basis_tuples(spec.x, n, spec.variant)
+    info = homology_segment(_columns(spec, True),
+                            _columns(spec.at_degree(spec.degree + 1), True),
+                            spec.ring.modulus, _t_columns(spec), cycles=True)
+    basis = basis_tuples(spec.x, spec.degree, spec.variant)
     return info, [_from_vector(spec, z, basis) for z in info.cycles]
 
 
@@ -355,7 +340,7 @@ def is_coboundary(spec, f):
     if n == 0:
         return None if not f.is_zero() else Cochain(spec.ring, 0)
     low = spec.at_degree(n - 1)
-    x = solve_linear(_delta_columns(low), _vector(spec, f), spec.ring.modulus)
+    x = solve_linear(_columns(spec, True), _vector(spec, f), spec.ring.modulus)
     if x is None:
         return None
     g = _from_vector(low, x, basis_tuples(low.x, n - 1, low.variant))
@@ -456,8 +441,8 @@ def brute_force_homology(spec):
     total = m ** k
     check_limit(total, "TWISTQ_MAX_BRUTE", _MAX_BRUTE, RingError,
                 "chain group has %s elements", total)
-    out_cols = _boundary_columns(spec)
-    in_cols = _boundary_columns(spec.at_degree(n + 1))
+    out_cols = _columns(spec)
+    in_cols = _columns(spec.at_degree(n + 1))
 
     cycles = []
     for vec in itertools.product(range(m), repeat=k):
@@ -488,8 +473,9 @@ def brute_force_homology(spec):
 
 # -- cochain text ----------------------------------------------------------
 
-def parse_cochain(ring, text, degree=None):
-    """Parse lines of the form 'x1,x2,...,xn -> ringElem'."""
+def parse_cochain(ring, text, degree=None, size=None):
+    """Parse lines of the form 'x1,x2,...,xn -> ringElem'; with size, the
+    order of the quandle, each x_i must name one of its elements."""
     from .coeff import parse_poly
     out = None
     for raw in text.splitlines():
@@ -500,6 +486,9 @@ def parse_cochain(ring, text, degree=None):
         if not sep:
             raise ValueError("missing '->' in cochain line %r" % raw)
         key = tuple(int(v) for v in lhs.strip().split(","))
+        if size is not None and not all(0 <= k < size for k in key):
+            raise ValueError("cochain key %r is outside the quandle; the "
+                             "quandle's elements are 0..%d" % (key, size - 1))
         if out is None:
             out = Cochain(ring, degree if degree is not None else len(key))
         out.add_term(key, ring.reduce(parse_poly(rhs.strip())))

@@ -163,7 +163,7 @@ def _cmd_construct_lift(inputs):
     from . import chain, cocycles, coeff
     x = _load_quandle(inputs["quandle"])
     ring = coeff.parse_ring(inputs["coeff"])
-    seeds = chain.parse_cochain(ring, inputs["seeds"])
+    seeds = chain.parse_cochain(ring, inputs["seeds"], size=x.size)
     psi, is_tq = cocycles.lift_h1(x, ring, seeds.values)
     result = _construct_result(psi, x, ring)
     result["is_tq"] = is_tq
@@ -189,7 +189,8 @@ def _cmd_construct_obstruction3(inputs):
     from . import chain, cocycles
     ses = _make_ses(inputs)
     x = _load_quandle(inputs["quandle"])
-    phi = chain.parse_cochain(ses.g_ring, inputs["phi"], degree=2)
+    phi = chain.parse_cochain(ses.g_ring, inputs["phi"], degree=2,
+                              size=x.size)
     theta = cocycles.obstruction_3cocycle(ses, x, phi)
     return _construct_result(theta, x, ses.g_ring)
 
@@ -197,7 +198,8 @@ def _cmd_construct_obstruction3(inputs):
 def _cmd_verify(inputs):
     from . import chain
     spec = _spec_from(inputs)
-    f = chain.parse_cochain(spec.ring, inputs["cocycle"], degree=spec.degree)
+    f = chain.parse_cochain(spec.ring, inputs["cocycle"], degree=spec.degree,
+                            size=spec.x.size)
     ok, witness = chain.is_cocycle(spec, f)
     result = {"is_cocycle": ok,
               "witness": list(witness) if witness is not None else None,
@@ -212,8 +214,9 @@ def _cmd_verify(inputs):
 def _cmd_pair(inputs):
     from . import chain
     spec = _spec_from(inputs)
-    f = chain.parse_cochain(spec.ring, inputs["cocycle"], degree=spec.degree)
-    c = chain.parse_cochain(spec.ring, inputs["cycle"], degree=spec.degree)
+    f, c = (chain.parse_cochain(spec.ring, inputs[key], degree=spec.degree,
+                                size=spec.x.size)
+            for key in ("cocycle", "cycle"))
     value = chain.pair(spec, f, c)
     return {"value": spec.ring.render_elem(value)}
 
@@ -235,7 +238,8 @@ def _state_sum_result(inputs, diagram, state_sum, degree):
     from . import chain, coeff
     x = _load_quandle(inputs["quandle"])
     ring = coeff.parse_ring(inputs["coeff"])
-    phi = chain.parse_cochain(ring, inputs["cocycle"], degree=degree)
+    phi = chain.parse_cochain(ring, inputs["cocycle"], degree=degree,
+                              size=x.size)
     value, cols, weights = state_sum(diagram, x, ring, phi)
     return {"value": value.render(),
             "colorings": len(cols),

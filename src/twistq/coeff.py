@@ -76,6 +76,7 @@ class AlexanderRing:
         c0_inv = _inverse_mod(self.h[0], modulus)
         self._t_inv = self.reduce(
             [_red(-c0_inv * c, modulus) for c in self.h[1:]])
+        self._t = self.reduce([0, 1])
 
     # -- element plumbing ------------------------------------------------
 
@@ -130,11 +131,15 @@ class AlexanderRing:
         return self.reduce((0,) + tuple(a))
 
     def t_pow(self, a, k):
-        """Multiply by T^k, k any integer."""
-        k = int(k)
-        step = self.t_act if k >= 0 else (lambda x: self.mul(self._t_inv, x))
-        for _ in range(abs(k)):
-            a = step(a)
+        """Multiply by T^k, k any integer, in O(log |k|) products."""
+        power = self._t if k >= 0 else self._t_inv
+        k = abs(int(k))
+        while k:
+            if k & 1:
+                a = self.mul(power, a)
+            k >>= 1
+            if k:
+                power = self.mul(power, power)
         return a
 
     def quandle_op(self, a, b):
@@ -184,7 +189,8 @@ _TERM_RE = re.compile(
 
 
 def parse_poly(text):
-    """Parse '2T^2 - T + 1' into an ascending coefficient list."""
+    """Parse '2T^2 - T + 1' into an ascending coefficient list; every term
+    after the first starts with its sign."""
     s = text.strip()
     if not s:
         raise RingError("empty polynomial")
@@ -196,7 +202,7 @@ def parse_poly(text):
             raise RingError("cannot parse polynomial %r near %r" % (text, s[pos:]))
         sign, num, exp = m.groups()
         frag = s[pos:m.end()]
-        if not num and "t" not in frag.lower():
+        if not num and "t" not in frag.lower() or pos and not sign:
             raise RingError("cannot parse polynomial %r near %r" % (text, s[pos:]))
         c = int(num) if num else 1
         if sign == "-":

@@ -156,6 +156,9 @@ class Diagram:
         for name, sides in self.declared_faces.items():
             touched = set()
             for s, side in sides:
+                if s not in self.tails:
+                    raise DiagramError("face %r names semiarc %r, which the "
+                                       "diagram does not have" % (name, s))
                 left, right = self.left_right_faces(s)
                 touched.add(left if side == "L" else right)
             if len(touched) != 1:
@@ -323,18 +326,6 @@ def colorings(diagram, x):
     return _colorings(diagram.semiarcs, rels, x)
 
 
-def _check_t_order(ring, p):
-    probe = [0] * ring.degree
-    for i in range(ring.degree):
-        probe[i] = 1
-        e = tuple(probe)
-        if ring.t_pow(e, p) != e:
-            raise RingError(
-                "mod-%d numbering needs T^%d to act trivially on the "
-                "coefficients" % (p, p))
-        probe[i] = 0
-
-
 def _require_cocycle(x, ring, f, degree):
     ok, witness = is_cocycle(ComplexSpec(x, ring, "TQ", degree), f)
     if not ok:
@@ -347,10 +338,13 @@ def _weigh(cols, terms, ring, f):
     of each coloring, and the group-ring sum of their exponentials."""
     value = GroupRingElem(ring)
     weights = []
+    power = {L: ring.t_pow(ring.one(), -L) for L in {t[1] for t in terms}}
     for col in cols:
         w = ring.zero()
         for sign, L, cells in terms:
-            contrib = ring.t_pow(f(tuple(col[s] for s in cells)), -L)
+            contrib = f(tuple(col[s] for s in cells))
+            if L:
+                contrib = ring.mul(power[L], contrib)
             w = ring.add(w, contrib) if sign > 0 else ring.sub(w, contrib)
         weights.append(w)
         value.add_term(w, 1)
@@ -367,8 +361,11 @@ def state_sum(diagram, x, ring, phi):
     an unnumberable mod-p diagram yields 0.
     """
     _require_cocycle(x, ring, phi, 2)
-    if diagram.mod_p:
-        _check_t_order(ring, diagram.mod_p)
+    p = diagram.mod_p
+    # T^p acts trivially on the coefficients exactly when T^p == 1
+    if p and ring.t_pow(ring.one(), p) != ring.one():
+        raise RingError("mod-%d numbering needs T^%d to act trivially on "
+                        "the coefficients" % (p, p))
     if diagram.l_overrides and len(diagram.l_overrides) == len(diagram.crossings):
         lnum = diagram.l_overrides.__getitem__
     else:
@@ -382,7 +379,7 @@ def state_sum(diagram, x, ring, phi):
              for ci, (sign, (a, b, c, d)) in enumerate(diagram.crossings)]
     cols = colorings(diagram, x)
     value, weights = _weigh(cols, terms, ring, phi)
-    if diagram.mod_p:
+    if p:
         value = value.canonical_under_T()
     return value, cols, weights
 

@@ -14,7 +14,7 @@ from twistq.coeff import GroupRingElem, parse_ring
 from twistq.chain import (Chain, Cochain, ComplexSpec, VARIANTS,
                           basis_tuples, boundary, brute_force_homology,
                           delta, homology, is_coboundary, pair)
-from twistq.chain import _boundary_columns
+from twistq.chain import _columns
 from twistq.cocycles import (SesSpec, dihedral_integral_cocycle, lift_h1,
                              modular_extension_cocycle, obstruction_2cocycle,
                              polynomial_extension_cocycle)
@@ -126,7 +126,7 @@ def test_criterion_04_by_hand():
         for key in basis_tuples(x, n, "TQ"):
             assert boundary(spec, Chain(ring, n, {key: ring.one()})).is_zero()
         # and the engine's input matrix has only empty columns
-        cols = _boundary_columns(spec)
+        cols = _columns(spec)
         assert len(cols) == 2 and not any(cols)
     assert basis_tuples(x, 2, "TQ") == [(0, 1), (1, 0)]
     assert homology(ComplexSpec(x, ring, "TQ", 2)).invariant_factors == (2, 2)
@@ -382,7 +382,7 @@ def test_criterion_14f(capsys):
     for x in (dihedral_quandle(3), trivial_quandle(2)):
         for variant in VARIANTS:
             for n in (2, 3):
-                got = _boundary_columns(ComplexSpec(x, ring, variant, n))
+                got = _columns(ComplexSpec(x, ring, variant, n))
                 tgt = basis_tuples(x, n - 1, variant)
                 src = basis_tuples(x, n, variant)
                 want = [[0] * len(src) for _ in tgt]

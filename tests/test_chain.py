@@ -318,13 +318,13 @@ class TestGuards:
     def test_oracle_refuses_a_boundary_that_is_not_a_cycle(self,
                                                            monkeypatch):
         import twistq.chain as chain_mod
-        real = chain_mod._boundary_columns
+        real = chain_mod._columns
 
         def with_stray_column(s):
             cols = real(s)
             # the chain (0, 1) of degree 2 is not a cycle
             return cols + [{0: 1}] if s.degree == 3 else cols
-        monkeypatch.setattr(chain_mod, "_boundary_columns", with_stray_column)
+        monkeypatch.setattr(chain_mod, "_columns", with_stray_column)
         with pytest.raises(RuntimeError, match="not a cycle"):
             brute_force_homology(spec(dihedral_quandle(3), R3, "TQ", 2))
 

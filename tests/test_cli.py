@@ -507,6 +507,93 @@ class TestInvariant:
         assert report["result"]["value"] == "23 + 2st + 2(st)^-1"
         assert report["result"]["colorings"] == 27
 
+    def test_huge_numbering_powers_take_logarithmic_time(self, tmp_path):
+        # T = -1 in Z[T]/(T+1) and 10^12 is even, so the report is the one
+        # of L = 0; each T^-L takes about 40 products, not 10^12 steps
+        from twistq import chain, cocycles
+        co = tmp_path / "phi.txt"
+        co.write_text(chain.render_cochain(
+            cocycles.dihedral_integral_cocycle(3)[0]))
+        argv = ["invariant", "--quandle", "R(3)", "--coeff", "Z[T]/(T+1)",
+                "--cocycle", str(co), "--pd"]
+        reports = []
+        for value in (0, 10 ** 12):
+            pd = tmp_path / ("l%d.pd" % value)
+            pd.write_text("Xp[1,3,2,4]\nXp[3,1,4,2]\nL 0 %d\nL 1 %d\n"
+                          % (value, value))
+            proc = subprocess.run(
+                [sys.executable, "-m", "twistq.cli"] + argv + [str(pd)],
+                capture_output=True, text=True, timeout=30,
+                env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                    os.path.dirname(cli.__file__))))
+            assert proc.returncode == 0, proc.stderr
+            wall = float(proc.stderr.split("wall-time: ")[1].rstrip("s\n"))
+            assert wall < 1
+            reports.append(json.loads(proc.stdout)["result"])
+        assert reports[0] == reports[1]
+
+    def test_face_naming_an_unknown_semiarc_is_refused(self, capsys,
+                                                       tmp_path):
+        pd = tmp_path / "hopf.pd"
+        pd.write_text(HOPF + "face a: 9L\n")
+        co = tmp_path / "phi.txt"
+        co.write_text("0,1 -> T\n1,0 -> 1\n")
+        code, out, err = run(capsys, ["invariant", "--pd", str(pd),
+                                      "--quandle", "T(2)",
+                                      "--coeff", "Z[T]/(T^2-1)",
+                                      "--cocycle", str(co)])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == ("error: face 'a' names semiarc '9', which the "
+                       "diagram does not have\n")
+
+
+# a cochain option, the other arguments of its command, and the degree of
+# the cochains it reads
+_R3 = ["--quandle", "R(3)", "--coeff", "Z3[T]/(T+1)"]
+_COCHAIN_OPTIONS = [
+    ("--cocycle", ["cocycle", "verify", "--degree", "2"] + _R3, 2),
+    ("--cocycle", ["cocycle", "pair", "--degree", "2", "--cycle", "{ok}"]
+     + _R3, 2),
+    ("--cycle", ["cocycle", "pair", "--degree", "2", "--cocycle", "{ok}"]
+     + _R3, 2),
+    ("--cocycle", ["invariant", "--pd", "{pd}"] + _R3, 2),
+    ("--cocycle", ["invariant-surface", "--surface", "{surface}"] + _R3, 3),
+    ("--phi", ["cocycle", "construct", "obstruction3", "--ambient",
+               "Z9[T]/(T+1)", "--sub", "3", "--quandle", "R(3)"], 2),
+    ("--seeds", ["cocycle", "construct", "lift"] + _R3, 2),
+]
+
+
+@pytest.mark.parametrize("option,argv,degree", _COCHAIN_OPTIONS, ids=[
+    " ".join(itertools.takewhile(lambda a: a[0] != "-", argv))
+    + " " + option
+    for option, argv, _ in _COCHAIN_OPTIONS])
+# a key is refused whatever its value, 0 included
+@pytest.mark.parametrize("element,value", [(9, 1), (-1, 1), (3, 0)])
+def test_cochain_key_outside_the_quandle_is_refused(
+        capsys, tmp_path, option, argv, degree, element, value):
+    files = {"ok": "", "pd": HOPF,
+             "surface": "sheets: x y\ntp: sign=+1 L=0 x=x y=y z=x\n",
+             "bad": "%s -> %d\n" % (",".join(["0"] * (degree - 1)
+                                              + [str(element)]), value)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(**{n: str(tmp_path / n) for n in files}) for a in argv]
+    code, out, err = run(capsys, argv + [option, str(tmp_path / "bad")])
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "is outside the quandle; the quandle's elements are 0..2" in err
+
+
+def test_juxtaposed_polynomial_terms_are_refused(capsys, tmp_path):
+    # "1 1" was read as 2
+    co, cy = tmp_path / "phi.txt", tmp_path / "cycle.txt"
+    co.write_text("0,1 -> 1 1\n")
+    cy.write_text("0,1 -> 1\n")
+    code, out, err = run(capsys, ["cocycle", "pair", "--cocycle", str(co),
+                                  "--cycle", str(cy), "--degree", "2"] + _R3)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "cannot parse polynomial '1 1'" in err
+
 
 class TestVerifySuite:
     def test_bundled_catalog_passes(self, capsys):

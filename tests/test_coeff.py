@@ -74,6 +74,35 @@ class TestArithmetic:
                 e = tuple(e)
                 assert ring.t_pow(ring.t_pow(e, -3), 3) == e
 
+    def test_t_pow_is_repeated_t(self):
+        for ring in (R(3), R(0), AlexanderRing(2, [1, 1, 1]),
+                     AlexanderRing(5, [2, 3, 1]), AlexanderRing(0, [-1, 0, 1]),
+                     AlexanderRing(0, [-1, -1, 1])):
+            a = ring.reduce(range(2, ring.degree + 2))
+            up = a
+            for k in range(13):
+                assert ring.t_pow(a, k) == up
+                # T^-k a is the element that k steps of T take back to a
+                down = ring.t_pow(a, -k)
+                for _ in range(k):
+                    down = ring.t_act(down)
+                assert down == a
+                up = ring.t_act(up)
+
+    def test_t_pow_takes_logarithmically_many_products(self):
+        ring = R(0)  # T = -1
+        steps = []
+
+        def counted(op):
+            def run(*args):
+                steps.append(op)
+                assert len(steps) <= 200, "more than 200 products"
+                return getattr(AlexanderRing, op)(ring, *args)
+            return run
+        ring.mul, ring.t_act = counted("mul"), counted("t_act")
+        assert ring.t_pow((5,), 10 ** 12) == (5,)
+        assert ring.t_pow((5,), -10 ** 12 - 1) == (-5,)
+
     def test_quandle_op(self):
         r3 = R(3)
         assert r3.quandle_op((1,), (0,)) == (2,)  # 2*0 - 1 = -1
@@ -115,6 +144,16 @@ class TestText:
             parse_poly("T^-1 + 1")
         with pytest.raises(RingError):
             parse_poly("")
+
+    @pytest.mark.parametrize("text", ["1 1", "T T", "2 3T", "T^2 T",
+                                      "1 + 2 3"])
+    def test_terms_after_the_first_need_a_sign(self, text):
+        with pytest.raises(RingError, match="cannot parse polynomial"):
+            parse_poly(text)
+
+    def test_coefficient_and_t_of_one_term_may_be_spaced(self):
+        assert parse_poly("3 T") == parse_poly("3*T") == [0, 3]
+        assert parse_poly(" 2 - 3 T^2 ") == [2, 0, -3]
 
     def test_degree_guard_reads_the_environment(self, monkeypatch):
         monkeypatch.setenv("TWISTQ_MAX_DEGREE", "3")

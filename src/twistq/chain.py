@@ -11,12 +11,14 @@ tuples, "TD" the degenerate ones (some x_i == x_{i+1}), and "TQ" the
 quotient, realized on the non-degenerate tuples by deleting degenerate
 terms from the boundary.
 
-One pass over the quandle table, _boundary_polys, evaluates this
-formula: it streams source tuples and gives each one's boundary as
-blocks c_0 + c_1 T per target tuple.  Everything that needs the boundary
-reads that pass: `boundary` and `delta` on formal sums, and `_columns`,
-which gives the engine d_n and delta^{n-1} as column dicts over Z_n of
-d x d blocks (d the ring degree over Z_n): delta^{n-1} is d_n's blocks,
+One pass over the quandle table, _faces, evaluates this formula: it
+streams source tuples and gives each one's 2n - 1 faces as terms
+(c_0 + c_1 T) target, unmerged.  Everything that needs the boundary reads
+that pass: `boundary`, which lets the chain sum the terms; `delta`, which
+sums c_0 v + c_1 T v over a table of f's values v and T v, one integer
+list per source; and `_columns`, which merges each source's terms into
+d x d blocks (d the ring degree over Z_n) and gives the engine d_n and
+delta^{n-1} as column dicts over Z_n: delta^{n-1} is d_n's blocks,
 signed by (-1)^n and transposed.  The T-action is built from the same
 blocks.  For TQ the column builder keeps the targets in its basis and
 `boundary` the non-degenerate ones, while `delta` reads a cochain on
@@ -144,40 +146,27 @@ def basis_tuples(x, n, variant):
     return out
 
 
-def _boundary_polys(x, sources):
+def _faces(x, sources):
     """The boundary of each source tuple, one at a time (so a boundary
-    matrix is never held whole): yields (source, {target: (c0, c1)}),
-    d source = sum (c0 + c1 T) target, without the blocks that cancel.
-    No variant filtering: consumers keep the targets in their basis."""
+    matrix is never held whole): yields (source, terms), d source = sum
+    (c0 + c1 T) target over (target, c0, c1) in terms.  terms are the
+    formula's 2n - 1 faces of an n-tuple, unmerged (i = 1 gives one term,
+    (1 - T) (x_2, ..., x_n)); the consumers merge them as they need.  No
+    variant filtering: consumers keep the targets in their basis."""
     right = list(zip(*x.table))  # right[b][a] == a * b
     for src in sources:
         n = len(src)
         if n <= 1:
-            yield src, {}
+            yield src, ()
             continue
-        # i = 1: -(T (x_2, ..., x_n) - (x_2, ..., x_n))
-        acc = {src[1:]: (1, -1)}
+        terms = [(src[1:], 1, -1)]
         for i in range(1, n):
             sign = 1 if i % 2 else -1  # (-1)^(i + 1), i counted from 0
             head, rest = src[:i], src[i + 1:]
-            omitted = head + rest
-            c0, c1 = acc.get(omitted, (0, 0))
-            acc[omitted] = (c0, c1 + sign)
             by = right[src[i]]
-            acted = tuple([by[a] for a in head]) + rest
-            c0, c1 = acc.get(acted, (0, 0))
-            acc[acted] = (c0 - sign, c1)
-        yield src, {t: p for t, p in acc.items() if p[0] or p[1]}
-
-
-def _block_sum(ring, terms):
-    """The ring element sum (c0 + c1 T) v over (c0, c1, v) in terms."""
-    acc = [0] * (ring.degree + 1)
-    for c0, c1, v in terms:
-        for k, a in enumerate(v):
-            acc[k] += c0 * a
-            acc[k + 1] += c1 * a
-    return ring.reduce(acc)
+            terms.append((head + rest, 0, sign))
+            terms.append((tuple([by[a] for a in head]) + rest, -sign, 0))
+        yield src, terms
 
 
 def boundary(spec, c):
@@ -185,17 +174,20 @@ def boundary(spec, c):
     if c.degree != spec.degree:
         raise ValueError("chain degree %d != spec degree %d"
                          % (c.degree, spec.degree))
-    out = Chain(spec.ring, spec.degree - 1 if spec.degree else 0)
+    ring = spec.ring
+    out = Chain(ring, spec.degree - 1 if spec.degree else 0)
     if spec.degree <= 1:
         return out
     tq = spec.variant == "TQ"
-    for key, polys in _boundary_polys(spec.x, c.values):
+    for key, terms in _faces(spec.x, c.values):
         if tq and is_degenerate(key):
             raise ValueError("degenerate tuple %r in a TQ chain" % (key,))
-        coef = c.values[key]
-        for tup, (c0, c1) in polys.items():
+        # (c0 + c1 T) coef unreduced: T coef is coef shifted up a power
+        v, tv = c.values[key] + (0,), (0,) + c.values[key]
+        for tup, c0, c1 in terms:
             if not (tq and is_degenerate(tup)):
-                out.add_term(tup, _block_sum(spec.ring, [(c0, c1, coef)]))
+                out.add_term(tup, ring.reduce(
+                    [c0 * a + c1 * b for a, b in zip(v, tv)]))
     return out
 
 
@@ -245,12 +237,16 @@ def _columns(spec, dual=False):
     sign = -1 if n % 2 else 1
 
     def blocks():
-        for j, (_, polys) in enumerate(_boundary_polys(spec.x, src)):
-            entries = [(i, p) for t, p in polys.items()
-                       if (i := index(t)) is not None]
-            entries.sort()
-            for i, (c0, c1) in entries:
-                yield (j, i, sign * c0, sign * c1) if dual else (i, j, c0, c1)
+        for j, (_, terms) in enumerate(_faces(spec.x, src)):
+            merged = {}
+            for t, c0, c1 in terms:
+                if (i := index(t)) is not None:
+                    a0, a1 = merged.get(i, (0, 0))
+                    merged[i] = (a0 + c0, a1 + c1)
+            for i, (c0, c1) in sorted(merged.items()):
+                if c0 or c1:
+                    yield ((j, i, sign * c0, sign * c1) if dual
+                           else (i, j, c0, c1))
     return _block_columns(spec.ring, blocks(), len(tgt) if dual else len(src))
 
 
@@ -308,16 +304,27 @@ def delta(spec, f):
     if f.degree != spec.degree:
         raise ValueError("cochain degree %d != spec degree %d"
                          % (f.degree, spec.degree))
-    n = spec.degree
-    out = Cochain(spec.ring, n + 1)
+    ring, n = spec.ring, spec.degree
+    d, m = ring.degree, ring.modulus
+    # (delta f)(c) = (-1)^(n+1) f(d c): each value of f as the 2d
+    # coefficients of v and T v, signed, so a face (t, c0, c1) adds
+    # c0 v + c1 T v with no ring arithmetic
     sign = 1 if n % 2 else -1
-    for key, polys in _boundary_polys(
-            spec.x, basis_tuples(spec.x, n + 1, spec.variant)):
-        v = _block_sum(spec.ring, [(sign * c0, sign * c1, f.values[t])
-                                   for t, (c0, c1) in polys.items()
-                                   if t in f.values])
-        if not spec.ring.is_zero(v):
-            out.add_term(key, v)
+    table = {t: [sign * a for a in v + ring.t_act(v)]
+             for t, v in f.values.items()}
+    out = Cochain(ring, n + 1)
+    for key, terms in _faces(spec.x, basis_tuples(spec.x, n + 1,
+                                                   spec.variant)):
+        acc = [0] * d
+        for t, c0, c1 in terms:
+            w = table.get(t)
+            if w is not None:
+                for k in range(d):
+                    acc[k] += c0 * w[k] + c1 * w[d + k]
+        if m:
+            acc = [a % m for a in acc]
+        if any(acc):
+            out.add_term(key, tuple(acc))
     return out
 
 

@@ -15,7 +15,7 @@ not change the ideal), which makes reduction a plain division step.
 import math
 import re
 
-from .limits import check_limit
+from .limits import LONG_DIGITS, check_limit
 
 __all__ = [
     "RingError",
@@ -34,6 +34,9 @@ class RingError(ValueError):
 # default of the degree guard on polynomial text; TWISTQ_MAX_DEGREE
 # overrides it and is read on every call
 _MAX_DEGREE = 1024
+# the guard on the coefficients of T^k over Z defaults to
+# limits.LONG_DIGITS, the longest integer str() prints; TWISTQ_MAX_DIGITS
+# overrides it and is read on every call
 
 
 def _inverse_mod(a, n):
@@ -131,15 +134,24 @@ class AlexanderRing:
         return self.reduce((0,) + tuple(a))
 
     def t_pow(self, a, k):
-        """Multiply by T^k, k any integer, in O(log |k|) products."""
+        """Multiply by T^k, k any integer, in O(log |k|) products.  Over
+        Z, where the coefficients of T^k can grow with |k|, a product
+        with a coefficient of more than TWISTQ_MAX_DIGITS digits is
+        refused as soon as it is made."""
         power = self._t if k >= 0 else self._t_inv
-        k = abs(int(k))
-        while k:
-            if k & 1:
+        rest = abs(int(k))
+        while rest:
+            if rest & 1:
                 a = self.mul(power, a)
-            k >>= 1
-            if k:
+            rest >>= 1
+            if rest:
                 power = self.mul(power, power)
+            if not self.modulus:
+                bits = max(abs(c) for c in a + power).bit_length()
+                digits = int(bits * math.log10(2)) + 1  # >= the true count
+                check_limit(digits, "TWISTQ_MAX_DIGITS", LONG_DIGITS,
+                            RingError, "computing T^%s makes coefficients "
+                            "of about %s digits", k, digits)
         return a
 
     def quandle_op(self, a, b):

@@ -22,8 +22,9 @@ from twistq.coeff import RingError, parse_ring
 from twistq.quandle import quandle_standard
 
 QUANDLES = ["T(2)", "R(3)", "R(4)", "A(2;T^2+T+1)"]
-# degree 1 and 2, over Z and over Z/n
-RINGS = ["Z[T]/(T+1)", "Z5[T]/(T+2)", "Z[T]/(T^2-1)", "Z4[T]/(T^2+T+1)"]
+# degree 1, 2 and 3, over Z and over Z/n
+RINGS = ["Z[T]/(T+1)", "Z5[T]/(T+2)", "Z[T]/(T^2-1)", "Z4[T]/(T^2+T+1)",
+         "Z2[T]/(T^3+T+1)"]
 
 
 def _terms(x, key):

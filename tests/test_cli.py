@@ -532,6 +532,26 @@ class TestInvariant:
             reports.append(json.loads(proc.stdout)["result"])
         assert reports[0] == reports[1]
 
+    def test_numbering_power_too_long_to_print_is_refused(self, capsys,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # T has infinite order in Z[T]/(T^2-T-1): T^-(10^12) would have
+        # coefficients of about 2 * 10^11 digits
+        monkeypatch.delenv("TWISTQ_MAX_DIGITS", raising=False)
+        pd = tmp_path / "hopf.pd"
+        pd.write_text("Xp[1,3,2,4]\nXp[3,1,4,2]\nL 0 1000000000000\n"
+                      "L 1 0\n")
+        co = tmp_path / "phi.txt"
+        co.write_text("0,1 -> 0\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, ["invariant", "--pd", str(pd),
+                                      "--quandle", "T(2)",
+                                      "--coeff", "Z[T]/(T^2-T-1)",
+                                      "--cocycle", str(co)])
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert "T^-1000000000000" in err and "TWISTQ_MAX_DIGITS" in err
+
     def test_face_naming_an_unknown_semiarc_is_refused(self, capsys,
                                                        tmp_path):
         pd = tmp_path / "hopf.pd"

@@ -1,5 +1,7 @@
 """Ring arithmetic, polynomial text, and group-ring rendering."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,6 +104,30 @@ class TestArithmetic:
         ring.mul, ring.t_act = counted("mul"), counted("t_act")
         assert ring.t_pow((5,), 10 ** 12) == (5,)
         assert ring.t_pow((5,), -10 ** 12 - 1) == (-5,)
+
+    def test_t_pow_refuses_coefficients_too_long_to_print(self,
+                                                          monkeypatch):
+        # T has infinite order in Z[T]/(T^2-T-1): T^k = F_k T + F_{k-1}
+        # (Fibonacci numbers), about 0.21 k digits
+        monkeypatch.delenv("TWISTQ_MAX_DIGITS", raising=False)
+        ring = parse_ring("Z[T]/(T^2-T-1)")
+        fib = [0, 1]
+        while len(fib) <= 20001:
+            fib.append(fib[-1] + fib[-2])
+        assert ring.t_pow(ring.one(), 20000) == (fib[19999], fib[20000])
+        started = time.perf_counter()
+        for k in (10 ** 7, -10 ** 7, 10 ** 12):
+            with pytest.raises(RingError, match=r"computing T\^%d makes "
+                               r".*\(limit 4300; set TWISTQ_MAX_DIGITS\)"
+                               % k):
+                ring.t_pow(ring.one(), k)
+        assert time.perf_counter() - started < 1
+        monkeypatch.setenv("TWISTQ_MAX_DIGITS", "2000")
+        with pytest.raises(RingError, match="limit 2000"):
+            ring.t_pow(ring.one(), 10000)
+        monkeypatch.setenv("TWISTQ_MAX_DIGITS", "3000")
+        # T^-k = (-1)^k (F_{k+1} - F_k T)
+        assert ring.t_pow(ring.one(), -10000) == (fib[10001], -fib[10000])
 
     def test_quandle_op(self):
         r3 = R(3)

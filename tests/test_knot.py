@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -229,6 +230,33 @@ class TestStateSum:
         bad = Cochain(ring, 2, {(0, 1): (1, 0)})
         with pytest.raises(DiagramError):
             state_sum(parse_pd(HOPF), trivial_quandle(2), ring, bad)
+
+    def test_non_cocycle_refused_at_the_least_failing_triple(self):
+        # the 9-element carry quandle, phi changed at one pair: the
+        # refusal names the least triple where delta phi != 0, read here
+        # off the formula (delta phi)(c) = -phi(d c) term by term
+        from twistq.cocycles import modular_extension_cocycle
+        phi, x, ring = modular_extension_cocycle(3, 3, [1, 1])
+        bad = Cochain(ring, 2, phi.values)
+        bad.add_term((4, 7), ring.one())
+
+        def dphi(c):
+            acc = ring.zero()
+            for i in range(1, 4):
+                omitted = bad(c[:i - 1] + c[i:])
+                acted = bad(tuple(x.op(c[j], c[i - 1]) for j in range(i - 1))
+                            + c[i:])
+                face = ring.sub(ring.t_act(omitted), acted)
+                acc = ring.sub(acc, face) if i % 2 else ring.add(acc, face)
+            return ring.neg(acc)
+        triples = [c for c in itertools.product(range(9), repeat=3)
+                   if c[0] != c[1] != c[2]]
+        least = next(c for c in triples if not ring.is_zero(dphi(c)))
+        spec = ComplexSpec(x, ring, "TQ", 2)
+        assert delta(spec, bad).support()[0] == least
+        with pytest.raises(DiagramError, match=r"2-cocycle condition at "
+                           + re.escape(repr(least)) + "$"):
+            state_sum(parse_pd(TORUS_MOD2), x, ring, bad)
 
     def test_torus_values(self):
         from twistq.cocycles import (modular_extension_cocycle,

@@ -31,7 +31,7 @@ from collections import namedtuple
 from . import VARIANTS
 from .coeff import RingError
 from .exactlin import ModuleInfo, homology_segment, solve_linear
-from .limits import check_limit
+from .limits import check_limit, power
 
 __all__ = [
     "ComplexSpec",
@@ -130,7 +130,7 @@ def basis_tuples(x, n, variant):
     """Basis tuples for the degree-n group, in lexicographic order."""
     if n == 0:
         return [] if variant == "TD" else [()]
-    count = x.size ** n
+    count = power(x.size, n)
     check_limit(count, "TWISTQ_MAX_BASIS", _MAX_BASIS, RingError,
                 "degree-%s basis has %s tuples", n, count)
     if variant == "TR":
@@ -492,7 +492,10 @@ def parse_cochain(ring, text, degree=None, size=None):
         lhs, sep, rhs = line.partition("->")
         if not sep:
             raise ValueError("missing '->' in cochain line %r" % raw)
-        key = tuple(int(v) for v in lhs.strip().split(","))
+        try:
+            key = tuple(int(v) for v in lhs.strip().split(","))
+        except ValueError:
+            raise ValueError("bad cochain key in line %r" % raw) from None
         if size is not None and not all(0 <= k < size for k in key):
             raise ValueError("cochain key %r is outside the quandle; the "
                              "quandle's elements are 0..%d" % (key, size - 1))

@@ -265,7 +265,10 @@ def load_catalog(text=None):
         from importlib import resources
         text = resources.files("twistq").joinpath(
             "data/catalog.json").read_text()
-    entries = json.loads(text)
+    try:
+        entries = json.loads(text)
+    except RecursionError:
+        raise ValueError("catalog is nested too deeply to read") from None
     if not isinstance(entries, list):
         raise ValueError("catalog must be a JSON list of entries")
     for i, entry in enumerate(entries):

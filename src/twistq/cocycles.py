@@ -19,7 +19,7 @@ import math
 from .coeff import _MAX_DEGREE, AlexanderRing, RingError
 from .chain import (ComplexSpec, Cochain, basis_tuples, delta, is_cocycle,
                     is_degenerate)
-from .limits import LONG_DIGITS, check_limit
+from .limits import LONG_DIGITS, check_limit, power
 from .quandle import (_MAX_TABLE, FiniteQuandle, QuandleMap, QuandleError,
                       _check_order, alexander_quandle, dihedral_quandle,
                       is_homomorphism)
@@ -165,11 +165,8 @@ class SesSpec:
         self.n_gens = n_gens
         if g.modulus == 0:
             raise CocycleError("the ambient module must be finite")
-        # N and G are listed; a size too long to print is bounded
-        # by logarithms, not computed
-        size = (g.modulus ** g.degree
-                if g.degree * math.log10(g.modulus) <= LONG_DIGITS
-                else 1 << int(g.degree * math.log2(g.modulus)))
+        # N and G are listed
+        size = power(g.modulus, g.degree)
         check_limit(size, "TWISTQ_MAX_TABLE", _MAX_TABLE, CocycleError,
                     "the ambient module has %s elements", size)
         gens = [g.reduce(v) for v in n_gens]

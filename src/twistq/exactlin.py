@@ -7,9 +7,9 @@ matrix, entries are reduced mod n so that they cannot grow, and every
 pivot is a unit of Z/n (+-1 over Z).  The block of non-units that it
 leaves goes to the dense Smith normal form (Dumas, Saunders and
 Villard, J. Symbolic Comput. 32 (2001)).  U and V are kept as the lists
-of elementary operations that built them, so applying either of them,
-or its inverse, to a vector is one pass over a list.  Solves and
-homology, with its kernels, all read the one factorization.
+of elementary operations that built them; one pass of _apply runs either
+list, or its inverse, over a dense or a sparse vector, skipping adds
+from zero entries.  Solves and homology all read the one factorization.
 
 A matrix is the list of its columns as dicts {row: entry mod n}, rows
 ascending, and nothing else: a map into the zero module is a list of
@@ -48,26 +48,17 @@ class NotAComplexError(ValueError):
 # x[i], (i, j) swaps x[i] and x[j], (i,) negates x[i].  A list of them,
 # [E_1, ..., E_k], stands for the product E_k ... E_1.
 
-def _apply(ops, x, n):
-    """x <- E_k ... E_1 x; entries that change are reduced mod n."""
-    for op in ops:
+def _apply(ops, x, n, inverse=False):
+    """x <- E_k ... E_1 x, or E_1^-1 ... E_k^-1 x with inverse; changed
+    entries are reduced mod n.  An add from a zero entry is skipped, so x
+    may be a dense list or a sparse defaultdict(int)."""
+    for op in reversed(ops) if inverse else ops:
         if len(op) == 3:
             i, j, q = op
-            x[i] = (x[i] + q * x[j]) % n if n else x[i] + q * x[j]
-        elif len(op) == 2:
-            i, j = op
-            x[i], x[j] = x[j], x[i]
-        else:
-            x[op[0]] = -x[op[0]] % n if n else -x[op[0]]
-    return x
-
-
-def _unapply(ops, x, n):
-    """x <- E_1^-1 ... E_k^-1 x, the inverse of _apply."""
-    for op in reversed(ops):
-        if len(op) == 3:
-            i, j, q = op
-            x[i] = (x[i] - q * x[j]) % n if n else x[i] - q * x[j]
+            v = x[j]
+            if v:
+                v = x[i] - q * v if inverse else x[i] + q * v
+                x[i] = v % n if n else v
         elif len(op) == 2:
             i, j = op
             x[i], x[j] = x[j], x[i]
@@ -356,7 +347,7 @@ def solve_linear(cols, b, n):
         c[i] = 0
     if any(c):
         return None
-    x = _unapply(f.cols, w, n)
+    x = _apply(f.cols, w, n, inverse=True)
     return [v % n for v in x] if n else x
 
 
@@ -422,12 +413,10 @@ def homology_segment(in_cols, out_cols, n, t_cols, cycles=False):
     where = {j: t for t, (j, _, _) in enumerate(kernel)}
 
     def coordinates(x):
-        """Cycle coordinates of the cycle x ({row: value})."""
+        """Cycle coordinates {t: value} of the cycle x ({row: value}),
+        ascending when x's rows are: `rel`'s pivot tie-break reads them."""
         if cyc.core_cols:
-            y = [0] * r
-            for i, v in x.items():
-                y[i] = v
-            x = dict(enumerate(_apply(cyc.core_cols, y, n)))
+            x = _apply(cyc.core_cols, defaultdict(int, x), n)
         out = {}
         for i, v in x.items():
             t = where.get(i)
@@ -435,7 +424,7 @@ def homology_segment(in_cols, out_cols, n, t_cols, cycles=False):
                 c = (v % n) // kernel[t][1] if n else v
                 if c:
                     out[t] = c
-        return out
+        return dict(sorted(out.items())) if cyc.core_cols else out
 
     def chain_vector(c):
         """The chain of the cycle with coordinates c ({t: value})."""
@@ -443,7 +432,7 @@ def homology_segment(in_cols, out_cols, n, t_cols, cycles=False):
         for t, v in c.items():
             j, scale, _ = kernel[t]
             w[j] = v * scale
-        x = _unapply(cyc.cols, w, n)
+        x = _apply(cyc.cols, w, n, inverse=True)
         return [v % n for v in x] if n else x
 
     # boundaries and the orders of the cycle generators, in cycle
@@ -463,7 +452,8 @@ def homology_segment(in_cols, out_cols, n, t_cols, cycles=False):
     summands.extend((t, n) for t in range(len(kernel)) if t not in pivot_rows)
 
     factors = [g for _, g in summands]
-    gens = [chain_vector(_unapply(hom.rows, defaultdict(int, {t: 1}), n))
+    gens = [chain_vector(_apply(hom.rows, defaultdict(int, {t: 1}), n,
+                                 inverse=True))
             for t, _ in summands]
     t_action = [[0] * len(gens) for _ in gens]
     for col, g in enumerate(gens):

@@ -170,6 +170,13 @@ class Diagram:
             self._declared_index[name] = fi
 
 
+def _int(text, raw):
+    try:
+        return int(text)
+    except ValueError:
+        raise DiagramError("bad integer %r in line %r" % (text, raw)) from None
+
+
 def parse_pd(text):
     """Parse a diagram file: crossing lines Xp[...]/Xn[...] plus the
     directives 'outer <face-id>', 'base <face-id>', 'mod <p>',
@@ -196,12 +203,12 @@ def parse_pd(text):
         elif head == "base":
             base = rest.strip()
         elif head == "mod":
-            mod_p = int(rest)
+            mod_p = _int(rest, raw)
             if mod_p < 2:
                 raise DiagramError("mod needs p >= 2")
         elif head == "l":
             ci_text, _, val = rest.strip().partition(" ")
-            overrides[int(ci_text)] = int(val)
+            overrides[_int(ci_text, raw)] = _int(val, raw)
         elif head.startswith("face"):
             name, _, body = line[4:].partition(":")
             name = name.strip()
@@ -431,7 +438,8 @@ def parse_surface(text):
                 k, _, v = tok.partition("=")
                 fields[k.lower()] = v
             try:
-                triples.append((int(fields["sign"]), int(fields["l"]),
+                triples.append((_int(fields["sign"], raw),
+                                _int(fields["l"], raw),
                                 fields["x"], fields["y"], fields["z"]))
             except KeyError as e:
                 raise DiagramError("triple point missing field %s" % e)

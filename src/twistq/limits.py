@@ -22,6 +22,14 @@ def check_limit(size, var, default, error, what, *args):
         raise error("%s (limit %d; set %s)" % (what % shown, limit, var))
 
 
+def power(base, exp):
+    """base ** exp, or, past LONG_DIGITS digits, the lower bound
+    2 ** floor(exp * log2(base)), made in a shift, not in seconds."""
+    if base < 2 or exp * math.log10(base) <= LONG_DIGITS:
+        return base ** exp
+    return 1 << int(exp * math.log2(base))
+
+
 def _decimal(k):
     try:
         return str(k)

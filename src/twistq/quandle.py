@@ -311,8 +311,10 @@ def parse_quandle_table(text):
         raise QuandleError("expected %d rows, got %d" % (q, len(lines) - 1))
     table = []
     for ln in lines[1:]:
-        row = [int(v) for v in ln.split()]
-        table.append(row)
+        try:
+            table.append([int(v) for v in ln.split()])
+        except ValueError:
+            raise QuandleError("bad table row %r" % ln) from None
     return quandle_from_table(table)
 
 

@@ -246,6 +246,22 @@ class TestExitCodes:
         assert "degree-18 basis has 387420489 tuples (limit 20000; set " \
             "TWISTQ_MAX_BASIS)" in err
 
+    @pytest.mark.parametrize("degree,size", [
+        (17, "387420489"), (10 ** 8, "~10^47712125")])
+    def test_basis_guard_pays_nothing_for_the_degree(self, capsys,
+                                                      monkeypatch, degree,
+                                                      size):
+        # homology sizes the degree-(n+1) basis first; the guard must
+        # not compute 3^(10^8), which takes minutes
+        monkeypatch.delenv("TWISTQ_MAX_BASIS", raising=False)
+        start = time.monotonic()
+        code, out, err = run(capsys, ["homology", "--degree", str(degree)]
+                             + _R3)
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: degree-%d basis has %s tuples (limit 20000; "
+                       "set TWISTQ_MAX_BASIS)\n" % (degree + 1, size))
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["invariant",
                                     "--pd", str(tmp_path / "nope.pd"),
@@ -615,6 +631,31 @@ def test_juxtaposed_polynomial_terms_are_refused(capsys, tmp_path):
     assert "cannot parse polynomial '1 1'" in err
 
 
+@pytest.mark.parametrize("argv,files,reason", [
+    (["invariant", "--pd", "{x}", "--cocycle", "{ok}"] + _R3,
+     {"x": HOPF + "L 0\n"}, "bad integer '' in line 'L 0'"),
+    (["invariant", "--pd", "{x}", "--cocycle", "{ok}"] + _R3,
+     {"x": HOPF + "mod p\n"}, "bad integer 'p' in line 'mod p'"),
+    (["cocycle", "verify", "--degree", "2", "--cocycle", "{x}"] + _R3,
+     {"x": ",, -> 1\n"}, "bad cochain key in line ',, -> 1'"),
+    (["invariant-surface", "--surface", "{x}", "--cocycle", "{ok}"] + _R3,
+     {"x": "sheets: x y\ntp: sign=+1 L=a x=x y=y z=x\n"},
+     "bad integer 'a' in line 'tp: sign=+1 L=a x=x y=y z=x'"),
+    (["quandle", "info", "--quandle", "@{x}"],
+     {"x": "2\n0 0\n1 1 # c\n"}, "bad table row '1 1 # c'"),
+], ids=["pd-override", "pd-mod", "cochain-key", "surface-field",
+        "table-row"])
+def test_unreadable_integer_names_its_line(capsys, tmp_path, argv, files,
+                                           reason):
+    files = dict(files, ok="")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [a.format(**{n: str(tmp_path / n) for n in files}) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % reason
+
+
 class TestVerifySuite:
     def test_bundled_catalog_passes(self, capsys):
         report = run_json(capsys, ["verify-suite"])
@@ -648,6 +689,13 @@ class TestVerifySuite:
         assert item["witness"] == (
             "QuandleError: a quandle of order 40000 has a 1600000000-cell "
             "table (limit 65536; set TWISTQ_MAX_TABLE)")
+
+    def test_deeply_nested_catalog_is_refused(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        code, out, err = run(capsys, ["verify-suite", "--catalog", str(deep)])
+        assert (code, out) == (2, "")
+        assert err == "error: catalog is nested too deeply to read\n"
 
     def test_empty_catalog_warns(self, capsys, tmp_path):
         empty = tmp_path / "catalog.json"

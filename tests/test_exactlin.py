@@ -2,12 +2,13 @@
 
 import itertools
 import math
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistq.exactlin import (ModuleInfo, NotAComplexError, _Factored,
-                             _relabel, _smith, homology_segment,
+                             _apply, _relabel, _smith, homology_segment,
                              solve_linear)
 
 
@@ -119,6 +120,41 @@ class TestSmith:
     def test_deterministic(self):
         M = [[4, 2, 6], [2, 8, 10], [6, 10, 4]]
         assert _smith_form(M) == _smith_form([row[:] for row in M])
+
+
+@st.composite
+def _ops_and_vector(draw):
+    """(n, ops, x): a modulus, a list of elementary operations on
+    vectors of length m and a vector x, mostly zeros, so that many adds
+    read a zero source."""
+    n = draw(st.sampled_from([0, 4, 6, 9, 12]))
+    m = draw(st.integers(2, 6))
+    index = st.integers(0, m - 1)
+    pair = st.tuples(index, index).filter(lambda p: p[0] != p[1])
+    ops = draw(st.lists(st.one_of(
+        st.builds(lambda p, q: p + (q,), pair, st.integers(-20, 20)),
+        pair, st.tuples(index)), max_size=12))
+    x = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 5, 11]),
+                      min_size=m, max_size=m))
+    return n, ops, x
+
+
+class TestApply:
+    """_apply against the dense product of the operations' matrices: a
+    reduced vector stays reduced, since solves read residues."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ops_and_vector())
+    def test_list_dict_and_inverse(self, case):
+        n, ops, x = case
+        red = (lambda v: v % n) if n else (lambda v: v)
+        x = [red(v) for v in x]
+        want = [red(v) for v in _mv(_ops_matrix(ops, len(x)), x)]
+        assert _apply(ops, list(x), n) == want
+        sparse = _apply(ops, defaultdict(int, {i: v for i, v in enumerate(x)
+                                               if v}), n)
+        assert [sparse[i] for i in range(len(x))] == want
+        assert _apply(ops, _apply(ops, list(x), n), n, inverse=True) == x
 
 
 class TestKernelAndSolve:

@@ -8,7 +8,9 @@ The digest is a SHA-256 of the resolved inputs (with file arguments
 replaced by their contents), so identical inputs always produce
 byte-identical reports; wall-clock time goes to standard error.  Exit
 status is 0 on success, 2 when a precondition of the requested
-computation fails, and 64 for usage errors.
+computation fails, 64 for usage errors and 70 for an internal error (a
+bug in twistq: any other exception), which prints one line,
+`internal error: <type>: <message>`, to standard error and no report.
 
 Parsing and dispatch need no computation module: each handler imports
 the modules its command runs when it runs, so a process loads only
@@ -25,6 +27,7 @@ import time
 from . import VARIANTS
 
 EX_USAGE = 64
+EX_SOFTWARE = 70
 
 # argument names whose values are file paths, read before hashing
 _FILE_ARGS = {"cocycle", "cycle", "pd", "surface", "seeds", "phi", "catalog"}
@@ -174,8 +177,14 @@ def _cmd_construct_obstruction2(inputs):
     from . import cocycles, quandle
     ses = _make_ses(inputs)
     x = _load_quandle(inputs["quandle"])
-    eta = quandle.QuandleMap(
-        x, ses.a_quandle, [int(v) for v in inputs["eta"].split(",")])
+    images = []
+    for v in inputs["eta"].split(","):
+        try:
+            images.append(int(v))
+        except ValueError:
+            raise ValueError("bad integer %r in --eta %r"
+                             % (v, inputs["eta"])) from None
+    eta = quandle.QuandleMap(x, ses.a_quandle, images)
     phi = cocycles.obstruction_2cocycle(ses, x, eta)
     result = _construct_result(phi, x, ses.g_ring)
     result["quotient_labels"] = list(ses.a_quandle.labels)
@@ -500,6 +509,12 @@ def main(argv=None):
         # ValueErrors: a violated precondition of the computation
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a bug, not a refused input; KeyboardInterrupt is no Exception
+        message = " ".join(str(exc).split())
+        print("internal error: %s: %s" % (type(exc).__name__, message),
+              file=sys.stderr)
+        return EX_SOFTWARE
     report = {"command": args.command_path,
               "inputs_digest": _digest(args.command_path, inputs),
               "result": result}

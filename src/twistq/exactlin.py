@@ -21,10 +21,10 @@ the lowest column index; within that column, the unit in the row with
 the fewest entries, ties going to the first in the column's dict order
 (ascending rows, then fill-in in the order it arose).  The generators
 returned depend on this rule.  Active columns are kept in buckets by
-length, so the search does not rescan them; the columns that hold the
-pivot row are still found by a scan, because a row -> columns index
-raised the peak memory of homology runs (25.8 to 27.9 MB) and saved no
-time on them.
+length, so the search does not rescan them.  The columns that hold the
+pivot row are read from a per-row list of the columns that row has
+entered, filtered when it is read rather than pruned as rows leave
+columns, so keeping it costs one append per entry and per fill.
 """
 
 import math
@@ -200,21 +200,25 @@ class _Factored:
 
     Pivots follow the module's rule: shortest column with a unit, then
     lowest column index, then lightest row, then dict order, searched
-    in buckets of columns by length.  There is no row -> columns index:
-    it was measured to cost memory and save no time (module docstring).
+    in buckets of columns by length.  The Schur step reaches the columns
+    holding the pivot row through held[row], the columns the row has
+    entered; an entry whose column has since lost the row is skipped.
     """
 
     def __init__(self, cols, n, keep_u=True, keep_v=True):
         self.n = n
         self.diag, self.rows, self.cols = [], [], []
-        # entries per row; a count, not the set of columns, which would
-        # cost more memory than the matrix
+        # entries per row, exact, for the pivot rule
         weight = [0] * (1 + max((max(c) for c in cols if c), default=-1))
+        # held[i]: the columns that have held row i, with repeats and
+        # stale entries; filtered when read, None once row i is pivoted
+        held = [[] for _ in weight]
         # the nonempty columns by length: {length: set of columns}
         by_len = {}
         for j, col in enumerate(cols):
             for i in col:
                 weight[i] += 1
+                held[i].append(j)
             if col:
                 by_len.setdefault(len(col), set()).add(j)
         while True:
@@ -235,8 +239,10 @@ class _Factored:
                         q = -v * inv
                         self.rows.append((i2, i, q % n if n else q))
             # column ops clear the pivot row: the Schur complement, on the
-            # columns that hold row i, ascending (pivot columns are empty)
-            hits = [j2 for j2, c2 in enumerate(cols) if i in c2]
+            # columns that hold row i, ascending (pivot columns are empty);
+            # no later fill can bring row i back
+            hits = sorted({j2 for j2 in held[i] if i in cols[j2]})
+            held[i] = None
             # f * col[i] == c2[i]: row i leaves c2, the other rows update
             rest = [(i2, v) for i2, v in col.items() if i2 != i]
             for j2 in hits:
@@ -255,6 +261,7 @@ class _Factored:
                         if w:
                             c2[i2] = w
                             weight[i2] += 1
+                            held[i2].append(j2)
                     else:
                         w = (old - f * v) % n if n else old - f * v
                         if w:
@@ -443,6 +450,8 @@ def homology_segment(in_cols, out_cols, n, t_cols, cycles=False):
             raise NotAComplexError("d_out . d_in != 0 at column %d" % j)
         rel.append(coordinates(col))
     rel.extend({t: g} for t, (_, _, g) in enumerate(kernel) if 1 < g < n)
+    # callers pass d_in as a temporary: free it before the factorization
+    del in_cols
     hom = _Factored(rel, n, keep_v=False)
 
     # summands: the non-unit pivots of the Smith block in order, then

@@ -176,17 +176,26 @@ def alexander_quandle(ring, name=None):
 def quandle_standard(name):
     """Build T(n), R(n) or A(n;h) from its textual name."""
     s = name.strip()
+
+    def integer(text):
+        try:
+            return int(text)
+        except ValueError:
+            raise QuandleError("bad integer %r in quandle name %r"
+                               % (text, name)) from None
+
     if len(s) > 2 and s[1] == "(" and s.endswith(")"):
         kind, body = s[0].upper(), s[2:-1]
         if kind == "T":
-            return trivial_quandle(int(body))
+            return trivial_quandle(integer(body))
         if kind == "R":
-            return dihedral_quandle(int(body))
+            return dihedral_quandle(integer(body))
         if kind == "A":
             mod_text, _, h_text = body.partition(";")
             if not h_text:
                 raise QuandleError("A(n;h) needs a polynomial: %r" % name)
-            ring = coeff.AlexanderRing(int(mod_text), coeff.parse_poly(h_text))
+            ring = coeff.AlexanderRing(integer(mod_text),
+                                       coeff.parse_poly(h_text))
             return alexander_quandle(ring, name="A(%s;%s)" % (mod_text, h_text.strip()))
     raise QuandleError("unknown quandle name %r" % name)
 

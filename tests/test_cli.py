@@ -21,6 +21,14 @@ outer out
 """
 
 
+def _break_quandle_info(monkeypatch, exc):
+    """Make the `quandle info` handler raise exc."""
+    def handler(inputs):
+        raise exc
+    options = cli._COMMANDS["quandle info"][1]
+    monkeypatch.setitem(cli._COMMANDS, "quandle info", (handler, options))
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -300,6 +308,38 @@ class TestExitCodes:
                                       "--quandle", "@%s" % name])
         assert (code, out) == (2, "")
         assert err == "error: unknown quandle name %r\n" % text
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["quandle", "info", "--quandle", "R(x)"],
+         "'x' in quandle name 'R(x)'"),
+        (["quandle", "info", "--quandle", "A(x;T+1)"],
+         "'x' in quandle name 'A(x;T+1)'"),
+        (["quandle", "info", "--quandle", "T()"],
+         "'' in quandle name 'T()'"),
+        (["cocycle", "construct", "obstruction2", "--ambient", "Z9[T]/(T+1)",
+          "--sub", "3", "--quandle", "R(3)", "--eta", "0,,0"],
+         "'' in --eta '0,,0'"),
+    ])
+    def test_bad_integer_named(self, capsys, argv, bad):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: bad integer %s\n" % bad
+
+    @pytest.mark.parametrize("exc, line", [
+        (RuntimeError("broken\n  state"), "RuntimeError: broken state"),
+        (KeyError("x"), "KeyError: 'x'"),
+    ])
+    def test_internal_error_is_one_line(self, capsys, monkeypatch, exc, line):
+        _break_quandle_info(monkeypatch, exc)
+        code, out, err = run(capsys, ["quandle", "info", "--quandle", "R(3)"])
+        assert (code, out) == (70, "")
+        assert err == "internal error: %s\n" % line
+
+    def test_keyboard_interrupt_is_not_caught(self, capsys, monkeypatch):
+        _break_quandle_info(monkeypatch, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["quandle", "info", "--quandle", "R(3)"])
+        assert capsys.readouterr().out == ""
 
 
 _POLY_TEXT = st.one_of(

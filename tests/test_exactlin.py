@@ -203,6 +203,16 @@ class TestHomologySegment:
         assert info.invariant_factors == (0,)
         assert info.describe() == "Z"
 
+    def test_arguments_unchanged(self):
+        # mod 3, cycles x0 == x1, boundaries x0 == x1, x2 == 0: H = Z_3
+        in_cols = _cols([[1], [1], [0]], 3)
+        out_cols = _cols([[1, 2, 0]], 3)
+        t_cols = _cols([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 3)
+        copies = [[dict(c) for c in m] for m in (in_cols, out_cols, t_cols)]
+        info = homology_segment(in_cols, out_cols, 3, t_cols, cycles=True)
+        assert info.invariant_factors == (3,)
+        assert [in_cols, out_cols, t_cols] == copies
+
     def test_describe(self):
         assert ModuleInfo((), [], []).describe() == "0"
         assert ModuleInfo((2, 6), [], []).describe() == "Z_2 x Z_6"
@@ -420,3 +430,15 @@ class TestPivotRule:
         cols[9] = {0: 2, 1: 1}
         f = _Factored(cols, 5)
         assert f.diag[0] == (0, 3, 1)
+
+    def test_row_lost_and_regained_before_its_pivot(self):
+        # over Z: row 0's pivot cancels row 2 out of column 3, row 1's
+        # fills it back in, so column 3 is listed twice for row 2 beside
+        # the emptied columns 0 and 1; row 2's pivot (column 2, whose 2 is
+        # no unit) fills row 4 into column 3, which column 4 then clears
+        cols = [{0: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 4: 2},
+                {0: 1, 1: 1, 2: 1, 3: 2}, {4: 1, 5: 2}]
+        f = _Factored([dict(c) for c in cols], 0)
+        assert [(i, j) for i, j, _ in f.diag[:4]] == [(0, 0), (1, 1), (2, 2),
+                                                     (4, 4)]
+        assert (f.diag, f.rows, f.cols) == _reference_factor(cols, 6, 0)

@@ -31,7 +31,7 @@ from collections import namedtuple
 from . import VARIANTS
 from .coeff import RingError
 from .exactlin import ModuleInfo, homology_segment, solve_linear
-from .limits import check_limit, power
+from .limits import check_limit, integer, power
 
 __all__ = [
     "ComplexSpec",
@@ -492,10 +492,9 @@ def parse_cochain(ring, text, degree=None, size=None):
         lhs, sep, rhs = line.partition("->")
         if not sep:
             raise ValueError("missing '->' in cochain line %r" % raw)
-        try:
-            key = tuple(int(v) for v in lhs.strip().split(","))
-        except ValueError:
-            raise ValueError("bad cochain key in line %r" % raw) from None
+        key = tuple(integer(v, ValueError, "a cochain key",
+                            "bad cochain key in line %r", raw)
+                    for v in lhs.strip().split(","))
         if size is not None and not all(0 <= k < size for k in key):
             raise ValueError("cochain key %r is outside the quandle; the "
                              "quandle's elements are 0..%d" % (key, size - 1))

@@ -174,17 +174,12 @@ def _cmd_construct_lift(inputs):
 
 
 def _cmd_construct_obstruction2(inputs):
-    from . import cocycles, quandle
+    from . import cocycles, limits, quandle
     ses = _make_ses(inputs)
     x = _load_quandle(inputs["quandle"])
-    images = []
-    for v in inputs["eta"].split(","):
-        try:
-            images.append(int(v))
-        except ValueError:
-            raise ValueError("bad integer %r in --eta %r"
-                             % (v, inputs["eta"])) from None
-    eta = quandle.QuandleMap(x, ses.a_quandle, images)
+    eta = quandle.QuandleMap(x, ses.a_quandle, [
+        limits.integer(v, ValueError, "--eta", "bad integer %r in --eta %r",
+                       v, inputs["eta"]) for v in inputs["eta"].split(",")])
     phi = cocycles.obstruction_2cocycle(ses, x, eta)
     result = _construct_result(phi, x, ses.g_ring)
     result["quotient_labels"] = list(ses.a_quandle.labels)
@@ -270,14 +265,18 @@ def _cmd_invariant_surface(inputs):
 # -- catalog / verify-suite --------------------------------------------------
 
 def load_catalog(text=None):
+    from . import limits
     if text is None:
         from importlib import resources
         text = resources.files("twistq").joinpath(
             "data/catalog.json").read_text()
     try:
-        entries = json.loads(text)
+        entries = json.loads(text, parse_int=lambda token: limits.integer(
+            token, ValueError, "the catalog"))
     except RecursionError:
         raise ValueError("catalog is nested too deeply to read") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError("catalog is not JSON: %s" % exc) from None
     if not isinstance(entries, list):
         raise ValueError("catalog must be a JSON list of entries")
     for i, entry in enumerate(entries):

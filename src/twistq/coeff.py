@@ -15,7 +15,7 @@ not change the ideal), which makes reduction a plain division step.
 import math
 import re
 
-from .limits import LONG_DIGITS, check_limit
+from .limits import LONG_DIGITS, check_limit, integer
 
 __all__ = [
     "RingError",
@@ -209,23 +209,16 @@ def parse_poly(text):
     coeffs = {}
     pos = 0
     while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
-            raise RingError("cannot parse polynomial %r near %r" % (text, s[pos:]))
+        m = _TERM_RE.match(s, pos)  # every part is optional: never None
         sign, num, exp = m.groups()
-        frag = s[pos:m.end()]
-        if not num and "t" not in frag.lower() or pos and not sign:
+        has_t = "t" in s[pos:m.end()].lower()
+        if not num and not has_t or pos and not sign:
             raise RingError("cannot parse polynomial %r near %r" % (text, s[pos:]))
-        c = int(num) if num else 1
-        if sign == "-":
-            c = -c
-        if "t" in frag.lower():
-            e = int(exp) if exp is not None else 1
-        else:
-            e = 0
+        c = integer(num, RingError, "a polynomial") if num else 1
+        e = integer(exp, RingError, "a polynomial") if exp else int(has_t)
         if e < 0:
             raise RingError("negative powers of T not allowed in polynomial text")
-        coeffs[e] = coeffs.get(e, 0) + c
+        coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
         pos = m.end()
         while pos < len(s) and s[pos].isspace():
             pos += 1
@@ -263,7 +256,7 @@ def parse_ring(text):
     m = _RING_RE.match(text)
     if not m:
         raise RingError("cannot parse ring descriptor %r" % text)
-    n = int(m.group(1)) if m.group(1) else 0
+    n = integer(m.group(1) or "0", RingError, "a ring descriptor")
     return AlexanderRing(n, parse_poly(m.group(2)))
 
 

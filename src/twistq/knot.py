@@ -24,6 +24,7 @@ import re
 
 from .coeff import GroupRingElem, RingError
 from .chain import ComplexSpec, is_cocycle
+from .limits import integer
 
 __all__ = [
     "DiagramError",
@@ -170,13 +171,6 @@ class Diagram:
             self._declared_index[name] = fi
 
 
-def _int(text, raw):
-    try:
-        return int(text)
-    except ValueError:
-        raise DiagramError("bad integer %r in line %r" % (text, raw)) from None
-
-
 def parse_pd(text):
     """Parse a diagram file: crossing lines Xp[...]/Xn[...] plus the
     directives 'outer <face-id>', 'base <face-id>', 'mod <p>',
@@ -187,6 +181,11 @@ def parse_pd(text):
     mod_p = 0
     declared = {}
     overrides = {}
+
+    def number(token):  # in raw, the line being read
+        return integer(token, DiagramError, "a diagram line",
+                       "bad integer %r in line %r", token, raw)
+
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -203,17 +202,19 @@ def parse_pd(text):
         elif head == "base":
             base = rest.strip()
         elif head == "mod":
-            mod_p = _int(rest, raw)
+            mod_p = number(rest)
             if mod_p < 2:
                 raise DiagramError("mod needs p >= 2")
         elif head == "l":
             ci_text, _, val = rest.strip().partition(" ")
-            overrides[_int(ci_text, raw)] = _int(val, raw)
+            overrides[number(ci_text)] = number(val)
         elif head.startswith("face"):
             name, _, body = line[4:].partition(":")
             name = name.strip()
             if not name or not body.strip():
                 raise DiagramError("malformed face line %r" % raw)
+            if name in declared:
+                raise DiagramError("face %r is declared twice" % name)
             sides = []
             for tok in body.split():
                 sm = re.match(r"^(\w+)([LR])$", tok, re.IGNORECASE)
@@ -340,9 +341,11 @@ def _require_cocycle(x, ring, f, degree):
                            "condition at %r" % (degree, witness))
 
 
-def _weigh(cols, terms, ring, f):
-    """The weight sum_{(sign, L, cells)} sign * T^-L * f(colors of cells)
-    of each coloring, and the group-ring sum of their exponentials."""
+def _weigh(cols, terms, ring, f, canonical):
+    """(value, cols, weights): the weight sum_{(sign, L, cells)} sign *
+    T^-L * f(colors of cells) of each coloring in cols, and value the
+    group-ring sum of their exponentials, canonicalized under the
+    T-action when canonical."""
     value = GroupRingElem(ring)
     weights = []
     power = {L: ring.t_pow(ring.one(), -L) for L in {t[1] for t in terms}}
@@ -355,7 +358,7 @@ def _weigh(cols, terms, ring, f):
             w = ring.add(w, contrib) if sign > 0 else ring.sub(w, contrib)
         weights.append(w)
         value.add_term(w, 1)
-    return value, weights
+    return value.canonical_under_T() if canonical else value, cols, weights
 
 
 def state_sum(diagram, x, ring, phi):
@@ -384,11 +387,7 @@ def state_sum(diagram, x, ring, phi):
     # the weight pair is (arc the over-arc normal points away from, over-arc)
     terms = [(sign, lnum(ci), (a, d) if sign > 0 else (c, b))
              for ci, (sign, (a, b, c, d)) in enumerate(diagram.crossings)]
-    cols = colorings(diagram, x)
-    value, weights = _weigh(cols, terms, ring, phi)
-    if p:
-        value = value.canonical_under_T()
-    return value, cols, weights
+    return _weigh(colorings(diagram, x), terms, ring, phi, p)
 
 
 # -- knotted surface presentations ------------------------------------------
@@ -418,6 +417,11 @@ def parse_surface(text):
     """Parse 'sheets: a b c', 'rel: c = a * b' and
     'tp: sign=+1 L=0 x=a y=b z=c' lines."""
     sheets, rels, triples = [], [], []
+
+    def number(token):  # in raw, the line being read
+        return integer(token, DiagramError, "a surface line",
+                       "bad integer %r in line %r", token, raw)
+
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -438,8 +442,7 @@ def parse_surface(text):
                 k, _, v = tok.partition("=")
                 fields[k.lower()] = v
             try:
-                triples.append((_int(fields["sign"], raw),
-                                _int(fields["l"], raw),
+                triples.append((number(fields["sign"]), number(fields["l"]),
                                 fields["x"], fields["y"], fields["z"]))
             except KeyError as e:
                 raise DiagramError("triple point missing field %s" % e)
@@ -462,6 +465,4 @@ def state_sum_surface(sp, x, ring, theta):
     Returns (value, colorings, per_coloring)."""
     _require_cocycle(x, ring, theta, 3)
     terms = [(sign, L, (xx, yy, zz)) for sign, L, xx, yy, zz in sp.triples]
-    cols = surface_colorings(sp, x)
-    value, weights = _weigh(cols, terms, ring, theta)
-    return value.canonical_under_T(), cols, weights
+    return _weigh(surface_colorings(sp, x), terms, ring, theta, True)

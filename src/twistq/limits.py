@@ -3,6 +3,10 @@
 Each guard keeps its default in the module that uses it; an environment
 variable TWISTQ_MAX_* overrides the default and is read on every call,
 so a shell or a test can change it without a reload.
+
+Every integer of outside text is read by `integer`, which refuses a
+token of more than LONG_DIGITS characters before int() sees it, in one
+line that names the kind of input and the length but echoes no text.
 """
 
 import math
@@ -11,12 +15,25 @@ import os
 LONG_DIGITS = 4300  # str() refuses longer integers unless told otherwise
 
 
+def integer(token, error, what, message=None, *args):
+    """int(token), a token of the input `what`, or error(message % args)
+    (default "bad integer <token> in <what>") when int() rejects it."""
+    if len(token) > LONG_DIGITS:
+        raise error("integer of %d characters in %s (limit %d)"
+                    % (len(token), what, LONG_DIGITS))
+    try:
+        return int(token)
+    except ValueError:
+        raise error(message % args if message else
+                    "bad integer %r in %s" % (token, what)) from None
+
+
 def check_limit(size, var, default, error, what, *args):
     """Raise error("<what % args> (limit L; set <var>)") when size
     exceeds L, the integer in the environment variable var (default
     when it is unset).  what takes integers with %s: one too long for
     str() (over 4300 digits by default) shows as ~10^<log10, floored>."""
-    limit = int(os.environ.get(var, default))
+    limit = integer(os.environ.get(var, str(default)), error, var)
     if size > limit:
         shown = tuple(_decimal(a) if isinstance(a, int) else a for a in args)
         raise error("%s (limit %d; set %s)" % (what % shown, limit, var))

@@ -11,7 +11,7 @@ import math
 from operator import itemgetter
 
 from . import coeff
-from .limits import LONG_DIGITS, check_limit
+from .limits import LONG_DIGITS, check_limit, integer
 
 __all__ = [
     "QuandleError",
@@ -177,24 +177,21 @@ def quandle_standard(name):
     """Build T(n), R(n) or A(n;h) from its textual name."""
     s = name.strip()
 
-    def integer(text):
-        try:
-            return int(text)
-        except ValueError:
-            raise QuandleError("bad integer %r in quandle name %r"
-                               % (text, name)) from None
+    def number(text):
+        return integer(text, QuandleError, "a quandle name",
+                       "bad integer %r in quandle name %r", text, name)
 
     if len(s) > 2 and s[1] == "(" and s.endswith(")"):
         kind, body = s[0].upper(), s[2:-1]
         if kind == "T":
-            return trivial_quandle(integer(body))
+            return trivial_quandle(number(body))
         if kind == "R":
-            return dihedral_quandle(integer(body))
+            return dihedral_quandle(number(body))
         if kind == "A":
             mod_text, _, h_text = body.partition(";")
             if not h_text:
                 raise QuandleError("A(n;h) needs a polynomial: %r" % name)
-            ring = coeff.AlexanderRing(integer(mod_text),
+            ring = coeff.AlexanderRing(number(mod_text),
                                        coeff.parse_poly(h_text))
             return alexander_quandle(ring, name="A(%s;%s)" % (mod_text, h_text.strip()))
     raise QuandleError("unknown quandle name %r" % name)
@@ -309,22 +306,16 @@ def parse_quandle_table(text):
              if ln and not ln.startswith("#")]
     if not lines:
         raise QuandleError("empty quandle table")
-    try:
-        q = int(lines[0])
-    except ValueError:
-        raise QuandleError("first line must be the size, got %r" % lines[0])
+    q = integer(lines[0], QuandleError, "a quandle table",
+                "first line must be the size, got %r", lines[0])
     if q < 1:
         raise QuandleError("quandle table size must be >= 1, got %d" % q)
     _check_order(q)
     if len(lines) != q + 1:
         raise QuandleError("expected %d rows, got %d" % (q, len(lines) - 1))
-    table = []
-    for ln in lines[1:]:
-        try:
-            table.append([int(v) for v in ln.split()])
-        except ValueError:
-            raise QuandleError("bad table row %r" % ln) from None
-    return quandle_from_table(table)
+    return quandle_from_table(
+        [[integer(v, QuandleError, "a quandle table", "bad table row %r", ln)
+          for v in ln.split()] for ln in lines[1:]])
 
 
 def render_quandle_table(x):

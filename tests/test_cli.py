@@ -696,6 +696,129 @@ def test_unreadable_integer_names_its_line(capsys, tmp_path, argv, files,
     assert err == "error: %s\n" % reason
 
 
+def _run_on_files(capsys, tmp_path, argv, files):
+    """main(argv) with each {name} in argv the path of a file holding
+    files[name]; {ok} is an empty file."""
+    files = dict(files, ok="")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return run(capsys, [a.format(**{n: str(tmp_path / n) for n in files})
+                        for a in argv])
+
+
+_LONG = "1" * 5000
+_INVARIANT = ["invariant", "--pd", "{x}", "--cocycle", "{ok}"] + _R3
+_INVARIANT_SURFACE = ["invariant-surface", "--surface", "{x}",
+                      "--cocycle", "{ok}"] + _R3
+_VERIFY = ["cocycle", "verify", "--degree", "2", "--cocycle", "{x}"] + _R3
+# (argv, files, environment) with one 5000-digit integer each
+_LONG_INTEGERS = {
+    "dihedral-name": (["quandle", "info", "--quandle", "R(%s)" % _LONG],
+                      {}, {}),
+    "exponent": (["quandle", "info", "--quandle", "A(3;T^%s+1)" % _LONG],
+                 {}, {}),
+    "table-size": (["quandle", "info", "--quandle", "@{x}"],
+                   {"x": _LONG + "\n"}, {}),
+    "table-row": (["quandle", "info", "--quandle", "@{x}"],
+                  {"x": "2\n0 %s\n1 1\n" % _LONG}, {}),
+    "ring-modulus": (["homology", "--quandle", "R(3)", "--coeff",
+                      "Z%s[T]/(T+1)" % _LONG, "--degree", "2"], {}, {}),
+    "cochain-key": (_VERIFY, {"x": "%s,0 -> 1\n" % _LONG}, {}),
+    "cochain-value": (_VERIFY, {"x": "0,1 -> %s\n" % _LONG}, {}),
+    "pd-mod": (_INVARIANT, {"x": HOPF + "mod %s\n" % _LONG}, {}),
+    "pd-override": (_INVARIANT, {"x": HOPF + "L 0 %s\n" % _LONG}, {}),
+    "surface-field": (_INVARIANT_SURFACE, {
+        "x": "sheets: x y\ntp: sign=+1 L=%s x=x y=y z=x\n" % _LONG}, {}),
+    "eta": (["cocycle", "construct", "obstruction2", "--ambient",
+             "Z9[T]/(T+1)", "--sub", "3", "--quandle", "R(3)",
+             "--eta", _LONG], {}, {}),
+    "catalog": (["verify-suite", "--catalog", "{x}"],
+                {"x": '[{"id": %s}]' % _LONG}, {}),
+    "environment": (["homology", "--quandle", "R(3)", "--coeff",
+                     "Z3[T]/(T+1)", "--degree", "2"], {},
+                    {"TWISTQ_MAX_BASIS": _LONG}),
+}
+
+
+@pytest.fixture(params=["default", "unlimited"])
+def int_max_str_digits(request):
+    """Python's own limit on int() of text, as is or switched off."""
+    if request.param == "default":
+        yield
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python has no limit on int() of text")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("argv,files,env", _LONG_INTEGERS.values(),
+                         ids=_LONG_INTEGERS.keys())
+def test_long_integer_is_refused_without_echo(
+        capsys, tmp_path, monkeypatch, int_max_str_digits, argv, files, env):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    code, out, err = _run_on_files(capsys, tmp_path, argv, files)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert _LONG[:50] not in err
+    assert "integer of 5000 characters in " in err
+
+
+# refusals that no other test reaches, with their messages
+_REFUSALS = {
+    "unknown-base": (_INVARIANT, {"x": HOPF + "mod 2\nbase nowhere\n"},
+                     "unknown face id 'nowhere'"),
+    "region-named-twice": (_INVARIANT, {"x": HOPF + "face again: 3L\n"},
+                           "face 'again' duplicates another declared face"),
+    "face-line-twice": (_INVARIANT, {"x": HOPF + "face out: 1R\n"},
+                        "face 'out' is declared twice"),
+    "mod-1": (_INVARIANT, {"x": HOPF + "mod 1\n"}, "mod needs p >= 2"),
+    "face-without-name": (_INVARIANT, {"x": HOPF + "face : 3L\n"},
+                          "malformed face line 'face : 3L'"),
+    "relation-without-product": (_INVARIANT_SURFACE,
+                                 {"x": "sheets: x y\nrel: x = y\n"},
+                                 "malformed relation 'rel: x = y'"),
+    "unknown-surface-line": (_INVARIANT_SURFACE,
+                             {"x": "sheets: x y\nfoo: x\n"},
+                             "cannot parse surface line 'foo: x'"),
+    "unknown-sheet": (_INVARIANT_SURFACE,
+                      {"x": "sheets: x y\nrel: x = y * w\n"},
+                      "relation uses unknown sheet"),
+    "sign-3": (_INVARIANT_SURFACE,
+               {"x": "sheets: x y\ntp: sign=3 L=0 x=x y=y z=x\n"},
+               "triple point sign must be +-1"),
+    "table-not-square": (["quandle", "info", "--quandle", "@{x}"],
+                         {"x": "2\n0 0\n1\n"},
+                         "operation table is not square"),
+    "table-entry-out-of-range": (["quandle", "info", "--quandle", "@{x}"],
+                                 {"x": "2\n0 5\n1 1\n"},
+                                 "table entry 5 out of range"),
+    "T(0)": (["quandle", "info", "--quandle", "T(0)"], {},
+             "trivial quandle needs n >= 1"),
+    "R(0)": (["quandle", "info", "--quandle", "R(0)"], {},
+             "dihedral quandle needs n >= 1"),
+    "seed-keys-of-two-lengths": (
+        ["cocycle", "construct", "lift", "--seeds", "{x}"] + _R3,
+        {"x": "0,1 -> 1\n0,1,2 -> 1\n"},
+        "key (0, 1, 2) has wrong length for degree 2"),
+    "catalog-not-json": (["verify-suite", "--catalog", "{x}"], {"x": "[1, 2"},
+                         "catalog is not JSON: Expecting ',' delimiter: "
+                         "line 1 column 6 (char 5)"),
+}
+
+
+@pytest.mark.parametrize("argv,files,reason", _REFUSALS.values(),
+                         ids=_REFUSALS.keys())
+def test_refusal_names_its_input(capsys, tmp_path, argv, files, reason):
+    code, out, err = _run_on_files(capsys, tmp_path, argv, files)
+    assert (code, out, err) == (2, "", "error: %s\n" % reason)
+
+
 class TestVerifySuite:
     def test_bundled_catalog_passes(self, capsys):
         report = run_json(capsys, ["verify-suite"])

@@ -31,7 +31,7 @@ from collections import namedtuple
 from . import VARIANTS
 from .coeff import RingError
 from .exactlin import ModuleInfo, homology_segment, solve_linear
-from .limits import check_limit, integer, power
+from .limits import check_limit, integer, power, quote
 
 __all__ = [
     "ComplexSpec",
@@ -491,15 +491,18 @@ def parse_cochain(ring, text, degree=None, size=None):
             continue
         lhs, sep, rhs = line.partition("->")
         if not sep:
-            raise ValueError("missing '->' in cochain line %r" % raw)
+            raise ValueError("missing '->' in cochain line %s" % quote(raw))
         key = tuple(integer(v, ValueError, "a cochain key",
-                            "bad cochain key in line %r", raw)
+                            "bad cochain key in line %s", raw)
                     for v in lhs.strip().split(","))
         if size is not None and not all(0 <= k < size for k in key):
             raise ValueError("cochain key %r is outside the quandle; the "
                              "quandle's elements are 0..%d" % (key, size - 1))
         if out is None:
             out = Cochain(ring, degree if degree is not None else len(key))
+        elif degree is None and len(key) != out.degree:
+            raise ValueError("cochain key %r has %d entries, but the first "
+                             "key has %d" % (key, len(key), out.degree))
         out.add_term(key, ring.reduce(parse_poly(rhs.strip())))
     if out is None:
         if degree is None:

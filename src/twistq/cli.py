@@ -178,7 +178,7 @@ def _cmd_construct_obstruction2(inputs):
     ses = _make_ses(inputs)
     x = _load_quandle(inputs["quandle"])
     eta = quandle.QuandleMap(x, ses.a_quandle, [
-        limits.integer(v, ValueError, "--eta", "bad integer %r in --eta %r",
+        limits.integer(v, ValueError, "--eta", "bad integer %s in --eta %s",
                        v, inputs["eta"]) for v in inputs["eta"].split(",")])
     phi = cocycles.obstruction_2cocycle(ses, x, eta)
     result = _construct_result(phi, x, ses.g_ring)

@@ -15,7 +15,7 @@ not change the ideal), which makes reduction a plain division step.
 import math
 import re
 
-from .limits import LONG_DIGITS, check_limit, integer
+from .limits import LONG_DIGITS, check_limit, integer, quote
 
 __all__ = [
     "RingError",
@@ -213,7 +213,8 @@ def parse_poly(text):
         sign, num, exp = m.groups()
         has_t = "t" in s[pos:m.end()].lower()
         if not num and not has_t or pos and not sign:
-            raise RingError("cannot parse polynomial %r near %r" % (text, s[pos:]))
+            raise RingError("cannot parse polynomial %s near %s"
+                            % (quote(text), quote(s[pos:])))
         c = integer(num, RingError, "a polynomial") if num else 1
         e = integer(exp, RingError, "a polynomial") if exp else int(has_t)
         if e < 0:
@@ -224,7 +225,7 @@ def parse_poly(text):
             pos += 1
     deg = max(coeffs)
     check_limit(deg, "TWISTQ_MAX_DEGREE", _MAX_DEGREE, RingError,
-                "polynomial %r has degree %s", text, deg)
+                "polynomial %s has degree %s", quote(text), deg)
     return [coeffs.get(i, 0) for i in range(deg + 1)]
 
 
@@ -255,7 +256,7 @@ def parse_ring(text):
     """Parse a ring descriptor such as 'Z3[T]/(T+1)' or 'Z[T]/(T^2-1)'."""
     m = _RING_RE.match(text)
     if not m:
-        raise RingError("cannot parse ring descriptor %r" % text)
+        raise RingError("cannot parse ring descriptor %s" % quote(text))
     n = integer(m.group(1) or "0", RingError, "a ring descriptor")
     return AlexanderRing(n, parse_poly(m.group(2)))
 

@@ -18,13 +18,18 @@ contribution sign(tau) * T^{-L(tau)} * phi(x, y) where L is the number
 of the source region of tau, x the color of the arc away from which the
 normal of the over-arc points, and y the over-arc color; the state sum
 collects exp(total weight) over all colorings in the group ring Z[A].
+A coloring's weight is summed in plain integers from a table, one per
+(sign, L), of the vectors sign * T^-L * phi(x, y), each made on first
+use, and reduced once.  The coloring search reads the quandle's
+operation table and its inverse table.
 """
 
 import re
+from operator import itemgetter
 
 from .coeff import GroupRingElem, RingError
 from .chain import ComplexSpec, is_cocycle
-from .limits import integer
+from .limits import integer, quote
 
 __all__ = [
     "DiagramError",
@@ -78,13 +83,15 @@ class Diagram:
                 s = arcs[pos]
                 if s in self.heads:
                     raise DiagramError(
-                        "semiarc %r has two heads: orientation is ambiguous" % s)
+                        "semiarc %s has two heads: orientation is ambiguous"
+                        % quote(s))
                 self.heads[s] = (ci, pos)
             for pos in tails:
                 s = arcs[pos]
                 if s in self.tails:
                     raise DiagramError(
-                        "semiarc %r has two tails: orientation is ambiguous" % s)
+                        "semiarc %s has two tails: orientation is ambiguous"
+                        % quote(s))
                 self.tails[s] = (ci, pos)
         dangling = set(self.heads) ^ set(self.tails)
         if dangling:
@@ -136,7 +143,7 @@ class Diagram:
         left = self.face_of[(ct, pt)]
         right = self.face_of[(ct, (pt - 1) % 4)]
         if self.face_of[(ch, (ph - 1) % 4)] != left or self.face_of[(ch, ph)] != right:
-            raise DiagramError("inconsistent sides along semiarc %r" % s)
+            raise DiagramError("inconsistent sides along semiarc %s" % quote(s))
         return left, right
 
     def source_region(self, ci):
@@ -148,7 +155,7 @@ class Diagram:
     def _face_id_index(self, name):
         if self.declared_faces and name in self._declared_index:
             return self._declared_index[name]
-        raise DiagramError("unknown face id %r" % name)
+        raise DiagramError("unknown face id %s" % quote(name))
 
     def _check_declared_faces(self):
         """Each declared face is a list of edge-side tokens like '2R';
@@ -158,16 +165,18 @@ class Diagram:
             touched = set()
             for s, side in sides:
                 if s not in self.tails:
-                    raise DiagramError("face %r names semiarc %r, which the "
-                                       "diagram does not have" % (name, s))
+                    raise DiagramError("face %s names semiarc %s, which the "
+                                       "diagram does not have"
+                                       % (quote(name), quote(s)))
                 left, right = self.left_right_faces(s)
                 touched.add(left if side == "L" else right)
             if len(touched) != 1:
                 raise DiagramError(
-                    "face %r does not describe a single region" % name)
+                    "face %s does not describe a single region" % quote(name))
             fi = touched.pop()
             if fi in self._declared_index.values():
-                raise DiagramError("face %r duplicates another declared face" % name)
+                raise DiagramError("face %s duplicates another declared face"
+                                   % quote(name))
             self._declared_index[name] = fi
 
 
@@ -184,7 +193,7 @@ def parse_pd(text):
 
     def number(token):  # in raw, the line being read
         return integer(token, DiagramError, "a diagram line",
-                       "bad integer %r in line %r", token, raw)
+                       "bad integer %s in line %s", token, raw)
 
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -212,18 +221,18 @@ def parse_pd(text):
             name, _, body = line[4:].partition(":")
             name = name.strip()
             if not name or not body.strip():
-                raise DiagramError("malformed face line %r" % raw)
+                raise DiagramError("malformed face line %s" % quote(raw))
             if name in declared:
-                raise DiagramError("face %r is declared twice" % name)
+                raise DiagramError("face %s is declared twice" % quote(name))
             sides = []
             for tok in body.split():
                 sm = re.match(r"^(\w+)([LR])$", tok, re.IGNORECASE)
                 if not sm:
-                    raise DiagramError("bad edge-side token %r" % tok)
+                    raise DiagramError("bad edge-side token %s" % quote(tok))
                 sides.append((sm.group(1), sm.group(2).upper()))
             declared[name] = sides
         else:
-            raise DiagramError("cannot parse diagram line %r" % raw)
+            raise DiagramError("cannot parse diagram line %s" % quote(raw))
     bad = sorted(ci for ci in overrides if not 0 <= ci < len(crossings))
     if bad:
         raise DiagramError("L override names crossing %d, but the crossings "
@@ -281,15 +290,17 @@ def _colorings(cells, rels, x):
     col[b] for each (c, a, b) in rels, as dicts sorted by color tuple.
 
     Depth-first search on an explicit stack with an undo trail: a color
-    propagates through a * b (to c) and c / b (to a), and the search
-    branches on the uncolored cell sharing most relations with colored
-    cells."""
+    propagates through a * b (to c) and c / b (to a), read off x.table
+    and x.inv, and the search branches on the uncolored cell sharing
+    most relations with colored cells (the lowest such index on a tie)."""
     idx = {s: i for i, s in enumerate(cells)}
+    rels = [(idx[c], idx[a], idx[b]) for c, a, b in rels]
+    members = [tuple(set(rel)) for rel in rels]  # distinct cells of each
     touching = [[] for _ in cells]
-    for c, a, b in rels:
-        rel = (idx[c], idx[a], idx[b])
-        for i in set(rel):
+    for rel, cs in zip(rels, members):
+        for i in cs:
             touching[i].append(rel)
+    table, inv = x.table, x.inv
     colors = [None] * len(cells)
     found, trail = [], []
     stack = [(0, [])]   # (trail length to undo to, (cell, color) to set)
@@ -303,10 +314,13 @@ def _colorings(cells, rels, x):
                 colors[i] = v
                 trail.append(i)
                 for c, a, b in touching[i]:
-                    if colors[b] is not None and colors[a] is not None:
-                        queue.append((c, x.op(colors[a], colors[b])))
-                    elif colors[b] is not None and colors[c] is not None:
-                        queue.append((a, x.op_inv(colors[c], colors[b])))
+                    vb = colors[b]
+                    if vb is None:
+                        continue
+                    if colors[a] is not None:
+                        queue.append((c, table[colors[a]][vb]))
+                    elif colors[c] is not None:
+                        queue.append((a, inv[vb][colors[c]]))
             elif colors[i] != v:
                 break           # a contradiction: drop this branch
         else:
@@ -314,8 +328,15 @@ def _colorings(cells, rels, x):
             if not free:
                 found.append(tuple(colors))
                 continue
-            i = max(free, key=lambda k: sum(
-                any(colors[j] is not None for j in rel) for rel in touching[k]))
+            # score[k]: the relations at k that hold a colored cell
+            score = [0] * len(cells)
+            for cs in members:
+                for j in cs:
+                    if colors[j] is not None:
+                        for k in cs:
+                            score[k] += 1
+                        break
+            i = max(free, key=score.__getitem__)
             stack.extend((len(trail), [(i, v)]) for v in range(x.size))
     found.sort()
     return [dict(zip(cells, col)) for col in found]
@@ -345,17 +366,33 @@ def _weigh(cols, terms, ring, f, canonical):
     """(value, cols, weights): the weight sum_{(sign, L, cells)} sign *
     T^-L * f(colors of cells) of each coloring in cols, and value the
     group-ring sum of their exponentials, canonicalized under the
-    T-action when canonical."""
+    T-action when canonical.
+
+    Each term's vector sign * T^-L * f(key) is made once per (sign, L)
+    and key, on first use; a coloring's weight sums those vectors in
+    plain integers and is reduced once."""
     value = GroupRingElem(ring)
     weights = []
+    # every power up front, so an overlong T^-L is refused even when f
+    # is zero or no coloring exists
     power = {L: ring.t_pow(ring.one(), -L) for L in {t[1] for t in terms}}
+    made = {}   # (sign, L) -> {key: vector}
+    rows = [(made.setdefault((sign, L), {}), itemgetter(*cells), sign, L)
+            for sign, L, cells in terms]
     for col in cols:
-        w = ring.zero()
-        for sign, L, cells in terms:
-            contrib = f(tuple(col[s] for s in cells))
-            if L:
-                contrib = ring.mul(power[L], contrib)
-            w = ring.add(w, contrib) if sign > 0 else ring.sub(w, contrib)
+        vectors = []
+        for seen, key_of, sign, L in rows:
+            key = key_of(col)
+            vec = seen.get(key)
+            if vec is None:
+                vec = f(key)
+                if L:
+                    vec = ring.mul(power[L], vec)
+                if sign < 0:
+                    vec = tuple(-c for c in vec)
+                seen[key] = vec
+            vectors.append(vec)
+        w = ring.reduce([sum(c) for c in zip(*vectors)])
         weights.append(w)
         value.add_term(w, 1)
     return value.canonical_under_T() if canonical else value, cols, weights
@@ -420,7 +457,7 @@ def parse_surface(text):
 
     def number(token):  # in raw, the line being read
         return integer(token, DiagramError, "a surface line",
-                       "bad integer %r in line %r", token, raw)
+                       "bad integer %s in line %s", token, raw)
 
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -434,7 +471,7 @@ def parse_surface(text):
         elif head == "rel":
             m = re.match(r"^(\w+)\s*=\s*(\w+)\s*\*\s*(\w+)$", body)
             if not m:
-                raise DiagramError("malformed relation %r" % raw)
+                raise DiagramError("malformed relation %s" % quote(raw))
             rels.append((m.group(1), m.group(2), m.group(3)))
         elif head == "tp":
             fields = {}
@@ -447,7 +484,7 @@ def parse_surface(text):
             except KeyError as e:
                 raise DiagramError("triple point missing field %s" % e)
         else:
-            raise DiagramError("cannot parse surface line %r" % raw)
+            raise DiagramError("cannot parse surface line %s" % quote(raw))
     if not sheets:
         raise DiagramError("surface presentation has no sheets")
     return SurfacePresentation(sheets, rels, triples)

@@ -11,7 +11,7 @@ import math
 from operator import itemgetter
 
 from . import coeff
-from .limits import LONG_DIGITS, check_limit, integer
+from .limits import LONG_DIGITS, check_limit, integer, quote
 
 __all__ = [
     "QuandleError",
@@ -63,19 +63,19 @@ class FiniteQuandle:
         self.name = name
         self._validate()
         # inverse operation: inv[b][c] = a with a * b == c
-        self._inv = []
+        self.inv = []
         for b in range(self.size):
             col = [None] * self.size
             for a in range(self.size):
                 col[self.table[a][b]] = a
-            self._inv.append(col)
+            self.inv.append(col)
 
     def op(self, a, b):
         return self.table[a][b]
 
     def op_inv(self, c, b):
         """The unique a with a * b == c."""
-        return self._inv[b][c]
+        return self.inv[b][c]
 
     def elements(self):
         return range(self.size)
@@ -179,7 +179,7 @@ def quandle_standard(name):
 
     def number(text):
         return integer(text, QuandleError, "a quandle name",
-                       "bad integer %r in quandle name %r", text, name)
+                       "bad integer %s in quandle name %s", text, name)
 
     if len(s) > 2 and s[1] == "(" and s.endswith(")"):
         kind, body = s[0].upper(), s[2:-1]
@@ -190,11 +190,11 @@ def quandle_standard(name):
         if kind == "A":
             mod_text, _, h_text = body.partition(";")
             if not h_text:
-                raise QuandleError("A(n;h) needs a polynomial: %r" % name)
+                raise QuandleError("A(n;h) needs a polynomial: %s" % quote(name))
             ring = coeff.AlexanderRing(number(mod_text),
                                        coeff.parse_poly(h_text))
             return alexander_quandle(ring, name="A(%s;%s)" % (mod_text, h_text.strip()))
-    raise QuandleError("unknown quandle name %r" % name)
+    raise QuandleError("unknown quandle name %s" % quote(name))
 
 
 def quandle_product(x, y):
@@ -307,14 +307,14 @@ def parse_quandle_table(text):
     if not lines:
         raise QuandleError("empty quandle table")
     q = integer(lines[0], QuandleError, "a quandle table",
-                "first line must be the size, got %r", lines[0])
+                "first line must be the size, got %s", lines[0])
     if q < 1:
         raise QuandleError("quandle table size must be >= 1, got %d" % q)
     _check_order(q)
     if len(lines) != q + 1:
         raise QuandleError("expected %d rows, got %d" % (q, len(lines) - 1))
     return quandle_from_table(
-        [[integer(v, QuandleError, "a quandle table", "bad table row %r", ln)
+        [[integer(v, QuandleError, "a quandle table", "bad table row %s", ln)
           for v in ln.split()] for ln in lines[1:]])
 
 

@@ -769,6 +769,30 @@ def test_long_integer_is_refused_without_echo(
     assert "integer of 5000 characters in " in err
 
 
+_TERMS = "T" + "+T" * 19999 + "+x"  # 20,000 terms, the last one bad
+# (argv, files, the longest reason allowed) of inputs whose refusal
+# would echo a long text or integer whole
+_LONG_TEXTS = {
+    "order-of-4300-digits": (["quandle", "info", "--quandle",
+                              "R(%s)" % _LONG[:4300]], {}, 200),
+    "polynomial": (["quandle", "info", "--quandle", "A(3;%s)" % _TERMS],
+                   {}, 300),
+    "pd-line": (_INVARIANT, {"x": HOPF + "Xp[%s]\n" % ",".join(_LONG)},
+                300),
+    "cochain-line": (_VERIFY, {"x": "0,1 %s\n" % _TERMS}, 300),
+    "cochain-value": (_VERIFY, {"x": "0,1 -> %s\n" % _TERMS}, 300),
+}
+
+
+@pytest.mark.parametrize("argv,files,longest", _LONG_TEXTS.values(),
+                         ids=_LONG_TEXTS.keys())
+def test_long_text_is_refused_in_one_short_line(capsys, tmp_path, argv,
+                                                files, longest):
+    code, out, err = _run_on_files(capsys, tmp_path, argv, files)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < longest, err[:400]
+
+
 # refusals that no other test reaches, with their messages
 _REFUSALS = {
     "unknown-base": (_INVARIANT, {"x": HOPF + "mod 2\nbase nowhere\n"},
@@ -805,7 +829,7 @@ _REFUSALS = {
     "seed-keys-of-two-lengths": (
         ["cocycle", "construct", "lift", "--seeds", "{x}"] + _R3,
         {"x": "0,1 -> 1\n0,1,2 -> 1\n"},
-        "key (0, 1, 2) has wrong length for degree 2"),
+        "cochain key (0, 1, 2) has 3 entries, but the first key has 2"),
     "catalog-not-json": (["verify-suite", "--catalog", "{x}"], {"x": "[1, 2"},
                          "catalog is not JSON: Expecting ',' delimiter: "
                          "line 1 column 6 (char 5)"),

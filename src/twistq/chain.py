@@ -13,25 +13,28 @@ terms from the boundary.
 
 One pass over the quandle table, _faces, evaluates this formula: it
 streams source tuples and gives each one's 2n - 1 faces as terms
-(c_0 + c_1 T) target, unmerged.  Everything that needs the boundary reads
-that pass: `boundary`, which lets the chain sum the terms; `delta`, which
-sums c_0 v + c_1 T v over a table of f's values v and T v, one integer
-list per source; and `_columns`, which merges each source's terms into
-d x d blocks (d the ring degree over Z_n) and gives the engine d_n and
-delta^{n-1} as column dicts over Z_n: delta^{n-1} is d_n's blocks,
-signed by (-1)^n and transposed.  The T-action is built from the same
-blocks.  For TQ the column builder keeps the targets in its basis and
-`boundary` the non-degenerate ones, while `delta` reads a cochain on
-every target, degenerate or not.
+(c_0 + c_1 T) target, unmerged.  Two consumers read that pass:
+`boundary`, which lets the chain sum the terms, and `_columns`, which
+merges each source's terms into d x d blocks (d the ring degree over
+Z_n) and gives the engine d_n and delta^{n-1} as column dicts over Z_n:
+delta^{n-1} is d_n's blocks, signed by (-1)^n and transposed.  The
+T-action is built from the same blocks.  `delta`, which a cocycle check
+runs over a whole basis, evaluates the formula for every source at once
+instead: each face is one flat list over all tuples, indexed by their
+base-|X| digits, and the faces are summed entry by entry.  For TQ the
+column builder keeps the targets in its basis and `boundary` the
+non-degenerate ones, while `delta` reads a cochain on every target,
+degenerate or not.
 """
 
 import itertools
 from collections import namedtuple
+from operator import add, sub
 
 from . import VARIANTS
 from .coeff import RingError
 from .exactlin import ModuleInfo, homology_segment, solve_linear
-from .limits import check_limit, integer, power, quote
+from .limits import check_limit, integer, power, quote, quote_key
 
 __all__ = [
     "ComplexSpec",
@@ -89,8 +92,8 @@ class _FormalSum:
     def add_term(self, key, v):
         key = tuple(int(k) for k in key)
         if len(key) != self.degree:
-            raise ValueError("key %r has wrong length for degree %d"
-                             % (key, self.degree))
+            raise ValueError("key %s has wrong length for degree %d"
+                             % (quote_key(key), self.degree))
         s = self.ring.add(self.values.get(key, self.ring.zero()), v)
         if self.ring.is_zero(s):
             self.values.pop(key, None)
@@ -126,13 +129,20 @@ def is_degenerate(key):
     return any(key[i] == key[i + 1] for i in range(len(key) - 1))
 
 
+def _basis_size(q, n):
+    """q^n, the number of n-tuples of a quandle of order q, refused past
+    TWISTQ_MAX_BASIS."""
+    count = power(q, n)
+    check_limit(count, "TWISTQ_MAX_BASIS", _MAX_BASIS, RingError,
+                "degree-%s basis has %s tuples", n, count)
+    return count
+
+
 def basis_tuples(x, n, variant):
     """Basis tuples for the degree-n group, in lexicographic order."""
     if n == 0:
         return [] if variant == "TD" else [()]
-    count = power(x.size, n)
-    check_limit(count, "TWISTQ_MAX_BASIS", _MAX_BASIS, RingError,
-                "degree-%s basis has %s tuples", n, count)
+    _basis_size(x.size, n)
     if variant == "TR":
         return list(itertools.product(range(x.size), repeat=n))
     if variant == "TD":
@@ -300,31 +310,69 @@ def cohomology(spec):
 def delta(spec, f):
     """Coboundary of a degree-n cochain; the result has degree n + 1.
     For TQ it also reads f on degenerate tuples, where a TQ cocycle is
-    zero."""
+    zero.
+
+    (delta f)(c) = (-1)^(n+1) f(d c), over flat lists: a tuple is its
+    base-q index (q the order of the quandle), so index order is
+    lexicographic order, and each coefficient of f's values v and of T v
+    is one list of length q^n.  Over all q^(n+1) sources each face of d
+    is one list: (1 - T) v repeated q times; for each i >= 2, T v without
+    x_i, each head's block repeated q times, and v with the head
+    (x_1, ..., x_{i-1}) acted on by x_i, blocks gathered through `heads`.
+    The faces are summed entry by entry and reduced once."""
     if f.degree != spec.degree:
         raise ValueError("cochain degree %d != spec degree %d"
                          % (f.degree, spec.degree))
-    ring, n = spec.ring, spec.degree
-    d, m = ring.degree, ring.modulus
-    # (delta f)(c) = (-1)^(n+1) f(d c): each value of f as the 2d
-    # coefficients of v and T v, signed, so a face (t, c0, c1) adds
-    # c0 v + c1 T v with no ring arithmetic
-    sign = 1 if n % 2 else -1
-    table = {t: [sign * a for a in v + ring.t_act(v)]
-             for t, v in f.values.items()}
+    x, ring, n = spec.x, spec.ring, spec.degree
+    q, d, m = x.size, ring.degree, ring.modulus
+    _basis_size(q, n + 1)  # refused before any list is made
     out = Cochain(ring, n + 1)
-    for key, terms in _faces(spec.x, basis_tuples(spec.x, n + 1,
-                                                   spec.variant)):
-        acc = [0] * d
-        for t, c0, c1 in terms:
-            w = table.get(t)
-            if w is not None:
-                for k in range(d):
-                    acc[k] += c0 * w[k] + c1 * w[d + k]
-        if m:
-            acc = [a % m for a in acc]
-        if any(acc):
-            out.add_term(key, tuple(acc))
+    if n == 0:
+        return out
+    low = q ** n
+    v = [list(c) for c in zip(*map(
+        f.values.get, itertools.product(range(q), repeat=n),
+        itertools.repeat(ring.zero())))]
+    # T v = (0, v_0, ..., v_{d-2}) - v_{d-1} h for the monic h, unreduced
+    tv = [[-c * a for a in v[-1]] if k == 0 else
+          [b - c * a for a, b in zip(v[-1], v[k - 1])]
+          for k, c in enumerate(ring.h[:d])]
+    # heads[i - 1][h q + c]: the index of the head h of length i acted on
+    # by c, each prefix length made from the one before
+    heads = [list(itertools.chain.from_iterable(x.table))]
+    for _ in range(n - 1):
+        prev, nxt = heads[-1], []
+        for h in range(0, len(prev), q):
+            base = [p * q for p in prev[h:h + q]]
+            for row in x.table:
+                nxt.extend(map(add, base, row))
+        heads.append(nxt)
+    sign = 1 if n % 2 else -1
+    accs = []
+    for vk, tk in zip(v, tv):
+        # signed[e] == (e v, e T v)
+        signed = {1: (vk, tk), -1: ([-a for a in vk], [-a for a in tk])}
+        pv, pt = signed[sign]
+        faces = [list(map(sub, pv, pt)) * q]
+        for i in range(1, n + 1):
+            r = q ** (n - i)  # entries after the one dropped or acting
+            e = sign if i % 2 else -sign
+            dropped, acted = signed[e][1], signed[-e][0]
+            faces.append(itertools.chain.from_iterable(
+                [dropped[h:h + r] * q for h in range(0, low, r)]))
+            faces.append(map(acted.__getitem__, heads[i - 1]) if r == 1 else
+                         itertools.chain.from_iterable(
+                             [acted[p * r:p * r + r] for p in heads[i - 1]]))
+        acc = list(map(sum, zip(*faces)))
+        accs.append(list(map(m.__rmod__, acc)) if m else acc)  # a % m
+    nonzero = accs[0] if d == 1 else list(map(any, zip(*accs)))
+    tr, td = spec.variant == "TR", spec.variant == "TD"
+    for key, value in zip(
+            itertools.compress(itertools.product(range(q), repeat=n + 1),
+                               nonzero),
+            itertools.compress(zip(*accs), nonzero)):
+        if tr or is_degenerate(key) == td:
+            out.values[key] = value
     return out
 
 
@@ -496,13 +544,15 @@ def parse_cochain(ring, text, degree=None, size=None):
                             "bad cochain key in line %s", raw)
                     for v in lhs.strip().split(","))
         if size is not None and not all(0 <= k < size for k in key):
-            raise ValueError("cochain key %r is outside the quandle; the "
-                             "quandle's elements are 0..%d" % (key, size - 1))
+            raise ValueError("cochain key %s is outside the quandle; the "
+                             "quandle's elements are 0..%d"
+                             % (quote_key(key), size - 1))
         if out is None:
             out = Cochain(ring, degree if degree is not None else len(key))
         elif degree is None and len(key) != out.degree:
-            raise ValueError("cochain key %r has %d entries, but the first "
-                             "key has %d" % (key, len(key), out.degree))
+            raise ValueError("cochain key %s has %d entries, but the first "
+                             "key has %d"
+                             % (quote_key(key), len(key), out.degree))
         out.add_term(key, ring.reduce(parse_poly(rhs.strip())))
     if out is None:
         if degree is None:

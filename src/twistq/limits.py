@@ -8,8 +8,10 @@ Every integer of outside text is read by `integer`, which refuses a
 token of more than LONG_DIGITS characters before int() sees it, in one
 line that names the kind of input and the length but echoes no text.
 A refusal shows outside text through `quote`, which cuts a long text to
-a prefix and its length, and an integer of more than SHORT_DIGITS digits
-as ~10^k, so no message grows with its input.
+a prefix and its length, a key of integers read from it (a cochain's
+tuple) through `quote_key`, which does the same to the key's repr, and
+an integer of more than SHORT_DIGITS digits as ~10^k, so no message
+grows with its input.
 """
 
 import math
@@ -26,6 +28,17 @@ def quote(text):
     if len(text) <= QUOTE_CHARS:
         return repr(text)
     return "%r... (%d characters)" % (text[:QUOTE_CHARS], len(text))
+
+
+def quote_key(key):
+    """repr(key), or for a key whose repr is longer than QUOTE_CHARS
+    characters the first QUOTE_CHARS of it and '... (length <len(key)>)'.
+    Only the first QUOTE_CHARS entries are rendered: each takes at least
+    one character."""
+    text = repr(key[:QUOTE_CHARS])
+    if len(key) <= QUOTE_CHARS and len(text) <= QUOTE_CHARS:
+        return text
+    return "%s... (length %d)" % (text[:QUOTE_CHARS], len(key))
 
 
 def integer(token, error, what, message=None, *args):

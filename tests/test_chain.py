@@ -2,8 +2,10 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,8 +13,9 @@ import twistq
 from twistq.coeff import AlexanderRing, parse_ring
 from twistq.chain import (Chain, Cochain, ComplexSpec, VARIANTS, boundary,
                           brute_force_homology, cohomology, delta, homology,
-                          is_cocycle, is_coboundary, basis_tuples, pair,
-                          parse_cochain, render_cochain, _t_columns)
+                          is_cocycle, is_coboundary, is_degenerate,
+                          basis_tuples, pair, parse_cochain, render_cochain,
+                          _faces, _t_columns)
 from twistq.quandle import (alexander_quandle, dihedral_quandle,
                             quandle_standard, trivial_quandle)
 
@@ -102,6 +105,91 @@ class TestComplexProperty:
                         df = delta(s, f)
                         ddf = delta(spec(x, ring, variant, n + 1), df)
                         assert ddf.is_zero()
+
+
+def reference_delta(spec, f):
+    """chain.delta as one pass of _faces over the degree-(n + 1) basis,
+    each source's faces summed in plain integers and reduced."""
+    ring, n = spec.ring, spec.degree
+    d, m = ring.degree, ring.modulus
+    sign = 1 if n % 2 else -1
+    table = {t: [sign * a for a in v + ring.t_act(v)]
+             for t, v in f.values.items()}
+    out = Cochain(ring, n + 1)
+    for key, terms in _faces(spec.x, basis_tuples(spec.x, n + 1,
+                                                   spec.variant)):
+        acc = [0] * d
+        for t, c0, c1 in terms:
+            w = table.get(t)
+            if w is not None:
+                for k in range(d):
+                    acc[k] += c0 * w[k] + c1 * w[d + k]
+        if m:
+            acc = [a % m for a in acc]
+        if any(acc):
+            out.add_term(key, tuple(acc))
+    return out
+
+
+def reference_is_cocycle(spec, f, df):
+    """chain.is_cocycle given df = reference_delta(spec, f)."""
+    if spec.variant == "TQ":
+        for key, v in f.values.items():
+            if is_degenerate(key) and not spec.ring.is_zero(v):
+                return False, key
+    return (True, None) if df.is_zero() else (False, df.support()[0])
+
+
+_DELTA_QUANDLES = [trivial_quandle(1), trivial_quandle(2),
+                   dihedral_quandle(3), dihedral_quandle(4),
+                   dihedral_quandle(5), quandle_standard("A(2;T^2+T+1)")]
+_DELTA_RINGS = [parse_ring(r) for r in (
+    "Z3[T]/(T+1)", "Z4[T]/(T+1)", "Z9[T]/(T+1)", "Z[T]/(T+1)",
+    "Z2[T]/(T^2+T+1)", "Z[T]/(T^2-1)", "Z[T]/(T^3-2T+1)")]
+
+
+def _random_cochain(ring, x, n, rng):
+    """Values on about half of all n-tuples, degenerate ones included;
+    over Z negative and 100-bit ones.  One key lies outside the quandle."""
+    f = Cochain(ring, n)
+    for key in itertools.product(range(x.size), repeat=n):
+        if rng.random() < 0.5:
+            f.add_term(key, tuple(
+                rng.randrange(ring.modulus) if ring.modulus
+                else rng.randrange(-2 ** 100, 2 ** 100)
+                for _ in range(ring.degree)))
+    if n:
+        f.add_term((x.size,) * n, ring.one())
+    return f
+
+
+class TestDeltaAgainstReference:
+    def test_values_order_and_witness(self):
+        rng = random.Random(18)
+        checked = 0
+        for x in _DELTA_QUANDLES:
+            for i, ring in enumerate(_DELTA_RINGS):
+                for j, variant in enumerate(VARIANTS):
+                    for n in range(0, 5):
+                        # over 500 sources: each ring in one variant
+                        if x.size ** (n + 1) > 500 and (i - j - n) % 3:
+                            continue
+                        s = spec(x, ring, variant, n)
+                        f = _random_cochain(ring, x, n, rng)
+                        got, want = delta(s, f), reference_delta(s, f)
+                        where = (x.name, ring.descriptor(), variant, n)
+                        assert got.values == want.values, where
+                        assert list(got.values) == list(want.values), where
+                        assert is_cocycle(s, f) == \
+                            reference_is_cocycle(s, f, want), where
+                        if n < 4:  # a coboundary is a cocycle
+                            g = Cochain(ring, n, {
+                                k: v for k, v in f.values.items()
+                                if variant != "TQ" or not is_degenerate(k)})
+                            assert is_cocycle(s.at_degree(n + 1),
+                                              delta(s, g)) == (True, None)
+                        checked += 1
+        assert checked >= 300
 
 
 class TestHomology:
@@ -296,6 +384,23 @@ class TestGuards:
         monkeypatch.setattr(chain_mod, "_MAX_BASIS", 10)
         with pytest.raises(Exception, match="TWISTQ_MAX_BASIS"):
             basis_tuples(dihedral_quandle(4), 3, "TR")
+
+    def test_delta_guard_comes_before_its_lists(self, monkeypatch):
+        import twistq.chain as chain_mod
+        x = dihedral_quandle(30)
+        s = spec(x, R3, "TR", 3)  # 810,000 sources
+        f = Cochain(R3, 3, {(0, 1, 2): R3.one()})
+        monkeypatch.setattr(chain_mod, "_MAX_BASIS", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Exception) as refused:
+                delta(s, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == ("degree-4 basis has 810000 tuples "
+                                      "(limit 1000; set TWISTQ_MAX_BASIS)")
+        assert peak < 100_000  # one list of 810,000 entries takes 6.5 MB
 
     def test_brute_guard(self):
         s = spec(dihedral_quandle(3), R3, "TR", 3)

@@ -770,6 +770,8 @@ def test_long_integer_is_refused_without_echo(
 
 
 _TERMS = "T" + "+T" * 19999 + "+x"  # 20,000 terms, the last one bad
+_KEY = ",".join(["0"] * 5000)  # a cochain key of 5000 entries
+_LONG_KEY = ",".join([_LONG[:4000]] * 2)  # two 4000-digit entries
 # (argv, files, the longest reason allowed) of inputs whose refusal
 # would echo a long text or integer whole
 _LONG_TEXTS = {
@@ -781,6 +783,12 @@ _LONG_TEXTS = {
                 300),
     "cochain-line": (_VERIFY, {"x": "0,1 %s\n" % _TERMS}, 300),
     "cochain-value": (_VERIFY, {"x": "0,1 -> %s\n" % _TERMS}, 300),
+    "key-of-wrong-length": (_VERIFY, {"x": "%s -> 1\n" % _KEY}, 300),
+    "key-outside-the-quandle": (_VERIFY, {"x": "%s -> 1\n" % _LONG_KEY},
+                                300),
+    "key-of-another-length": (
+        ["cocycle", "construct", "lift", "--seeds", "{x}"] + _R3,
+        {"x": "0,1 -> 1\n%s -> 1\n" % _KEY}, 300),
 }
 
 

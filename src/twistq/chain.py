@@ -415,18 +415,42 @@ def pair(spec, f, c):
 # -- brute-force oracle ----------------------------------------------------
 
 def _subgroup_closure(gens, modulus):
-    """All elements of the subgroup of Z_m^k generated by `gens`."""
-    zero = tuple(0 for _ in gens[0]) if gens else ()
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        base = frontier.pop()
-        for g in gens:
-            nxt = tuple((a + b) % modulus for a, b in zip(base, g))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+    """All elements of the subgroup of Z_m^k generated by `gens`.  With B
+    the subgroup generated so far and t the least t > 0 with t g in B,
+    adding g adds the cosets B + s g, 0 < s < t."""
+    group = {(0,) * len(gens[0]) if gens else ()}
+    for g in gens:
+        multiples = [(0,) * len(g)]
+        while (sg := tuple((a + b) % modulus
+                           for a, b in zip(multiples[-1], g))) not in group:
+            multiples.append(sg)
+        group |= {tuple((a + b) % modulus for a, b in zip(h, sg))
+                  for sg in multiples[1:] for h in group}
+    return group
+
+
+def _cycles(cols, m):
+    """Every chain over Z_m that the column dicts `cols` map to 0, in
+    lexicographic order: each chain on the first half of the coordinates
+    joined to the chains on the rest filed under the negative of its image."""
+    rows = max((max(c) + 1 for c in cols if c), default=0)
+
+    def chains(part):
+        """Each chain on these coordinates with its image, as tuples."""
+        level = [((), (0,) * rows)]
+        for col in part:
+            dense = [col.get(i, 0) for i in range(rows)]
+            level = [(c + (a,), tuple((u + a * v) % m
+                                      for u, v in zip(img, dense)))
+                     for c, img in level for a in range(m)]
+        return level
+
+    h, cancels = len(cols) // 2, {}
+    for c, img in chains([{i: -v % m for i, v in col.items()}
+                          for col in cols[h:]]):
+        cancels.setdefault(img, []).append(c)
+    return [a + b for a, img in chains(cols[:h])
+            for b in cancels.get(img, ())]
 
 
 def _factor(n):
@@ -481,41 +505,32 @@ def _abelian_invariants(order, torsion_count):
 def brute_force_homology(spec):
     """Homology by full enumeration of the (small) middle chain group.
 
-    Independent of the elimination engine: cycles Z are found by testing
-    every chain, boundaries B by subgroup closure, and the group
-    structure of H = Z / B by torsion counting, #{h : q h == 0} being
-    #{z in Z : q z in B} / |B|.  Only usable for finite coefficients and
-    small chain groups (TWISTQ_MAX_BRUTE).
+    Independent of the elimination engine: cycles Z are matched by
+    half-images (_cycles), boundaries B closed a coset at a time, and the
+    group structure of H = Z / B found by torsion counting,
+    #{h : q h == 0} being #{z in Z : q z in B} / |B|.  Only usable for
+    finite coefficients and small chain groups (TWISTQ_MAX_BRUTE).
     """
     ring, n = spec.ring, spec.degree
     if ring.modulus == 0:
         raise RingError("brute-force oracle needs finite coefficients")
     m = ring.modulus
-    basis = basis_tuples(spec.x, n, spec.variant)
-    k = len(basis) * ring.degree
+    k = len(basis_tuples(spec.x, n, spec.variant)) * ring.degree
     total = m ** k
     check_limit(total, "TWISTQ_MAX_BRUTE", _MAX_BRUTE, RingError,
                 "chain group has %s elements", total)
     out_cols = _columns(spec)
     in_cols = _columns(spec.at_degree(n + 1))
 
-    cycles = []
-    for vec in itertools.product(range(m), repeat=k):
-        img = {}
-        for col, a in zip(out_cols, vec):
-            if a:
-                for i, v in col.items():
-                    img[i] = (img.get(i, 0) + a * v) % m
-        if not any(img.values()):
-            cycles.append(vec)
-
+    cycles = _cycles(out_cols, m)
     bcols = [tuple(col.get(i, 0) for i in range(k)) for col in in_cols if col]
     boundaries = _subgroup_closure(bcols, m) if bcols else {(0,) * k}
     if not boundaries <= set(cycles):
         raise RuntimeError("a boundary is not a cycle")
 
     def torsion_count(q):
-        c = sum(1 for z in cycles if tuple(q * a % m for a in z) in boundaries)
+        times_q = [q * a % m for a in range(m)]
+        c = sum(tuple([times_q[a] for a in z]) in boundaries for z in cycles)
         if c % len(boundaries):
             raise RuntimeError("%d cycles z have %d z in B, not a multiple "
                                "of |B| = %d" % (c, q, len(boundaries)))

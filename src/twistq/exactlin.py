@@ -28,7 +28,6 @@ columns, so keeping it costs one append per entry and per fill.
 """
 
 import math
-from collections import defaultdict
 
 __all__ = [
     "solve_linear",
@@ -48,14 +47,27 @@ class NotAComplexError(ValueError):
 # x[i], (i, j) swaps x[i] and x[j], (i,) negates x[i].  A list of them,
 # [E_1, ..., E_k], stands for the product E_k ... E_1.
 
+
+class _Sparse(dict):
+    """A sparse vector {index: value}: a missing entry reads as 0, and the
+    read inserts nothing, so the keys stay close to the nonzero entries."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return 0
+
+
 def _apply(ops, x, n, inverse=False):
     """x <- E_k ... E_1 x, or E_1^-1 ... E_k^-1 x with inverse; changed
     entries are reduced mod n.  An add from a zero entry is skipped, so x
-    may be a dense list or a sparse defaultdict(int)."""
+    may be a dense list or a _Sparse.  A _Sparse's sources are read with
+    get: most are missing, and __missing__ would cost a call for each."""
+    get = x.get if isinstance(x, dict) else x.__getitem__
     for op in reversed(ops) if inverse else ops:
         if len(op) == 3:
             i, j, q = op
-            v = x[j]
+            v = get(j)
             if v:
                 v = x[i] - q * v if inverse else x[i] + q * v
                 x[i] = v % n if n else v
@@ -423,7 +435,7 @@ def homology_segment(in_cols, out_cols, n, t_cols, cycles=False):
         """Cycle coordinates {t: value} of the cycle x ({row: value}),
         ascending when x's rows are: `rel`'s pivot tie-break reads them."""
         if cyc.core_cols:
-            x = _apply(cyc.core_cols, defaultdict(int, x), n)
+            x = _apply(cyc.core_cols, _Sparse(x), n)
         out = {}
         for i, v in x.items():
             t = where.get(i)
@@ -461,7 +473,7 @@ def homology_segment(in_cols, out_cols, n, t_cols, cycles=False):
     summands.extend((t, n) for t in range(len(kernel)) if t not in pivot_rows)
 
     factors = [g for _, g in summands]
-    gens = [chain_vector(_apply(hom.rows, defaultdict(int, {t: 1}), n,
+    gens = [chain_vector(_apply(hom.rows, _Sparse({t: 1}), n,
                                  inverse=True))
             for t, _ in summands]
     t_action = [[0] * len(gens) for _ in gens]
@@ -469,7 +481,7 @@ def homology_segment(in_cols, out_cols, n, t_cols, cycles=False):
         tv = _image(t_cols, {i: x for i, x in enumerate(g) if x}, n)
         if _image(out_cols, tv, n):
             raise NotAComplexError("T-action does not preserve cycles")
-        s = _apply(hom.rows, defaultdict(int, coordinates(tv)), n)
+        s = _apply(hom.rows, _Sparse(coordinates(tv)), n)
         for row, (t, d) in enumerate(summands):
             t_action[row][col] = s[t] % d if d else s[t]
 

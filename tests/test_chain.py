@@ -1,5 +1,6 @@
 """Twisted chain complexes: boundaries, (co)homology, oracle agreement."""
 
+import gc
 import itertools
 import os
 import random
@@ -8,6 +9,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twistq
 from twistq.coeff import AlexanderRing, parse_ring
@@ -15,7 +17,8 @@ from twistq.chain import (Chain, Cochain, ComplexSpec, VARIANTS, boundary,
                           brute_force_homology, cohomology, delta, homology,
                           is_cocycle, is_coboundary, is_degenerate,
                           basis_tuples, pair, parse_cochain, render_cochain,
-                          _faces, _t_columns)
+                          _abelian_invariants, _columns, _faces,
+                          _subgroup_closure, _t_columns)
 from twistq.quandle import (alexander_quandle, dihedral_quandle,
                             quandle_standard, trivial_quandle)
 
@@ -192,6 +195,84 @@ class TestDeltaAgainstReference:
         assert checked >= 300
 
 
+def reference_closure(gens, modulus):
+    """chain._subgroup_closure as a breadth-first search that tries every
+    generator at every element."""
+    zero = tuple(0 for _ in gens[0]) if gens else ()
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        base = frontier.pop()
+        for g in gens:
+            nxt = tuple((a + b) % modulus for a, b in zip(base, g))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def reference_brute_force(spec):
+    """chain.brute_force_homology's invariant factors by testing every
+    chain's image, closing the boundaries by breadth-first search and
+    multiplying each cycle's entries one by one."""
+    m, n = spec.ring.modulus, spec.degree
+    k = len(basis_tuples(spec.x, n, spec.variant)) * spec.ring.degree
+    out_cols = _columns(spec)
+    in_cols = _columns(spec.at_degree(n + 1))
+
+    cycles = []
+    for vec in itertools.product(range(m), repeat=k):
+        img = {}
+        for col, a in zip(out_cols, vec):
+            if a:
+                for i, v in col.items():
+                    img[i] = (img.get(i, 0) + a * v) % m
+        if not any(img.values()):
+            cycles.append(vec)
+
+    bcols = [tuple(col.get(i, 0) for i in range(k)) for col in in_cols if col]
+    boundaries = reference_closure(bcols, m) if bcols else {(0,) * k}
+    if not boundaries <= set(cycles):
+        raise RuntimeError("a boundary is not a cycle")
+
+    def torsion_count(q):
+        c = sum(1 for z in cycles if tuple(q * a % m for a in z) in boundaries)
+        if c % len(boundaries):
+            raise RuntimeError("%d cycles z have %d z in B, not a multiple "
+                               "of |B| = %d" % (c, q, len(boundaries)))
+        return c // len(boundaries)
+
+    return _abelian_invariants(torsion_count(0), torsion_count)
+
+
+_ORACLE_QUANDLES = [trivial_quandle(1), trivial_quandle(2),
+                    trivial_quandle(3), dihedral_quandle(3),
+                    dihedral_quandle(4), quandle_standard("A(2;T^2+T+1)")]
+# Z6 and Z12 put two primes into one torsion count
+_ORACLE_RINGS = [parse_ring(r) for r in (
+    "Z2[T]/(T+1)", "Z3[T]/(T+1)", "Z4[T]/(T+1)", "Z6[T]/(T+1)",
+    "Z9[T]/(T+1)", "Z12[T]/(T+1)", "Z2[T]/(T^2+T+1)", "Z4[T]/(T^2+T+1)")]
+
+
+@st.composite
+def _generators(draw):
+    """(m, gens): generators of a subgroup of Z_m^k, possibly none, with
+    zero, repeated and dependent ones mixed in."""
+    m = draw(st.sampled_from([2, 3, 4, 6, 9]))
+    k = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(0, m - 1)] * k)
+    gens = draw(st.lists(vector, max_size=4))
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), (0,) * k)
+    if gens and draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    if gens and draw(st.booleans()):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        s, t = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        gens.append(tuple((s * x + t * y) % m for x, y in zip(a, b)))
+    return m, draw(st.permutations(gens))
+
+
 class TestHomology:
     def test_h2_tq_r3_r3(self):
         info = homology(spec(dihedral_quandle(3), R3, "TQ", 2))
@@ -221,16 +302,11 @@ class TestHomology:
         assert info.invariant_factors == (2,)
 
     def test_engine_matches_oracle_small_complexes(self):
-        quandles = [trivial_quandle(1), trivial_quandle(2), trivial_quandle(3),
-                    dihedral_quandle(3)]
-        # Z6 and Z12 put two primes into one torsion count
-        rings = [parse_ring(r) for r in (
-            "Z2[T]/(T+1)", "Z3[T]/(T+1)", "Z2[T]/(T^2+T+1)", "Z4[T]/(T+1)",
-            "Z6[T]/(T+1)", "Z9[T]/(T+1)", "Z12[T]/(T+1)",
-            "Z4[T]/(T^2+T+1)")]
-        checked = 0
-        for x in quandles:
-            for ring in rings:
+        # every complex within the default guard; the oracle also matches
+        # the loops it replaced
+        kinds, checked = set(), 0
+        for x in _ORACLE_QUANDLES:
+            for ring in _ORACLE_RINGS:
                 for variant in VARIANTS:
                     for n in range(0, 4):
                         s = spec(x, ring, variant, n)
@@ -239,9 +315,14 @@ class TestHomology:
                             continue
                         a = homology(s).invariant_factors
                         b = brute_force_homology(s).invariant_factors
-                        assert a == b, (x.name, ring.descriptor(), variant, n)
+                        assert a == b == reference_brute_force(s), \
+                            (x.name, ring.descriptor(), variant, n)
+                        kinds.add("k = %d" % k if k < 2
+                                  else "odd k" if k % 2 else "even k")
+                        kinds.add("d = 0" if not any(_columns(s)) else "d")
                         checked += 1
-        assert checked >= 50
+        assert kinds == {"k = 0", "k = 1", "odd k", "even k", "d = 0", "d"}
+        assert checked >= 300
 
     def test_h4_tq_r5_z5(self):
         # agrees with the F_5 rank of the block boundary matrices
@@ -255,6 +336,61 @@ class TestHomology:
         info = homology(spec(quandle_standard("A(2;T^2+T+1)"),
                              parse_ring("Z2[T]/(T^2+T+1)"), "TQ", 3))
         assert info.invariant_factors == (2,) * 6
+
+
+class TestOracleAgainstReference:
+    """The oracle's half-image matching, coset closure and torsion
+    tables against the loops they replaced."""
+
+    @pytest.mark.parametrize("name,ring,variant,n,k,d_is_zero,factors", [
+        ("T(1)", "Z2[T]/(T+1)", "TQ", 2, 0, True, ()),
+        ("T(1)", "Z4[T]/(T+1)", "TR", 3, 1, False, (2,)),
+        ("R(3)", "Z2[T]/(T+1)", "TR", 2, 9, False, (2,)),
+        ("R(3)", "Z3[T]/(T+1)", "TQ", 2, 6, False, (3, 3)),
+        ("R(4)", "Z4[T]/(T+1)", "TD", 2, 4, True, (2, 2)),
+        ("R(3)", "Z9[T]/(T+1)", "TD", 2, 3, True, ()),
+        ("T(3)", "Z2[T]/(T+1)", "TR", 2, 9, True, (2,) * 9),
+    ], ids=["k0", "k1", "odd-k", "even-k", "d0-even-k", "d0-odd-k",
+            "d0-every-chain-a-cycle"])
+    def test_named_complexes(self, name, ring, variant, n, k, d_is_zero,
+                             factors):
+        s = spec(quandle_standard(name), parse_ring(ring), variant, n)
+        assert len(basis_tuples(s.x, n, variant)) * s.ring.degree == k
+        assert (not any(_columns(s))) == d_is_zero
+        assert brute_force_homology(s).invariant_factors == factors
+        assert reference_brute_force(s) == factors
+
+    @settings(max_examples=100, deadline=None)
+    @given(_generators())
+    def test_closure_matches_breadth_first_search(self, case):
+        m, gens = case
+        assert _subgroup_closure(gens, m) == reference_closure(gens, m)
+
+    def test_closure_of_no_generators(self):
+        assert _subgroup_closure([], 5) == reference_closure([], 5) == {()}
+
+    @pytest.mark.parametrize("name,ring,variant,n", [
+        ("R(3)", "Z9[T]/(T+1)", "TD", 2),
+        ("R(3)", "Z3[T]/(T+1)", "TQ", 2),
+    ], ids=["d0-r3-td2-z9", "r3-tq2-z3"])
+    def test_memory_at_most_the_old_loops(self, name, ring, variant, n):
+        # 729 chains each, the default guard.  On CPython 3.11 the old
+        # loops peak at 309 and 130 KB and this oracle at 193 and 56 KB;
+        # listing all m^k chains with their images peaks at 233 and 240 KB
+        s = spec(quandle_standard(name), parse_ring(ring), variant, n)
+
+        def traced(oracle):
+            oracle(s)  # fills the caches it reads
+            gc.collect()  # empties the tuple free lists, so tuples count
+            tracemalloc.start()
+            try:
+                return oracle(s), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        want, old_peak = traced(reference_brute_force)
+        got, peak = traced(brute_force_homology)
+        assert got.invariant_factors == want
+        assert peak <= old_peak
 
 
 class TestCohomology:

@@ -57,6 +57,19 @@ class TestReports:
         assert report["result"]["oracle_factors"] == \
             report["result"]["invariant_factors"] == [2, 2]
 
+    def test_homology_oracle_at_the_default_guard(self, capsys, monkeypatch):
+        # 729 chains: the default TWISTQ_MAX_BRUTE admits them, 728 does not
+        argv = ["homology", "--quandle", "R(3)", "--coeff", "Z9[T]/(T+1)",
+                "--variant", "TD", "--degree", "2", "--oracle"]
+        monkeypatch.delenv("TWISTQ_MAX_BRUTE", raising=False)
+        result = run_json(capsys, argv)["result"]
+        assert result["oracle_factors"] == result["invariant_factors"]
+        monkeypatch.setenv("TWISTQ_MAX_BRUTE", "728")
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err == (
+            "error: chain group has 729 elements (limit 728; "
+            "set TWISTQ_MAX_BRUTE)\n")
+
     def test_cohomology_generators_listed(self, capsys):
         report = run_json(capsys, ["cohomology", "--quandle", "R(3)",
                                    "--coeff", "Z3[T]/(T+1)", "--degree", "2"])

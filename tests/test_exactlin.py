@@ -2,14 +2,13 @@
 
 import itertools
 import math
-from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistq.exactlin import (ModuleInfo, NotAComplexError, _Factored,
-                             _apply, _relabel, _smith, homology_segment,
-                             solve_linear)
+                             _Sparse, _apply, _relabel, _smith,
+                             homology_segment, solve_linear)
 
 
 def _cols(rows, n, ncols=None):
@@ -151,10 +150,19 @@ class TestApply:
         x = [red(v) for v in x]
         want = [red(v) for v in _mv(_ops_matrix(ops, len(x)), x)]
         assert _apply(ops, list(x), n) == want
-        sparse = _apply(ops, defaultdict(int, {i: v for i, v in enumerate(x)
-                                               if v}), n)
+        sparse = _apply(ops, _Sparse({i: v for i, v in enumerate(x) if v}), n)
         assert [sparse[i] for i in range(len(x))] == want
         assert _apply(ops, _apply(ops, list(x), n), n, inverse=True) == x
+
+    def test_adds_from_missing_entries_insert_no_zero(self):
+        x = _Sparse({0: 3})
+        assert x[5] == 0 and list(x) == [0]
+        for inverse in (False, True):
+            assert _apply([(1, 2, 5), (2, 1, 1), (4, 3, 7)], x, 9,
+                          inverse) == {0: 3}
+            assert list(x) == [0]
+        assert _apply([(4, 0, 2), (2, 1, 1)], x, 9) == {0: 3, 4: 6}
+        assert list(x) == [0, 4]
 
 
 class TestKernelAndSolve:

@@ -75,8 +75,9 @@ def modular_extension_cocycle(p, m, h_coeffs):
     if p < 2 or m < 2:
         raise CocycleError("need p >= 2 and m >= 2")
     if (m - 1) * math.log10(p) > LONG_DIGITS:  # p^m: seconds at 10^6
-        e = 2 * (m - 1) * (p.bit_length() - 1)  # |X|^2 >= p^(2m-2) >= 2^e
-        check_limit(1 << e, "TWISTQ_MAX_TABLE", _MAX_TABLE, QuandleError,
+        # |X|^2 >= p^(2m-2) >= 2^e, above every limit
+        e = 2 * (m - 1) * (p.bit_length() - 1)
+        check_limit(math.inf, "TWISTQ_MAX_TABLE", _MAX_TABLE, QuandleError,
                     "a quandle of order at least %s^%s has a table of at "
                     "least 2^%s cells", p, m - 1, e)
     big = AlexanderRing(p ** m, h_coeffs)

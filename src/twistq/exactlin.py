@@ -60,9 +60,11 @@ class _Sparse(dict):
 
 def _apply(ops, x, n, inverse=False):
     """x <- E_k ... E_1 x, or E_1^-1 ... E_k^-1 x with inverse; changed
-    entries are reduced mod n.  An add from a zero entry is skipped, so x
-    may be a dense list or a _Sparse.  A _Sparse's sources are read with
-    get: most are missing, and __missing__ would cost a call for each."""
+    entries are reduced mod n.  An add from a zero entry, a swap of two
+    zeros and a negation of a zero are skipped, so x may be a dense list
+    or a _Sparse, which gains no key from them.  A _Sparse's sources are
+    read with get: most are missing, and __missing__ would cost a call
+    for each."""
     get = x.get if isinstance(x, dict) else x.__getitem__
     for op in reversed(ops) if inverse else ops:
         if len(op) == 3:
@@ -73,8 +75,9 @@ def _apply(ops, x, n, inverse=False):
                 x[i] = v % n if n else v
         elif len(op) == 2:
             i, j = op
-            x[i], x[j] = x[j], x[i]
-        else:
+            if get(i) or get(j):
+                x[i], x[j] = x[j], x[i]
+        elif get(op[0]):
             x[op[0]] = -x[op[0]] % n if n else -x[op[0]]
     return x
 

@@ -20,8 +20,10 @@ normal of the over-arc points, and y the over-arc color; the state sum
 collects exp(total weight) over all colorings in the group ring Z[A].
 A coloring's weight is summed in plain integers from a table, one per
 (sign, L), of the vectors sign * T^-L * phi(x, y), each made on first
-use, and reduced once.  The coloring search reads the quandle's
-operation table and its inverse table.
+use, and reduced once.  The coloring search is planned once per call
+from the relations alone, as levels (a branch cell, the cells its color
+determines, the relations it completes), and runs as lookups in the
+quandle's operation table and its inverse table.
 """
 
 import re
@@ -289,55 +291,63 @@ def _colorings(cells, rels, x):
     """Every coloring of `cells` by the quandle x with col[c] == col[a] *
     col[b] for each (c, a, b) in rels, as dicts sorted by color tuple.
 
-    Depth-first search on an explicit stack with an undo trail: a color
-    propagates through a * b (to c) and c / b (to a), read off x.table
-    and x.inv, and the search branches on the uncolored cell sharing
-    most relations with colored cells (the lowest such index on a tie)."""
+    A relation fires once b and one of a and c are colored, writing c as
+    x.table[a][b] or a as x.inv[b][c], or checking c.  Which cells get
+    colored, and so each branch choice, hang on the relations alone,
+    never on the colors, so the plan is made once: per level, a branch
+    cell (most relations with colored cells, lowest index on a tie), the
+    cells it determines and the relations it completes, each relation
+    firing once.  It runs off a stack of (level, color), no recursion."""
     idx = {s: i for i, s in enumerate(cells)}
     rels = [(idx[c], idx[a], idx[b]) for c, a, b in rels]
-    members = [tuple(set(rel)) for rel in rels]  # distinct cells of each
     touching = [[] for _ in cells]
-    for rel, cs in zip(rels, members):
-        for i in cs:
-            touching[i].append(rel)
-    table, inv = x.table, x.inv
-    colors = [None] * len(cells)
-    found, trail = [], []
-    stack = [(0, [])]   # (trail length to undo to, (cell, color) to set)
+    for k, rel in enumerate(rels):
+        for i in set(rel):
+            touching[i].append(k)
+    table, inv, size = x.table, x.inv, x.size
+    # score[i]: the relations at i holding a colored cell; < 0 once colored
+    score, gone = [0] * len(cells), -len(rels) - 1
+    state = [0] * len(rels)  # 1 once it holds a colored cell, 2 once fired
+    plan = []  # (branch, [(target, table or inv, p, r)], checks, children)
+    while max(score, default=-1) >= 0:
+        todo, steps, checks = [score.index(max(score))], [], []
+        score[todo[0]] = gone
+        plan.append((todo[0], steps, checks,
+                     [(len(plan) + 1, v) for v in range(size)]))
+        while todo:
+            for k in touching[todo.pop()]:
+                c, a, b = rel = rels[k]
+                if not state[k]:
+                    state[k] = 1
+                    for i in set(rel):
+                        score[i] += 1
+                if state[k] == 2 or score[b] >= 0 or score[a] >= 0 <= score[c]:
+                    continue  # fired, or b or both of a and c uncolored
+                state[k] = 2
+                if score[a] < 0 and score[c] < 0:
+                    checks.append(rel)
+                    continue
+                steps.append((a, inv, b, c) if score[a] >= 0 else
+                             (c, table, a, b))
+                todo.append(steps[-1][0])
+                score[todo[-1]] = gone
+    colors, last = [0] * len(cells), len(plan) - 1
+    found = [] if plan else [()]  # no cells: the one empty coloring
+    stack = [(0, v) for v in range(size)] if plan else []
     while stack:
-        mark, queue = stack.pop()
-        while len(trail) > mark:
-            colors[trail.pop()] = None
-        while queue:
-            i, v = queue.pop()
-            if colors[i] is None:
-                colors[i] = v
-                trail.append(i)
-                for c, a, b in touching[i]:
-                    vb = colors[b]
-                    if vb is None:
-                        continue
-                    if colors[a] is not None:
-                        queue.append((c, table[colors[a]][vb]))
-                    elif colors[c] is not None:
-                        queue.append((a, inv[vb][colors[c]]))
-            elif colors[i] != v:
-                break           # a contradiction: drop this branch
+        k, v = stack.pop()
+        i, steps, checks, children = plan[k]
+        colors[i] = v
+        for t, tab, p, r in steps:
+            colors[t] = tab[colors[p]][colors[r]]
+        for c, a, b in checks:
+            if table[colors[a]][colors[b]] != colors[c]:
+                break
         else:
-            free = [i for i, v in enumerate(colors) if v is None]
-            if not free:
+            if k < last:
+                stack += children
+            else:
                 found.append(tuple(colors))
-                continue
-            # score[k]: the relations at k that hold a colored cell
-            score = [0] * len(cells)
-            for cs in members:
-                for j in cs:
-                    if colors[j] is not None:
-                        for k in cs:
-                            score[k] += 1
-                        break
-            i = max(free, key=score.__getitem__)
-            stack.extend((len(trail), [(i, v)]) for v in range(x.size))
     found.sort()
     return [dict(zip(cells, col)) for col in found]
 

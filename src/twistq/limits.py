@@ -11,7 +11,8 @@ A refusal shows outside text through `quote`, which cuts a long text to
 a prefix and its length, a key of integers read from it (a cochain's
 tuple) through `quote_key`, which does the same to the key's repr, and
 an integer of more than SHORT_DIGITS digits as ~10^k, so no message
-grows with its input.
+grows with its input.  A size past LONG_DIGITS digits is never built:
+`power` bounds it by its bit count.
 """
 
 import math
@@ -60,7 +61,8 @@ def check_limit(size, var, default, error, what, *args):
     """Raise error("<what % args> (limit L; set <var>)") when size
     exceeds L, the integer in the environment variable var (default
     when it is unset).  what takes integers with %s: one of more than
-    SHORT_DIGITS digits shows as ~10^<log10, floored>."""
+    SHORT_DIGITS digits shows as ~10^<log10, floored>, and so does a
+    size from `power` past LONG_DIGITS digits."""
     limit = integer(os.environ.get(var, str(default)), error, var)
     if size > limit:
         shown = tuple(_decimal(a) if isinstance(a, int) else a for a in args)
@@ -68,11 +70,30 @@ def check_limit(size, var, default, error, what, *args):
 
 
 def power(base, exp):
-    """base ** exp, or, past LONG_DIGITS digits, the lower bound
-    2 ** floor(exp * log2(base)), made in a shift, not in seconds."""
+    """base ** exp, or, past LONG_DIGITS digits, a _Vast standing for the
+    lower bound 2 ** floor(exp * log2(base)), which is never built."""
     if base < 2 or exp * math.log10(base) <= LONG_DIGITS:
         return base ** exp
-    return 1 << int(exp * math.log2(base))
+    return _Vast(int(exp * math.log2(base)))
+
+
+class _Vast:
+    """A size of more than LONG_DIGITS digits, so above every limit
+    (which has at most LONG_DIGITS), kept as the bit count of its lower
+    bound 2 ** bits and shown as _decimal would show that bound."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits):
+        self.bits = bits
+
+    def __gt__(self, limit):
+        return True
+
+    def __str__(self):
+        # math.log10(2 ** bits), summed as math.log10 sums it for an int
+        # too large for a float
+        return "~10^%d" % (math.log10(0.5) + (self.bits + 1) * math.log10(2))
 
 
 def _decimal(k):

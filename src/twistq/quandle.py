@@ -45,8 +45,8 @@ def _check_order(q, power=1):
     order too long to print is bounded by logarithms, not computed (which
     can take seconds), and shows as ~10^k, as check_limit shows it."""
     digits = power * math.log10(max(q, 1))
-    if digits > LONG_DIGITS:
-        size = 1 << int(2 * power * math.log2(q))
+    if digits > LONG_DIGITS:  # above every limit
+        size = math.inf
         args = "~10^%d" % digits, "~10^%d" % (2 * digits)
     else:
         q **= power

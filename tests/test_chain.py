@@ -17,10 +17,12 @@ from twistq.chain import (Chain, Cochain, ComplexSpec, VARIANTS, boundary,
                           brute_force_homology, cohomology, delta, homology,
                           is_cocycle, is_coboundary, is_degenerate,
                           basis_tuples, pair, parse_cochain, render_cochain,
-                          _abelian_invariants, _columns, _faces,
+                          _abelian_invariants, _basis_size, _columns, _faces,
                           _subgroup_closure, _t_columns)
-from twistq.quandle import (alexander_quandle, dihedral_quandle,
-                            quandle_standard, trivial_quandle)
+from twistq.cocycles import SesSpec, modular_extension_cocycle
+from twistq.quandle import (_check_order, alexander_quandle,
+                            dihedral_quandle, quandle_standard,
+                            trivial_quandle)
 
 R3 = parse_ring("Z3[T]/(T+1)")
 
@@ -537,6 +539,35 @@ class TestGuards:
         assert str(refused.value) == ("degree-4 basis has 810000 tuples "
                                       "(limit 1000; set TWISTQ_MAX_BASIS)")
         assert peak < 100_000  # one list of 810,000 entries takes 6.5 MB
+
+    @pytest.mark.parametrize("refuse,reason", [
+        (lambda: _basis_size(3, 10 ** 8),
+         "degree-100000000 basis has ~10^47712125 tuples (limit 20000; "
+         "set TWISTQ_MAX_BASIS)"),
+        (lambda: SesSpec(parse_ring("Z%d[T]/(T^1000+1)" % 10 ** 4000), []),
+         "the ambient module has ~10^3999999 elements (limit 65536; "
+         "set TWISTQ_MAX_TABLE)"),
+        (lambda: modular_extension_cocycle(3, 10 ** 8, [1, 1]),
+         "a quandle of order at least 3^99999999 has a table of at least "
+         "2^199999998 cells (limit 65536; set TWISTQ_MAX_TABLE)"),
+        (lambda: _check_order(10 ** 4000, 1000),
+         "a quandle of order ~10^4000000 has a ~10^8000000-cell table "
+         "(limit 65536; set TWISTQ_MAX_TABLE)"),
+    ], ids=["basis", "ambient", "modular", "order"])
+    def test_vast_sizes_are_refused_without_being_built(self, monkeypatch,
+                                                        refuse, reason):
+        # as integers, the sizes' lower bounds take 1.7 to 25 MB
+        for var in ("TWISTQ_MAX_BASIS", "TWISTQ_MAX_TABLE"):
+            monkeypatch.delenv(var, raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Exception) as refused:
+                refuse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == reason
+        assert peak < 1_000_000
 
     def test_brute_guard(self):
         s = spec(dihedral_quandle(3), R3, "TR", 3)

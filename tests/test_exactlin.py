@@ -164,6 +164,15 @@ class TestApply:
         assert _apply([(4, 0, 2), (2, 1, 1)], x, 9) == {0: 3, 4: 6}
         assert list(x) == [0, 4]
 
+    def test_swaps_and_negations_of_missing_entries_insert_no_zero(self):
+        x = _Sparse({0: 3})
+        for inverse in (False, True):
+            assert _apply([(1, 2), (4,), (2, 1), (5,)], x, 9,
+                          inverse) == {0: 3}
+            assert list(x) == [0]
+        x = _apply([(0, 4), (4,)], x, 9)
+        assert x[4] == 6 and not x[0]
+
 
 class TestKernelAndSolve:
     def test_kernel_spans(self):

@@ -3,17 +3,20 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twistq.cli import load_catalog
 from twistq.coeff import GroupRingElem, parse_ring
 from twistq.chain import Cochain, ComplexSpec, delta
 from twistq.cocycles import (SesSpec, dihedral_integral_cocycle,
                              obstruction_2cocycle)
-from twistq.knot import (DiagramError, alexander_numbering, colorings,
-                         parse_pd, parse_surface, state_sum,
-                         state_sum_surface, surface_colorings)
+from twistq.knot import (DiagramError, SurfacePresentation, _colorings,
+                         alexander_numbering, colorings, parse_pd,
+                         parse_surface, state_sum, state_sum_surface,
+                         surface_colorings)
 from twistq.quandle import (QuandleMap, dihedral_quandle, quandle_product,
                             quandle_standard, trivial_quandle)
 
@@ -492,3 +495,117 @@ class TestColoringSolver:
         assert value.render() == "2"
         assert len(cols) == 2
         assert [set(col.values()) for col in cols] == [{0}, {1}]
+
+    def test_many_levels_need_no_recursion(self):
+        # 1500 sheets in no relation: one branch level each, one coloring
+        sheets = ["s%d" % i for i in range(1500)]
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            cols = surface_colorings(SurfacePresentation(sheets, [], []),
+                                     trivial_quandle(1))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cols == [dict.fromkeys(sheets, 0)]
+
+
+# -- the planned search against the search it replaced ------------------------
+
+def reference_search(cells, rels, x):
+    """knot._colorings before its search was planned, kept as it was.
+
+    Every coloring of `cells` by the quandle x with col[c] == col[a] *
+    col[b] for each (c, a, b) in rels, as dicts sorted by color tuple.
+
+    Depth-first search on an explicit stack with an undo trail: a color
+    propagates through a * b (to c) and c / b (to a), read off x.table
+    and x.inv, and the search branches on the uncolored cell sharing
+    most relations with colored cells (the lowest such index on a tie)."""
+    idx = {s: i for i, s in enumerate(cells)}
+    rels = [(idx[c], idx[a], idx[b]) for c, a, b in rels]
+    members = [tuple(set(rel)) for rel in rels]  # distinct cells of each
+    touching = [[] for _ in cells]
+    for rel, cs in zip(rels, members):
+        for i in cs:
+            touching[i].append(rel)
+    table, inv = x.table, x.inv
+    colors = [None] * len(cells)
+    found, trail = [], []
+    stack = [(0, [])]   # (trail length to undo to, (cell, color) to set)
+    while stack:
+        mark, queue = stack.pop()
+        while len(trail) > mark:
+            colors[trail.pop()] = None
+        while queue:
+            i, v = queue.pop()
+            if colors[i] is None:
+                colors[i] = v
+                trail.append(i)
+                for c, a, b in touching[i]:
+                    vb = colors[b]
+                    if vb is None:
+                        continue
+                    if colors[a] is not None:
+                        queue.append((c, table[colors[a]][vb]))
+                    elif colors[c] is not None:
+                        queue.append((a, inv[vb][colors[c]]))
+            elif colors[i] != v:
+                break           # a contradiction: drop this branch
+        else:
+            free = [i for i, v in enumerate(colors) if v is None]
+            if not free:
+                found.append(tuple(colors))
+                continue
+            # score[k]: the relations at k that hold a colored cell
+            score = [0] * len(cells)
+            for cs in members:
+                for j in cs:
+                    if colors[j] is not None:
+                        for k in cs:
+                            score[k] += 1
+                        break
+            i = max(free, key=score.__getitem__)
+            stack.extend((len(trail), [(i, v)]) for v in range(x.size))
+    found.sort()
+    return [dict(zip(cells, col)) for col in found]
+
+
+SYSTEM_QUANDLES = ["T(1)", "T(3)", "R(3)", "R(4)", "A(2;T^2+T+1)",
+                   "R(3)xT(2)"]
+
+
+@st.composite
+def _relation_systems(draw):
+    """(cells, rels): up to 7 cells, named out of index order, and up to
+    9 relations c = a * b among them, cells repeating freely."""
+    cells = draw(st.permutations("abcdefg"))[:draw(st.integers(0, 7))]
+    if not cells:
+        return [], []
+    cell = st.sampled_from(cells)
+    return cells, draw(st.lists(st.tuples(cell, cell, cell), max_size=9))
+
+
+class TestPlannedSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(system=_relation_systems(), name=st.sampled_from(SYSTEM_QUANDLES))
+    # zero cells; a cell in no relation; c = c * b and c = a * a; a
+    # split system; c written by one relation and checked by another
+    # once a colors b and d; d read off the inverse table
+    @example(system=([], []), name="R(3)")
+    @example(system=(list("abcd"), [("c", "a", "b")]), name="R(4)")
+    @example(system=(list("abc"), [("c", "c", "b"), ("c", "a", "a")]),
+             name="A(2;T^2+T+1)")
+    @example(system=(list("abcdef"), [("c", "a", "b"), ("f", "d", "e")]),
+             name="R(3)xT(2)")
+    @example(system=(list("abcd"), [("b", "a", "a"), ("d", "a", "a"),
+                                    ("c", "b", "a"), ("c", "d", "a")]),
+             name="T(3)")
+    @example(system=(list("abcd"), [("c", "a", "b"), ("c", "d", "b")]),
+             name="R(3)")
+    def test_against_reference_search(self, system, name):
+        cells, rels = system
+        x = _quandle(name)
+        assert _colorings(cells, rels, x) == reference_search(cells, rels, x)

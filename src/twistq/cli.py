@@ -14,7 +14,8 @@ bug in twistq: any other exception), which prints one line,
 
 Parsing and dispatch need no computation module: each handler imports
 the modules its command runs when it runs, so a process loads only
-those.
+those.  A catalog run builds each construct, catalog quandle and parsed
+quandle its entries share once, and keeps nothing once it returns.
 """
 
 import argparse
@@ -48,6 +49,19 @@ class CliParser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
+_SHARED = None  # {(maker, key): made} while run_catalog runs
+
+
+def _shared(key, make, *args):
+    """make(*args), made once per catalog run and key; a failure is not
+    kept, and outside a run every call makes it afresh."""
+    if _SHARED is None:
+        return make(*args)
+    if (make, key) not in _SHARED:
+        _SHARED[make, key] = make(*args)
+    return _SHARED[make, key]
+
+
 def _load_quandle(text):
     """A quandle argument is a standard name (T(n), R(n), A(n;h)) or
     the table text itself (main inlines an '@path' argument before the
@@ -57,8 +71,8 @@ def _load_quandle(text):
     lines = [ln for ln in map(str.strip, text.splitlines())
              if ln and not ln.startswith("#")]
     if lines and re.match(r"[+-]?\d", lines[0]):
-        return quandle.parse_quandle_table(text)
-    return quandle.quandle_standard(text)
+        return _shared(text, quandle.parse_quandle_table, text)
+    return _shared(text, quandle.quandle_standard, text)
 
 
 def _quandle_payload(x):
@@ -319,7 +333,8 @@ def _construct(params):
     family = params.get("family")
     if family not in _FAMILIES and family != "lift":
         raise cocycles.CocycleError("unknown cocycle family %r" % family)
-    return _COMMANDS["cocycle construct " + family][0](params)
+    return _shared(json.dumps(params, sort_keys=True),
+                   _COMMANDS["cocycle construct " + family][0], params)
 
 
 def _catalog_quandle(spec):
@@ -358,7 +373,8 @@ def _catalog_result(entry):
                   **inputs}
     for key in ("quandle", "first", "second"):
         if isinstance(inputs.get(key), dict):
-            inputs[key] = _catalog_quandle(inputs[key])
+            inputs[key] = _shared(json.dumps(inputs[key], sort_keys=True),
+                                  _catalog_quandle, inputs[key])
     return _COMMANDS[path][0](inputs)
 
 
@@ -384,14 +400,18 @@ def run_catalog_entry(entry):
 
 
 def run_catalog(entries):
-    items = []
-    for i, entry in enumerate(entries):
-        eid = entry.get("id", "entry-%d" % i)
-        try:
-            ok, witness = run_catalog_entry(entry)
-        except Exception as exc:  # a broken entry is a failure, not a crash
-            ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        items.append({"id": eid, "pass": ok, "witness": witness})
+    global _SHARED
+    items, _SHARED = [], {}
+    try:
+        for i, entry in enumerate(entries):
+            eid = entry.get("id", "entry-%d" % i)
+            try:
+                ok, witness = run_catalog_entry(entry)
+            except Exception as exc:  # a broken entry fails, not the run
+                ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
+            items.append({"id": eid, "pass": ok, "witness": witness})
+    finally:
+        _SHARED = None
     result = {"items": items,
               "passed": sum(1 for it in items if it["pass"]),
               "failed": sum(1 for it in items if not it["pass"])}

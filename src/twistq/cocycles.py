@@ -191,8 +191,8 @@ class SesSpec:
                     self._coset_rep[g.add(e, v)] = e
         self._rep_index = {r: i for i, r in enumerate(self.a_reps)}
         _check_order(len(self.a_reps))
-        table = [[self.project(g.quandle_op(a, b)) for b in self.a_reps]
-                 for a in self.a_reps]
+        ta, rest = g.quandle_halves(self.a_reps)
+        table = [[self.project(g.add(t, r)) for r in rest] for t in ta]
         self.a_quandle = FiniteQuandle(
             table, labels=[g.render_elem(r) for r in self.a_reps])
 

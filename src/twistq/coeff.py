@@ -158,6 +158,11 @@ class AlexanderRing:
         """a * b = T a + (1 - T) b, the Alexander quandle operation."""
         return self.add(self.t_act(self.sub(a, b)), b)
 
+    def quandle_halves(self, elems):
+        """T a and a - T a for each a: a table's cell a * b is one add."""
+        ta = [self.t_act(a) for a in elems]
+        return ta, [self.sub(a, t) for a, t in zip(elems, ta)]
+
     # -- enumeration -----------------------------------------------------
 
     def size(self):

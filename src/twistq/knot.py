@@ -112,10 +112,12 @@ class Diagram:
         """Face = orbit of corners under: corner (c, k) (the sector between
         spokes k and k+1) -> follow spoke k to its far end (c', k') -> corner
         (c', k'-1)."""
-        corners = {(ci, k) for ci in range(len(self.crossings)) for k in range(4)}
+        order = [(ci, k) for ci in range(len(self.crossings)) for k in range(4)]
+        corners = set(order)  # not yet visited
         faces = []
-        while corners:
-            start = min(corners)
+        for start in order:  # ascending, so each face starts at its least
+            if start not in corners:
+                continue
             orbit = []
             cur = start
             while True:

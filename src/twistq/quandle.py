@@ -168,7 +168,8 @@ def alexander_quandle(ring, name=None):
         _check_order(ring.modulus, ring.degree)
     elems = ring.elements()
     index = {e: i for i, e in enumerate(elems)}
-    table = [[index[ring.quandle_op(a, b)] for b in elems] for a in elems]
+    ta, rest = ring.quandle_halves(elems)
+    table = [[index[ring.add(t, r)] for r in rest] for t in ta]
     return FiniteQuandle(table, labels=[ring.render_elem(e) for e in elems],
                          name=name or "A(%s)" % ring.descriptor())
 
@@ -233,16 +234,18 @@ def quandle_extension(x, ring, phi):
         raise QuandleError("phi is not a 2-cocycle (fails at %r)" % (witness,))
     elems = ring.elements()
     index = {e: i for i, e in enumerate(elems)}
+    ta, rest = ring.quandle_halves(elems)
     q = x.size
     table = []
     labels = []
-    for a1 in elems:
+    for a1, t in zip(elems, ta):
+        products = [ring.add(t, r) for r in rest]  # a1 * a2 for each a2
         for x1 in range(q):
             labels.append("(%s,%s)" % (ring.render_elem(a1), x.labels[x1]))
             row = []
-            for a2 in elems:
+            for prod in products:
                 for x2 in range(q):
-                    a = ring.add(ring.quandle_op(a1, a2), phi((x1, x2)))
+                    a = ring.add(prod, phi((x1, x2)))
                     row.append(index[a] * q + x.op(x1, x2))
             table.append(row)
     return FiniteQuandle(table, labels=labels)

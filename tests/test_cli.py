@@ -915,6 +915,114 @@ class TestVerifySuite:
         assert "warning" in report["result"] and "nothing" in err
 
 
+class TestCatalogSharing:
+    """A catalog run builds each construct, catalog quandle and parsed
+    quandle once, and keeps nothing once it returns."""
+
+    def _spy(self, monkeypatch):
+        """Record each (make, key, args, value) that _shared hands out,
+        and count the calls to each maker."""
+        handed, made, counters = [], {}, {}
+        share = cli._shared
+
+        def spy(key, make, *args):
+            if make not in counters:  # one counter per maker, as a key
+                def counted(key, *a, make=make):
+                    made[make, key] = made.get((make, key), 0) + 1
+                    return make(*a)
+                counters[make] = counted
+            value = share(key, counters[make], key, *args)
+            handed.append((make, key, args, value))
+            return value
+        monkeypatch.setattr(cli, "_shared", spy)
+        return handed, made
+
+    def test_run_matches_entries_run_alone(self):
+        entries = cli.load_catalog()
+        alone = [cli.run_catalog([entry])["items"][0] for entry in entries]
+        assert cli.run_catalog(entries)["items"] == alone
+
+    def test_two_runs_print_the_same_report(self, capsys):
+        first = run(capsys, ["verify-suite"])
+        assert first[0] == 0
+        assert run(capsys, ["verify-suite"])[:2] == first[:2]
+
+    def test_nothing_is_shared_outside_a_run(self, monkeypatch):
+        entries = cli.load_catalog()
+        assert cli._SHARED is None
+        seen = []
+        _, options = cli._COMMANDS["quandle iso"]
+
+        def iso(inputs):
+            seen.append(cli._SHARED)
+            raise RuntimeError("broken")
+        monkeypatch.setitem(cli._COMMANDS, "quandle iso", (iso, options))
+        result = cli.run_catalog(entries)
+        assert seen and all(isinstance(s, dict) and s for s in seen)
+        assert cli._SHARED is None
+        assert {it["witness"] for it in result["items"] if not it["pass"]} \
+            == {"RuntimeError: broken"}
+        # an entry that is no mapping escapes run_catalog itself
+        with pytest.raises(AttributeError):
+            cli.run_catalog(entries[:3] + [1])
+        assert cli._SHARED is None
+        # outside a run every call builds afresh
+        assert cli._load_quandle("R(3)") is not cli._load_quandle("R(3)")
+
+    def test_each_construct_and_quandle_is_made_once(self, monkeypatch):
+        entries = cli.load_catalog()
+        # 14 constructs are asked for, by entries and extension quandles
+        assert sum("construct" in e for e in entries) + sum(
+            "extension" in e[k] for e in entries for k in ("first", "second")
+            if isinstance(e.get(k), dict)) == 14
+        handed, made = self._spy(monkeypatch)
+        cli.run_catalog(entries)
+        assert len({key for make, key, *_ in handed
+                    if make.__name__.startswith("_cmd_construct")}) == 4
+        assert set(made.values()) == {1}
+        assert len(made) == len({(make, key) for make, key, *_ in handed})
+
+    def test_a_failure_is_never_kept(self, monkeypatch):
+        calls = []
+        _, options = cli._COMMANDS["cocycle construct dihedral"]
+
+        def dihedral(inputs):
+            calls.append(inputs)
+            raise ValueError("refused call %d" % len(calls))
+        monkeypatch.setitem(cli._COMMANDS, "cocycle construct dihedral",
+                            (dihedral, options))
+        construct = {"family": "dihedral", "n": 3}
+        result = cli.run_catalog([
+            {"id": "a", "kind": "cocycle-table", "construct": construct,
+             "expect": ""},
+            {"id": "b", "kind": "not-coboundary", "construct": construct}])
+        assert len(calls) == 2
+        assert [it["witness"] for it in result["items"]] == [
+            "ValueError: refused call 1", "ValueError: refused call 2"]
+
+    def test_a_failing_construct_gives_each_entry_the_same_witness(self):
+        construct = {"family": "modular", "p": 3, "m": 2, "h": "T+3"}
+        result = cli.run_catalog([
+            {"id": "a", "kind": "cocycle-table", "construct": construct,
+             "expect": ""},
+            {"id": "b", "kind": "pairing", "construct": construct,
+             "cycle": "0,1 -> 1\n", "expect": "0"}])
+        first, second = (it["witness"] for it in result["items"])
+        assert first and first == second
+
+    def test_shared_inputs_are_not_mutated(self, monkeypatch):
+        handed, _ = self._spy(monkeypatch)
+        cli.run_catalog(cli.load_catalog())
+        monkeypatch.undo()
+        for make, key, args, value in handed:
+            fresh = make(*args)
+            if hasattr(value, "table"):  # a parsed quandle
+                assert (value.table, value.labels, value.name) == (
+                    fresh.table, fresh.labels, fresh.name)
+            else:  # a construct report or catalog quandle text
+                assert value == fresh
+
+
 def _wrong(value):
     """A value of the same type that differs from `value`."""
     if isinstance(value, bool):

@@ -609,3 +609,58 @@ class TestPlannedSearch:
         cells, rels = system
         x = _quandle(name)
         assert _colorings(cells, rels, x) == reference_search(cells, rels, x)
+
+
+# -- face tracing against the tracer it replaced -----------------------------
+
+def reference_faces(d):
+    """Diagram._trace_faces before its corners were walked in order, kept
+    as it was: each face starts at min() of the unvisited corners."""
+    corners = {(ci, k) for ci in range(len(d.crossings)) for k in range(4)}
+    faces = []
+    while corners:
+        start = min(corners)
+        orbit = []
+        cur = start
+        while True:
+            orbit.append(cur)
+            corners.discard(cur)
+            ci, k = cur
+            c2, k2 = d._spoke_other_end(ci, k)
+            cur = (c2, (k2 - 1) % 4)
+            if cur == start:
+                break
+            if cur not in corners:
+                raise DiagramError("face tracing is not a permutation")
+        faces.append(frozenset(orbit))
+    return faces
+
+
+class TestFaceTracing:
+    @pytest.mark.parametrize("n", list(range(2, 41)) + [601])
+    def test_torus(self, torus_pd, n):
+        d = parse_pd(torus_pd(n))
+        assert d.faces == reference_faces(d)
+        assert len(d.faces) == n + 2
+
+    @pytest.mark.parametrize("text", CATALOG_PDS + [
+        HOPF, TREFOIL, TREFOIL_KINK, KINK, TORUS_MOD2])
+    def test_catalog_and_named_diagrams(self, text):
+        d = parse_pd(text)
+        assert d.faces == reference_faces(d)
+        assert all(d.face_of[c] == fi for fi, f in enumerate(d.faces)
+                   for c in f)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_mod_p_diagram(self, torus_pd, p):
+        d = parse_pd(torus_pd(7).replace("outer", "base") + "mod %d\n" % p)
+        assert d.faces == reference_faces(d)
+
+    def test_a_map_that_is_no_permutation_is_refused(self, monkeypatch):
+        # every spoke leads to corner (0, 0): the second face runs into
+        # the first, which both tracers refuse
+        d = parse_pd(HOPF)
+        monkeypatch.setattr(d, "_spoke_other_end", lambda ci, k: (0, 1))
+        for trace in (d._trace_faces, lambda: reference_faces(d)):
+            with pytest.raises(DiagramError, match="not a permutation"):
+                trace()

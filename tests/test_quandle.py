@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from twistq.coeff import AlexanderRing
-from twistq.chain import Cochain
+from twistq import cli
+from twistq.coeff import AlexanderRing, parse_ring
+from twistq.chain import Cochain, parse_cochain
+from twistq.cocycles import SesSpec
 from twistq.quandle import (QuandleError, QuandleMap, alexander_quandle,
                             dihedral_quandle, find_isomorphism,
                             is_homomorphism, parse_quandle_table,
@@ -174,6 +176,55 @@ class TestProductAndExtension:
         with pytest.raises(QuandleError):
             quandle_extension(dihedral_quandle(3), AlexanderRing(0, [1, 1]),
                               Cochain(AlexanderRing(0, [1, 1]), 2))
+
+
+# rings whose Alexander tables are checked against ring.quandle_op
+_TABLE_RINGS = ["Z9[T]/(T+1)", "Z2[T]/(T^2+T+1)", "Z3[T]/(T^2+2T+1)",
+                "Z4[T]/(T^2+1)", "Z5[T]/(T+2)", "Z7[T]/(T+1)"]
+
+
+def _reference_table(ring, elems, cell):
+    """The table over `elems` with a * b read off ring.quandle_op, one
+    call per cell; cell(a * b, i, j) gives the entry."""
+    return tuple(tuple(cell(ring.quandle_op(a, b), i, j)
+                       for j, b in enumerate(elems))
+                 for i, a in enumerate(elems))
+
+
+class TestAlexanderTables:
+    @pytest.mark.parametrize("text", _TABLE_RINGS)
+    def test_alexander_quandle_matches_quandle_op(self, text):
+        ring = parse_ring(text)
+        elems = ring.elements()
+        index = {e: i for i, e in enumerate(elems)}
+        assert alexander_quandle(ring).table == _reference_table(
+            ring, elems, lambda c, i, j: index[c])
+
+    @pytest.mark.parametrize("eid", ["carry-modular-9", "carry-polynomial-9"])
+    def test_catalog_extensions_match_quandle_op(self, eid):
+        params, = (e["construct"] for e in cli.load_catalog()
+                   if e["id"] == eid)
+        made = cli._construct(params)
+        ring = parse_ring(made["ring"])
+        x = quandle_from_table(made["quandle"]["table"])
+        phi = parse_cochain(ring, made["cocycle"])
+        elems = ring.elements()
+        index = {e: i for i, e in enumerate(elems)}
+        pairs = [(a, x1) for a in elems for x1 in range(x.size)]
+        want = tuple(tuple(
+            index[ring.add(ring.quandle_op(a1, a2), phi((x1, x2)))] * x.size
+            + x.op(x1, x2) for a2, x2 in pairs) for a1, x1 in pairs)
+        assert quandle_extension(x, ring, phi).table == want
+
+    @pytest.mark.parametrize("text,sub", [
+        ("Z9[T]/(T+1)", "3"), ("Z2[T]/(T^2+T+1)", "0"),
+        ("Z3[T]/(T^2+2T+1)", "T+1"), ("Z4[T]/(T^2+1)", "2"),
+        ("Z8[T]/(T+1)", "2")])
+    def test_quotient_table_matches_quandle_op(self, text, sub):
+        g = parse_ring(text)
+        ses = SesSpec(g, (g.parse_elem(sub),))
+        assert ses.a_quandle.table == _reference_table(
+            g, ses.a_reps, lambda c, i, j: ses.project(c))
 
 
 class TestHomomorphisms:

@@ -516,7 +516,7 @@ def brute_force_homology(spec):
         raise RingError("brute-force oracle needs finite coefficients")
     m = ring.modulus
     k = len(basis_tuples(spec.x, n, spec.variant)) * ring.degree
-    total = m ** k
+    total = power(m, k)
     check_limit(total, "TWISTQ_MAX_BRUTE", _MAX_BRUTE, RingError,
                 "chain group has %s elements", total)
     out_cols = _columns(spec)

@@ -146,9 +146,10 @@ def _module_result(spec, info):
 def _cmd_homology(inputs):
     from . import chain
     spec = _spec_from(inputs)
+    # the oracle's guard is the cheaper one, so it runs first
+    oracle = chain.brute_force_homology(spec) if inputs.get("oracle") else None
     result = _module_result(spec, chain.homology(spec))
-    if inputs.get("oracle"):
-        oracle = chain.brute_force_homology(spec)
+    if oracle is not None:
         result["oracle_factors"] = list(oracle.invariant_factors)
     return result
 

@@ -74,7 +74,7 @@ def modular_extension_cocycle(p, m, h_coeffs):
     """
     if p < 2 or m < 2:
         raise CocycleError("need p >= 2 and m >= 2")
-    if (m - 1) * math.log10(p) > LONG_DIGITS:  # p^m: seconds at 10^6
+    if m - 1 > LONG_DIGITS / math.log10(p):  # p^m: seconds at 10^6
         # |X|^2 >= p^(2m-2) >= 2^e, above every limit
         e = 2 * (m - 1) * (p.bit_length() - 1)
         check_limit(math.inf, "TWISTQ_MAX_TABLE", _MAX_TABLE, QuandleError,
@@ -237,7 +237,7 @@ def extension_homomorphism(ses, x, eta):
     g = ses.g_ring
     phi = obstruction_2cocycle(ses, x, eta)
     n_elems = sorted(ses.n_set)
-    size = len(n_elems) ** x.size
+    size = power(len(n_elems), x.size)
     check_limit(size, "TWISTQ_MAX_BRUTE", _MAX_SECTION_SEARCH, CocycleError,
                 "the correction search has %s candidates", size)
     gq = alexander_quandle(g)

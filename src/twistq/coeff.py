@@ -328,11 +328,11 @@ class GroupRingElem:
 
     @staticmethod
     def _word(key):
-        if len(key) > len(_LETTERS):
-            raise RingError("no letters left to render rank-%d keys" % len(key))
         nonzero = [(i, e) for i, e in enumerate(key) if e != 0]
         if not nonzero:
             return "1"
+        if nonzero[-1][0] >= len(_LETTERS):
+            raise RingError("no letters left to render rank-%d keys" % len(key))
         exps = {e for _, e in nonzero}
         if len(nonzero) > 1 and len(exps) == 1 and nonzero[0][1] != 1:
             word = "".join(_LETTERS[i] for i, _ in nonzero)

@@ -26,6 +26,7 @@ determines, the relations it completes), and runs as lookups in the
 quandle's operation table and its inverse table.
 """
 
+import heapq
 import re
 from operator import itemgetter
 
@@ -77,24 +78,16 @@ class Diagram:
         self.tails = {}
         self.heads = {}
         for ci, (sign, arcs) in enumerate(self.crossings):
-            if sign > 0:
-                heads, tails = (0, 3), (1, 2)
-            else:
-                heads, tails = (0, 1), (2, 3)
-            for pos in heads:
-                s = arcs[pos]
-                if s in self.heads:
-                    raise DiagramError(
-                        "semiarc %s has two heads: orientation is ambiguous"
-                        % quote(s))
-                self.heads[s] = (ci, pos)
-            for pos in tails:
-                s = arcs[pos]
-                if s in self.tails:
-                    raise DiagramError(
-                        "semiarc %s has two tails: orientation is ambiguous"
-                        % quote(s))
-                self.tails[s] = (ci, pos)
+            ends = ((0, 3), (1, 2)) if sign > 0 else ((0, 1), (2, 3))
+            for end, seen, where in zip(("heads", "tails"),
+                                        (self.heads, self.tails), ends):
+                for pos in where:
+                    s = arcs[pos]
+                    if s in seen:
+                        raise DiagramError(
+                            "semiarc %s has two %s: orientation is ambiguous"
+                            % (quote(s), end))
+                    seen[s] = (ci, pos)
         dangling = set(self.heads) ^ set(self.tails)
         if dangling:
             raise DiagramError("dangling semiarc(s): %s"
@@ -118,8 +111,7 @@ class Diagram:
         for start in order:  # ascending, so each face starts at its least
             if start not in corners:
                 continue
-            orbit = []
-            cur = start
+            orbit, cur = [], start
             while True:
                 orbit.append(cur)
                 corners.discard(cur)
@@ -132,10 +124,8 @@ class Diagram:
                     raise DiagramError("face tracing is not a permutation")
             faces.append(frozenset(orbit))
         self.faces = faces
-        self.face_of = {}
-        for fi, f in enumerate(faces):
-            for corner in f:
-                self.face_of[corner] = fi
+        self.face_of = {corner: fi for fi, f in enumerate(faces)
+                        for corner in f}
 
     def euler_characteristic(self):
         return len(self.crossings) - len(self.semiarcs) + len(self.faces)
@@ -309,11 +299,16 @@ def _colorings(cells, rels, x):
     table, inv, size = x.table, x.inv, x.size
     # score[i]: the relations at i holding a colored cell; < 0 once colored
     score, gone = [0] * len(cells), -len(rels) - 1
+    # heap: (-score, i), pushed again after a level raises i's score
+    heap, colored = [(0, i) for i in range(len(cells))], 0
     state = [0] * len(rels)  # 1 once it holds a colored cell, 2 once fired
     plan = []  # (branch, [(target, table or inv, p, r)], checks, children)
-    while max(score, default=-1) >= 0:
-        todo, steps, checks = [score.index(max(score))], [], []
-        score[todo[0]] = gone
+    while colored < len(cells):
+        neg, i = heapq.heappop(heap)
+        if score[i] != -neg:
+            continue
+        todo, steps, checks, risen = [i], [], [], []
+        score[i] = gone
         plan.append((todo[0], steps, checks,
                      [(len(plan) + 1, v) for v in range(size)]))
         while todo:
@@ -323,6 +318,7 @@ def _colorings(cells, rels, x):
                     state[k] = 1
                     for i in set(rel):
                         score[i] += 1
+                    risen += rel
                 if state[k] == 2 or score[b] >= 0 or score[a] >= 0 <= score[c]:
                     continue  # fired, or b or both of a and c uncolored
                 state[k] = 2
@@ -333,6 +329,10 @@ def _colorings(cells, rels, x):
                              (c, table, a, b))
                 todo.append(steps[-1][0])
                 score[todo[-1]] = gone
+        colored += 1 + len(steps)
+        for i in risen:  # still uncolored: its older entries are stale
+            if score[i] >= 0:
+                heapq.heappush(heap, (-score[i], i))
     colors, last = [0] * len(cells), len(plan) - 1
     found = [] if plan else [()]  # no cells: the one empty coloring
     stack = [(0, v) for v in range(size)] if plan else []

@@ -11,8 +11,9 @@ A refusal shows outside text through `quote`, which cuts a long text to
 a prefix and its length, a key of integers read from it (a cochain's
 tuple) through `quote_key`, which does the same to the key's repr, and
 an integer of more than SHORT_DIGITS digits as ~10^k, so no message
-grows with its input.  A size past LONG_DIGITS digits is never built:
-`power` bounds it by its bit count.
+grows with its input.  `power` sizes what a guard compares and builds
+none past LONG_DIGITS digits: it keeps the decade, floor(log10), which
+prints as ~10^<decade>, the decade the integer itself would print.
 """
 
 import math
@@ -70,30 +71,29 @@ def check_limit(size, var, default, error, what, *args):
 
 
 def power(base, exp):
-    """base ** exp, or, past LONG_DIGITS digits, a _Vast standing for the
-    lower bound 2 ** floor(exp * log2(base)), which is never built."""
-    if base < 2 or exp * math.log10(base) <= LONG_DIGITS:
-        return base ** exp
-    return _Vast(int(exp * math.log2(base)))
+    """base ** exp, or, past LONG_DIGITS digits, a _Vast holding its
+    decade floor(exp * log10(base)), found in integers, so the size is
+    never built and an exp too large for a float is sized too."""
+    num, den = math.log10(max(base, 1)).as_integer_ratio()
+    decade = exp * num // den
+    return base ** exp if decade < LONG_DIGITS else _Vast(decade)
 
 
 class _Vast:
     """A size of more than LONG_DIGITS digits, so above every limit
-    (which has at most LONG_DIGITS), kept as the bit count of its lower
-    bound 2 ** bits and shown as _decimal would show that bound."""
+    (which has at most LONG_DIGITS), kept as its decade and shown as
+    ~10^<decade>, the decade shown as _decimal shows an integer."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("decade",)
 
-    def __init__(self, bits):
-        self.bits = bits
+    def __init__(self, decade):
+        self.decade = decade
 
     def __gt__(self, limit):
         return True
 
     def __str__(self):
-        # math.log10(2 ** bits), summed as math.log10 sums it for an int
-        # too large for a float
-        return "~10^%d" % (math.log10(0.5) + (self.bits + 1) * math.log10(2))
+        return "~10^" + _decimal(self.decade)
 
 
 def _decimal(k):

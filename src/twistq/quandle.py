@@ -7,11 +7,10 @@ self-distributive ((a * b) * c == (a * c) * (b * c)).  Elements are the
 integers 0 .. q-1; an optional label list carries human-readable names.
 """
 
-import math
 from operator import itemgetter
 
 from . import coeff
-from .limits import LONG_DIGITS, check_limit, integer, quote
+from .limits import check_limit, integer, power, quote
 
 __all__ = [
     "QuandleError",
@@ -40,19 +39,12 @@ class QuandleError(ValueError):
 _MAX_TABLE = 65536
 
 
-def _check_order(q, power=1):
-    """Refuse a quandle of order q^power before its table is built.  An
-    order too long to print is bounded by logarithms, not computed (which
-    can take seconds), and shows as ~10^k, as check_limit shows it."""
-    digits = power * math.log10(max(q, 1))
-    if digits > LONG_DIGITS:  # above every limit
-        size = math.inf
-        args = "~10^%d" % digits, "~10^%d" % (2 * digits)
-    else:
-        q **= power
-        size, args = q * q, (q, q * q)
-    check_limit(size, "TWISTQ_MAX_TABLE", _MAX_TABLE, QuandleError,
-                "a quandle of order %s has a %s-cell table", *args)
+def _check_order(q, exp=1):
+    """Refuse a quandle of order q^exp before its table is built; both
+    sizes come from limits.power, so a vast one is never computed."""
+    check_limit(power(q, 2 * exp), "TWISTQ_MAX_TABLE", _MAX_TABLE,
+                QuandleError, "a quandle of order %s has a %s-cell table",
+                power(q, exp), power(q, 2 * exp))
 
 
 class FiniteQuandle:
@@ -192,8 +184,11 @@ def quandle_standard(name):
             mod_text, _, h_text = body.partition(";")
             if not h_text:
                 raise QuandleError("A(n;h) needs a polynomial: %s" % quote(name))
-            ring = coeff.AlexanderRing(number(mod_text),
-                                       coeff.parse_poly(h_text))
+            n, h = number(mod_text), coeff.parse_poly(h_text)
+            if n >= 2:  # the order n^deg h, before the ring lists h
+                _check_order(n, next((d for d in range(len(h) - 1, 0, -1)
+                                      if h[d] % n), 0))
+            ring = coeff.AlexanderRing(n, h)
             return alexander_quandle(ring, name="A(%s;%s)" % (mod_text, h_text.strip()))
     raise QuandleError("unknown quandle name %s" % quote(name))
 

@@ -545,7 +545,7 @@ class TestGuards:
          "degree-100000000 basis has ~10^47712125 tuples (limit 20000; "
          "set TWISTQ_MAX_BASIS)"),
         (lambda: SesSpec(parse_ring("Z%d[T]/(T^1000+1)" % 10 ** 4000), []),
-         "the ambient module has ~10^3999999 elements (limit 65536; "
+         "the ambient module has ~10^4000000 elements (limit 65536; "
          "set TWISTQ_MAX_TABLE)"),
         (lambda: modular_extension_cocycle(3, 10 ** 8, [1, 1]),
          "a quandle of order at least 3^99999999 has a table of at least "
@@ -553,11 +553,17 @@ class TestGuards:
         (lambda: _check_order(10 ** 4000, 1000),
          "a quandle of order ~10^4000000 has a ~10^8000000-cell table "
          "(limit 65536; set TWISTQ_MAX_TABLE)"),
-    ], ids=["basis", "ambient", "modular", "order"])
+        (lambda: brute_force_homology(spec(
+            dihedral_quandle(3), parse_ring("Z%d[T]/(T+1)" % 10 ** 4000),
+            "TQ", 9)),
+         "chain group has ~10^3072000 elements (limit 729; "
+         "set TWISTQ_MAX_BRUTE)"),
+    ], ids=["basis", "ambient", "modular", "order", "oracle"])
     def test_vast_sizes_are_refused_without_being_built(self, monkeypatch,
                                                         refuse, reason):
-        # as integers, the sizes' lower bounds take 1.7 to 25 MB
-        for var in ("TWISTQ_MAX_BASIS", "TWISTQ_MAX_TABLE"):
+        # as integers, the sizes (or their lower bounds) take 1.3 to 25 MB
+        for var in ("TWISTQ_MAX_BASIS", "TWISTQ_MAX_BRUTE",
+                    "TWISTQ_MAX_TABLE"):
             monkeypatch.delenv(var, raising=False)
         tracemalloc.start()
         try:

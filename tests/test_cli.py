@@ -182,8 +182,12 @@ class TestExitCodes:
         (["modular", "--p", "1153", "--m", "1153", "--h", "T^999+1"],
          "error: a quandle of order ~10^3523700 has a ~10^7047400-cell "
          "table (limit 65536; set TWISTQ_MAX_TABLE)\n"),
+        # m - 1 times log10(p) overflows a float
+        (["modular", "--p", "2", "--m", str(10 ** 400), "--h", "T+1"],
+         "a quandle of order at least 2^~10^400 has a table of at least "
+         "2^~10^400 cells (limit 65536; set TWISTQ_MAX_TABLE)"),
     ], ids=["p0", "h-power", "modular-bound", "modular-p-and-m",
-            "long-square", "long-order"])
+            "long-square", "long-order", "modular-m-past-a-float"])
     def test_construct_refused_in_one_line(self, capsys, monkeypatch, argv,
                                            reason):
         for var in ("TWISTQ_MAX_DEGREE", "TWISTQ_MAX_TABLE"):
@@ -206,7 +210,7 @@ class TestExitCodes:
         (["cocycle", "construct", "obstruction2",
           "--ambient", "Z%d[T]/(T^3+1)" % 10 ** 4000, "--sub", "2",
           "--quandle", "R(3)", "--eta", "0,0,0"],
-         "the ambient module has ~10^11999 elements (limit 65536; "
+         "the ambient module has ~10^12000 elements (limit 65536; "
          "set TWISTQ_MAX_TABLE)"),
         (["cocycle", "construct", "obstruction2",
           "--ambient", "Z9[T]/(T+1)", "--sub", "3", "--quandle", "R(9)",
@@ -282,6 +286,29 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == ("error: degree-%d basis has %s tuples (limit 20000; "
                        "set TWISTQ_MAX_BASIS)\n" % (degree + 1, size))
+
+    def test_degree_too_large_for_a_float_is_refused(self, capsys,
+                                                     monkeypatch):
+        # (10^400 + 1) * log10(3) overflows a float; the decade is exact
+        monkeypatch.delenv("TWISTQ_MAX_BASIS", raising=False)
+        code, out, err = run(capsys, ["homology", "--degree",
+                                      str(10 ** 400)] + _R3)
+        assert (code, out) == (2, "")
+        assert err == ("error: degree-~10^400 basis has ~10^~10^399 tuples "
+                       "(limit 20000; set TWISTQ_MAX_BASIS)\n")
+
+    def test_oracle_guard_comes_before_the_engine(self, capsys,
+                                                  monkeypatch):
+        # the engine would spend most of a minute on this complex
+        monkeypatch.delenv("TWISTQ_MAX_BRUTE", raising=False)
+        start = time.monotonic()
+        code, out, err = run(capsys, [
+            "homology", "--quandle", "R(3)", "--degree", "8", "--oracle",
+            "--coeff", "Z%d[T]/(T+1)" % 10 ** 4000])
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: chain group has ~10^1536000 elements (limit "
+                       "729; set TWISTQ_MAX_BRUTE)\n")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["invariant",
@@ -518,6 +545,18 @@ class TestInvariant:
                                    "--cocycle", str(co)])
         assert report["result"]["value"] == "2 + 2st"
         assert report["result"]["colorings"] == 4
+
+    @pytest.mark.parametrize("ring", ["Z2[T]/(T^9+T+1)",
+                                      "Z2[T]/(T^8+T^4+T^3+T+1)"])
+    def test_zero_cocycle_needs_no_letter(self, capsys, tmp_path, ring):
+        # every weight is the zero key, which renders as 1 at any rank
+        pd, co = tmp_path / "hopf.pd", tmp_path / "zero.txt"
+        pd.write_text(HOPF)
+        co.write_text("")
+        report = run_json(capsys, ["invariant", "--pd", str(pd),
+                                   "--quandle", "T(2)", "--coeff", ring,
+                                   "--cocycle", str(co)])
+        assert report["result"]["value"] == "4"
 
     def test_override_of_missing_crossing_is_refused(self, capsys, tmp_path):
         pd = tmp_path / "hopf.pd"
@@ -851,6 +890,21 @@ _REFUSALS = {
         ["cocycle", "construct", "lift", "--seeds", "{x}"] + _R3,
         {"x": "0,1 -> 1\n0,1,2 -> 1\n"},
         "cochain key (0, 1, 2) has 3 entries, but the first key has 2"),
+    "eta-too-short": (["cocycle", "construct", "obstruction2", "--ambient",
+                       "Z9[T]/(T+1)", "--sub", "3", "--quandle", "R(3)",
+                       "--eta", "0,1"], {},
+                      "map must assign every element"),
+    "eta-out-of-range": (["cocycle", "construct", "obstruction2",
+                          "--ambient", "Z9[T]/(T+1)", "--sub", "3",
+                          "--quandle", "R(3)", "--eta", "0,1,7"], {},
+                         "map value 7 out of range"),
+    "triple-point-sheet": (_INVARIANT_SURFACE,
+                           {"x": "sheets: x y\ntp: sign=+1 L=0 x=x y=w "
+                                 "z=x\n"},
+                           "triple point uses unknown sheet"),
+    "two-tails": (_INVARIANT, {"x": "Xp[1,3,2,4]\nXp[3,1,4,2]\n"
+                                    "Xp[5,6,1,7]\n"},
+                  "semiarc '1' has two tails: orientation is ambiguous"),
     "catalog-not-json": (["verify-suite", "--catalog", "{x}"], {"x": "[1, 2"},
                          "catalog is not JSON: Expecting ',' delimiter: "
                          "line 1 column 6 (char 5)"),
@@ -862,6 +916,65 @@ _REFUSALS = {
 def test_refusal_names_its_input(capsys, tmp_path, argv, files, reason):
     code, out, err = _run_on_files(capsys, tmp_path, argv, files)
     assert (code, out, err) == (2, "", "error: %s\n" % reason)
+
+
+# one valid text per parser, with a command that reads it from {x} (a
+# file) or from {text} (the value of an option)
+_FUZZ_SEEDS = {
+    "pd": (_INVARIANT, HOPF + "L 0 1\nmod 2\nbase out\n"),
+    "surface": (_INVARIANT_SURFACE, "sheets: x y z\nrel: z = x * y\n"
+                                    "tp: sign=+1 L=0 x=x y=y z=z\n"),
+    "cochain": (_VERIFY, "0,1 -> 2\n0,2 -> 1\n1,0 -> 1\n1,2 -> 2\n"
+                         "2,0 -> 2\n2,1 -> 1\n"),
+    "quandle-table": (["quandle", "info", "--quandle", "@{x}"],
+                      "3\n0 2 1\n2 1 0\n1 0 2\n"),
+    "ring": (["homology", "--quandle", "R(3)", "--degree", "1",
+              "--coeff={text}"], "Z3[T]/(T^2+T+1)"),
+    "catalog": (["verify-suite", "--catalog", "{x}"], json.dumps([
+        {"id": "h", "kind": "homology", "quandle": "R(3)",
+         "coeff": "Z3[T]/(T+1)", "variant": "TQ", "degree": 2,
+         "expect": [3, 3], "oracle": True},
+        {"id": "i", "kind": "invariant", "pd": HOPF, "quandle": "T(2)",
+         "coeff": "Z0[T]/(T^2-1)", "cocycle": "0,1 -> T\n1,0 -> 1\n",
+         "expect": "2 + 2st"}])),
+}
+
+
+@st.composite
+def _mutated(draw, text):
+    """text with one to four spans of up to 8 characters replaced by
+    short strings of its own alphabet or by tokens parsers trip on."""
+    piece = st.one_of(
+        st.text(alphabet=sorted(set(text)) + ["9", "-"], max_size=4),
+        st.sampled_from(["99999999", "-1", "0", "\n", "T^", "Xn[1,2,3,4]",
+                         ",", "->", "=", "*", "\"", "[", "{}", "null"]))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(piece) + text[j:]
+    return text
+
+
+@pytest.mark.parametrize("kind", _FUZZ_SEEDS)
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_text_exits_0_or_2(capsys, tmp_path, monkeypatch, kind,
+                                   data):
+    for var, value in (("TWISTQ_MAX_TABLE", "400"), ("TWISTQ_MAX_BASIS",
+                       "400"), ("TWISTQ_MAX_DEGREE", "64")):
+        monkeypatch.setenv(var, value)
+    argv, seed = _FUZZ_SEEDS[kind]
+    text = data.draw(_mutated(seed))
+    (tmp_path / "x").write_text(text)
+    (tmp_path / "ok").write_text("")
+    code, out, err = run(capsys, [
+        a.format(x=tmp_path / "x", ok=tmp_path / "ok", text=text)
+        if "{" in a else a for a in argv])
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ")
 
 
 class TestVerifySuite:

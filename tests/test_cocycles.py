@@ -257,6 +257,13 @@ class TestLiftH1:
         with pytest.raises(CocycleError):
             lift_h1(x, ring, {(0,): (1,)})
 
+    def test_seeds_of_mixed_lengths_rejected(self):
+        x = dihedral_quandle(3)
+        ring = parse_ring("Z3[T]/(T+1)")
+        with pytest.raises(CocycleError, match="seed keys must all have the "
+                                               "same length"):
+            lift_h1(x, ring, {(0, 1): (1,), (0, 1, 2): (1,)})
+
 
 # -- the paper's formulas, written out as references -------------------------
 # Each reference builds the same quandle and rings as its constructor, then

@@ -241,3 +241,11 @@ class TestGroupRing:
 
     def test_zero_renders(self):
         assert GroupRingElem(R(3)).render() == "0"
+
+    def test_rank_9_key_needs_a_ninth_letter_only_when_used(self):
+        r = AlexanderRing(2, [1, 1] + [0] * 7 + [1])  # T^9 + T + 1
+        assert GroupRingElem(r, {(0,) * 9: 4}).render() == "4"
+        assert GroupRingElem(r, {(1,) + (0,) * 8: 1}).render() == "s"
+        with pytest.raises(RingError, match="no letters left to render "
+                                            "rank-9 keys"):
+            GroupRingElem(r, {(0,) * 8 + (1,): 1}).render()

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from twistq import cli
-from twistq.coeff import AlexanderRing, parse_ring
+from twistq.coeff import AlexanderRing, RingError, parse_ring
 from twistq.chain import Cochain, parse_cochain
 from twistq.cocycles import SesSpec
 from twistq.quandle import (QuandleError, QuandleMap, alexander_quandle,
@@ -124,6 +124,25 @@ class TestStandardFamilies:
                 build()
         monkeypatch.setenv("TWISTQ_MAX_TABLE", "16")
         assert dihedral_quandle(4).size == 4
+
+    def test_alexander_name_is_sized_before_its_ring(self, monkeypatch):
+        import twistq.coeff as coeff_mod
+        monkeypatch.setenv("TWISTQ_MAX_DEGREE", "100000")
+        monkeypatch.delenv("TWISTQ_MAX_TABLE", raising=False)
+        monkeypatch.setattr(coeff_mod, "AlexanderRing",
+                            lambda *a: pytest.fail("ring built"))
+        with pytest.raises(QuandleError, match=(
+                r"^a quandle of order ~10\^47712 has a ~10\^95424-cell "
+                r"table \(limit 65536; set TWISTQ_MAX_TABLE\)$")):
+            quandle_standard("A(3;T^100000+1)")
+
+    def test_alexander_name_is_sized_by_its_reduced_degree(self,
+                                                           monkeypatch):
+        # 3T^20 vanishes mod 3: the order is 3, not 3^20
+        monkeypatch.setenv("TWISTQ_MAX_TABLE", "9")
+        assert quandle_standard("A(3;3T^20+T+1)").size == 3
+        with pytest.raises(RingError, match="zero ring"):
+            quandle_standard("A(1;T^1000+1)")
 
     def test_dihedral_is_alexander_mod_t_plus_1(self):
         assert alexander_quandle(AlexanderRing(5, [1, 1])).table == \

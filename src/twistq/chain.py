@@ -54,12 +54,6 @@ __all__ = [
     "render_cochain",
 ]
 
-# defaults of the resource guards; TWISTQ_MAX_BASIS and TWISTQ_MAX_BRUTE
-# override them and are read on every call
-_MAX_BASIS = 20000
-_MAX_BRUTE = 729
-
-
 class ComplexSpec(namedtuple("ComplexSpec", "x ring variant degree")):
     """The degree-`degree` group of the `variant` complex of the quandle
     x over `ring`: an immutable value, compared field by field."""
@@ -133,8 +127,8 @@ def _basis_size(q, n):
     """q^n, the number of n-tuples of a quandle of order q, refused past
     TWISTQ_MAX_BASIS."""
     count = power(q, n)
-    check_limit(count, "TWISTQ_MAX_BASIS", _MAX_BASIS, RingError,
-                "degree-%s basis has %s tuples", n, count)
+    check_limit(count, "basis", RingError, "degree-%s basis has %s tuples",
+                n, count)
     return count
 
 
@@ -517,8 +511,8 @@ def brute_force_homology(spec):
     m = ring.modulus
     k = len(basis_tuples(spec.x, n, spec.variant)) * ring.degree
     total = power(m, k)
-    check_limit(total, "TWISTQ_MAX_BRUTE", _MAX_BRUTE, RingError,
-                "chain group has %s elements", total)
+    check_limit(total, "oracle", RingError, "chain group has %s elements",
+                total)
     out_cols = _columns(spec)
     in_cols = _columns(spec.at_degree(n + 1))
 
@@ -544,8 +538,9 @@ def brute_force_homology(spec):
 # -- cochain text ----------------------------------------------------------
 
 def parse_cochain(ring, text, degree=None, size=None):
-    """Parse lines of the form 'x1,x2,...,xn -> ringElem'; with size, the
-    order of the quandle, each x_i must name one of its elements."""
+    """Parse lines of the form 'x1,x2,...,xn -> ringElem', or ' -> ringElem'
+    for the key () of degree 0; with size, the order of the quandle, each
+    x_i must name one of its elements."""
     from .coeff import parse_poly
     out = None
     for raw in text.splitlines():
@@ -557,7 +552,7 @@ def parse_cochain(ring, text, degree=None, size=None):
             raise ValueError("missing '->' in cochain line %s" % quote(raw))
         key = tuple(integer(v, ValueError, "a cochain key",
                             "bad cochain key in line %s", raw)
-                    for v in lhs.strip().split(","))
+                    for v in lhs.split(",")) if lhs.strip() else ()
         if size is not None and not all(0 <= k < size for k in key):
             raise ValueError("cochain key %s is outside the quandle; the "
                              "quandle's elements are 0..%d"

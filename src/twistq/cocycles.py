@@ -14,15 +14,13 @@ cocycle condition before returning.
 """
 
 import itertools
-import math
 
-from .coeff import _MAX_DEGREE, AlexanderRing, RingError
+from .coeff import AlexanderRing, RingError
 from .chain import (ComplexSpec, Cochain, basis_tuples, delta, is_cocycle,
                     is_degenerate)
-from .limits import LONG_DIGITS, check_limit, power
-from .quandle import (_MAX_TABLE, FiniteQuandle, QuandleMap, QuandleError,
-                      _check_order, alexander_quandle, dihedral_quandle,
-                      is_homomorphism)
+from .limits import check_limit, power
+from .quandle import (FiniteQuandle, QuandleMap, _check_order,
+                      alexander_quandle, dihedral_quandle, is_homomorphism)
 
 __all__ = [
     "CocycleError",
@@ -35,10 +33,6 @@ __all__ = [
     "extension_homomorphism",
     "lift_h1",
 ]
-
-# default of the correction search guard, which TWISTQ_MAX_BRUTE overrides
-_MAX_SECTION_SEARCH = 6561
-
 
 class CocycleError(ValueError):
     pass
@@ -74,12 +68,10 @@ def modular_extension_cocycle(p, m, h_coeffs):
     """
     if p < 2 or m < 2:
         raise CocycleError("need p >= 2 and m >= 2")
-    if m - 1 > LONG_DIGITS / math.log10(p):  # p^m: seconds at 10^6
-        # |X|^2 >= p^(2m-2) >= 2^e, above every limit
-        e = 2 * (m - 1) * (p.bit_length() - 1)
-        check_limit(math.inf, "TWISTQ_MAX_TABLE", _MAX_TABLE, QuandleError,
-                    "a quandle of order at least %s^%s has a table of at "
-                    "least 2^%s cells", p, m - 1, e)
+    # |X| = p^((m-1) deg h), refused before p^m is computed; a constant
+    # h counts as degree 1 here, and the ring refuses it
+    deg = max([1] + [d for d, c in enumerate(h_coeffs) if c % p])
+    _check_order(p, (m - 1) * deg)
     big = AlexanderRing(p ** m, h_coeffs)
     mid = AlexanderRing(p ** (m - 1), h_coeffs)
     small = AlexanderRing(p, h_coeffs)
@@ -125,7 +117,7 @@ def polynomial_extension_cocycle(p, h_coeffs, m):
                            "need m >= 2")
     small = AlexanderRing(p, h_coeffs)
     h, d = small.h, small.degree
-    check_limit(m * d, "TWISTQ_MAX_DEGREE", _MAX_DEGREE, RingError,
+    check_limit(m * d, "polynomial degree", RingError,
                 "h^%s has degree %s", m, m * d)
     _check_order(p, (m - 1) * d)  # |X|, before h^m is built
     big = AlexanderRing(p, _poly_pow(p, h, m))
@@ -168,7 +160,7 @@ class SesSpec:
             raise CocycleError("the ambient module must be finite")
         # N and G are listed
         size = power(g.modulus, g.degree)
-        check_limit(size, "TWISTQ_MAX_TABLE", _MAX_TABLE, CocycleError,
+        check_limit(size, "table", CocycleError,
                     "the ambient module has %s elements", size)
         gens = [g.reduce(v) for v in n_gens]
         # close under addition, negation and T in both directions
@@ -238,7 +230,7 @@ def extension_homomorphism(ses, x, eta):
     phi = obstruction_2cocycle(ses, x, eta)
     n_elems = sorted(ses.n_set)
     size = power(len(n_elems), x.size)
-    check_limit(size, "TWISTQ_MAX_BRUTE", _MAX_SECTION_SEARCH, CocycleError,
+    check_limit(size, "correction search", CocycleError,
                 "the correction search has %s candidates", size)
     gq = alexander_quandle(g)
     index = {e: i for i, e in enumerate(g.elements())}

@@ -15,13 +15,14 @@ not change the ideal), which makes reduction a plain division step.
 import math
 import re
 
-from .limits import LONG_DIGITS, check_limit, integer, quote
+from .limits import check_limit, integer, quote
 
 __all__ = [
     "RingError",
     "AlexanderRing",
     "GroupRingElem",
     "parse_ring",
+    "parse_terms",
     "parse_poly",
     "render_poly",
 ]
@@ -29,14 +30,6 @@ __all__ = [
 
 class RingError(ValueError):
     pass
-
-
-# default of the degree guard on polynomial text; TWISTQ_MAX_DEGREE
-# overrides it and is read on every call
-_MAX_DEGREE = 1024
-# the guard on the coefficients of T^k over Z defaults to
-# limits.LONG_DIGITS, the longest integer str() prints; TWISTQ_MAX_DIGITS
-# overrides it and is read on every call
 
 
 def _inverse_mod(a, n):
@@ -149,9 +142,8 @@ class AlexanderRing:
             if not self.modulus:
                 bits = max(abs(c) for c in a + power).bit_length()
                 digits = int(bits * math.log10(2)) + 1  # >= the true count
-                check_limit(digits, "TWISTQ_MAX_DIGITS", LONG_DIGITS,
-                            RingError, "computing T^%s makes coefficients "
-                            "of about %s digits", k, digits)
+                check_limit(digits, "T^k digits", RingError, "computing T^%s "
+                            "makes coefficients of about %s digits", k, digits)
         return a
 
     def quandle_op(self, a, b):
@@ -205,9 +197,10 @@ _TERM_RE = re.compile(
     r"([+-]?)\s*(?:(\d+)\s*\*?\s*)?(?:T(?:\^(-?\d+))?)?", re.IGNORECASE)
 
 
-def parse_poly(text):
-    """Parse '2T^2 - T + 1' into an ascending coefficient list; every term
-    after the first starts with its sign."""
+def parse_terms(text):
+    """Parse '2T^2 - T + 1' into {exponent: coefficient}, the terms of
+    one exponent summed; every term after the first starts with its
+    sign.  The degree is guarded before any coefficient is listed."""
     s = text.strip()
     if not s:
         raise RingError("empty polynomial")
@@ -229,9 +222,15 @@ def parse_poly(text):
         while pos < len(s) and s[pos].isspace():
             pos += 1
     deg = max(coeffs)
-    check_limit(deg, "TWISTQ_MAX_DEGREE", _MAX_DEGREE, RingError,
+    check_limit(deg, "polynomial degree", RingError,
                 "polynomial %s has degree %s", quote(text), deg)
-    return [coeffs.get(i, 0) for i in range(deg + 1)]
+    return coeffs
+
+
+def parse_poly(text):
+    """Parse '2T^2 - T + 1' into an ascending coefficient list."""
+    terms = parse_terms(text)
+    return [terms.get(i, 0) for i in range(max(terms) + 1)]
 
 
 def render_poly(coeffs):

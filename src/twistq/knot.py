@@ -174,16 +174,20 @@ class Diagram:
             self._declared_index[name] = fi
 
 
+def _once(table, key, value, what):
+    """table[key] = value, refused when table already holds key."""
+    if key in table:
+        raise DiagramError("%s is declared twice" % what)
+    table[key] = value
+
+
 def parse_pd(text):
     """Parse a diagram file: crossing lines Xp[...]/Xn[...] plus the
     directives 'outer <face-id>', 'base <face-id>', 'mod <p>',
     'face <id>: <edge><L|R> ...' and per-crossing numbering overrides
-    'L <crossing-index> <value>'."""
-    crossings = []
-    outer = base = None
-    mod_p = 0
-    declared = {}
-    overrides = {}
+    'L <crossing-index> <value>', each at most once (per face or
+    crossing)."""
+    crossings, directives, declared, overrides = [], {}, {}, {}
 
     def number(token):  # in raw, the line being read
         return integer(token, DiagramError, "a diagram line",
@@ -200,39 +204,36 @@ def parse_pd(text):
             continue
         head, _, rest = line.partition(" ")
         head = head.lower()
-        if head == "outer":
-            outer = rest.strip()
-        elif head == "base":
-            base = rest.strip()
+        if head in ("outer", "base"):
+            _once(directives, head, rest.strip(), head)
         elif head == "mod":
-            mod_p = number(rest)
-            if mod_p < 2:
+            _once(directives, "mod_p", number(rest), head)
+            if directives["mod_p"] < 2:
                 raise DiagramError("mod needs p >= 2")
         elif head == "l":
             ci_text, _, val = rest.strip().partition(" ")
-            overrides[number(ci_text)] = number(val)
+            _once(overrides, number(ci_text), number(val),
+                  "L override of crossing %s" % quote(ci_text))
         elif head.startswith("face"):
             name, _, body = line[4:].partition(":")
             name = name.strip()
             if not name or not body.strip():
                 raise DiagramError("malformed face line %s" % quote(raw))
-            if name in declared:
-                raise DiagramError("face %s is declared twice" % quote(name))
-            sides = []
+            sides = []  # filled below
+            _once(declared, name, sides, "face %s" % quote(name))
             for tok in body.split():
                 sm = re.match(r"^(\w+)([LR])$", tok, re.IGNORECASE)
                 if not sm:
                     raise DiagramError("bad edge-side token %s" % quote(tok))
                 sides.append((sm.group(1), sm.group(2).upper()))
-            declared[name] = sides
         else:
             raise DiagramError("cannot parse diagram line %s" % quote(raw))
     bad = sorted(ci for ci in overrides if not 0 <= ci < len(crossings))
     if bad:
         raise DiagramError("L override names crossing %d, but the crossings "
                            "are 0..%d" % (bad[0], len(crossings) - 1))
-    return Diagram(crossings, mod_p=mod_p, outer=outer, base=base,
-                   declared_faces=declared, l_overrides=overrides)
+    return Diagram(crossings, declared_faces=declared, l_overrides=overrides,
+                   **directives)
 
 
 def alexander_numbering(diagram):
@@ -464,8 +465,8 @@ class SurfacePresentation:
 
 def parse_surface(text):
     """Parse 'sheets: a b c', 'rel: c = a * b' and
-    'tp: sign=+1 L=0 x=a y=b z=c' lines."""
-    sheets, rels, triples = [], [], []
+    'tp: sign=+1 L=0 x=a y=b z=c' lines, each sheet named once."""
+    sheets, rels, triples = {}, [], []
 
     def number(token):  # in raw, the line being read
         return integer(token, DiagramError, "a surface line",
@@ -479,7 +480,8 @@ def parse_surface(text):
         head = head.strip().lower()
         body = body.strip()
         if head == "sheets":
-            sheets.extend(body.split())
+            for name in body.split():
+                _once(sheets, name, None, "sheet %s" % quote(name))
         elif head == "rel":
             m = re.match(r"^(\w+)\s*=\s*(\w+)\s*\*\s*(\w+)$", body)
             if not m:
@@ -499,7 +501,7 @@ def parse_surface(text):
             raise DiagramError("cannot parse surface line %s" % quote(raw))
     if not sheets:
         raise DiagramError("surface presentation has no sheets")
-    return SurfacePresentation(sheets, rels, triples)
+    return SurfacePresentation(list(sheets), rels, triples)
 
 
 def surface_colorings(sp, x):

@@ -1,8 +1,9 @@
 """Resource guards: refuse a computation above a size limit before it starts.
 
-Each guard keeps its default in the module that uses it; an environment
-variable TWISTQ_MAX_* overrides the default and is read on every call,
-so a shell or a test can change it without a reload.
+GUARDS holds every resource guard: its stage, the environment variable
+TWISTQ_MAX_* that overrides its limit, and its default.  check_limit
+looks both up by stage on every call, so a shell or a test can change a
+limit without a reload.
 
 Every integer of outside text is read by `integer`, which refuses a
 token of more than LONG_DIGITS characters before int() sees it, in one
@@ -22,6 +23,15 @@ import os
 LONG_DIGITS = 4300  # str() refuses longer integers unless told otherwise
 SHORT_DIGITS = 20   # longer integers show as ~10^k in a refusal
 QUOTE_CHARS = 80    # longer texts show as a prefix and a length
+
+GUARDS = {  # stage: (variable, default limit), and what the limit counts
+    "basis": ("TWISTQ_MAX_BASIS", 20000),  # tuples, listed or walked
+    "oracle": ("TWISTQ_MAX_BRUTE", 729),  # chains, each accounted for
+    "correction search": ("TWISTQ_MAX_BRUTE", 6561),  # lifts, |N|^|X|
+    "table": ("TWISTQ_MAX_TABLE", 65536),  # cells, order 256: order^3 to check
+    "polynomial degree": ("TWISTQ_MAX_DEGREE", 1024),  # checked before listing
+    "T^k digits": ("TWISTQ_MAX_DIGITS", LONG_DIGITS),  # str()'s longest
+}
 
 
 def quote(text):
@@ -58,12 +68,13 @@ def integer(token, error, what, message=None, *args):
                     "bad integer %s in %s" % (quote(token), what)) from None
 
 
-def check_limit(size, var, default, error, what, *args):
+def check_limit(size, stage, error, what, *args):
     """Raise error("<what % args> (limit L; set <var>)") when size
-    exceeds L, the integer in the environment variable var (default
-    when it is unset).  what takes integers with %s: one of more than
-    SHORT_DIGITS digits shows as ~10^<log10, floored>, and so does a
-    size from `power` past LONG_DIGITS digits."""
+    exceeds L, the integer in the stage's environment variable var (its
+    default in GUARDS when var is unset).  what takes integers with %s:
+    one of more than SHORT_DIGITS digits shows as ~10^<log10, floored>,
+    and so does a size from `power` past LONG_DIGITS digits."""
+    var, default = GUARDS[stage]
     limit = integer(os.environ.get(var, str(default)), error, var)
     if size > limit:
         shown = tuple(_decimal(a) if isinstance(a, int) else a for a in args)

@@ -34,16 +34,11 @@ class QuandleError(ValueError):
     pass
 
 
-# default of the table guard, order 256 (validation takes order^3
-# steps); TWISTQ_MAX_TABLE overrides it and is read on every call
-_MAX_TABLE = 65536
-
-
 def _check_order(q, exp=1):
     """Refuse a quandle of order q^exp before its table is built; both
     sizes come from limits.power, so a vast one is never computed."""
-    check_limit(power(q, 2 * exp), "TWISTQ_MAX_TABLE", _MAX_TABLE,
-                QuandleError, "a quandle of order %s has a %s-cell table",
+    check_limit(power(q, 2 * exp), "table", QuandleError,
+                "a quandle of order %s has a %s-cell table",
                 power(q, exp), power(q, 2 * exp))
 
 
@@ -184,11 +179,12 @@ def quandle_standard(name):
             mod_text, _, h_text = body.partition(";")
             if not h_text:
                 raise QuandleError("A(n;h) needs a polynomial: %s" % quote(name))
-            n, h = number(mod_text), coeff.parse_poly(h_text)
-            if n >= 2:  # the order n^deg h, before the ring lists h
-                _check_order(n, next((d for d in range(len(h) - 1, 0, -1)
-                                      if h[d] % n), 0))
-            ring = coeff.AlexanderRing(n, h)
+            n, h = number(mod_text), coeff.parse_terms(h_text)
+            if n >= 2:  # the order n^deg h, before h's terms are listed
+                _check_order(n, max((d for d, c in h.items() if c % n),
+                                    default=0))
+            ring = coeff.AlexanderRing(n, [h.get(d, 0)
+                                           for d in range(max(h) + 1)])
             return alexander_quandle(ring, name="A(%s;%s)" % (mod_text, h_text.strip()))
     raise QuandleError("unknown quandle name %s" % quote(name))
 

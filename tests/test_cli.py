@@ -169,10 +169,10 @@ class TestExitCodes:
          "need p >= 2 and m >= 2"),
         (["polynomial", "--p", "3", "--h", "T+1", "--m", "100000"],
          "h^100000 has degree 100000 (limit 1024; set TWISTQ_MAX_DEGREE)"),
-        # |X| = 2^99999 is bounded before 2^100000 is computed
+        # |X| = 2^99999 is sized before 2^100000 is computed
         (["modular", "--p", "2", "--m", "100000", "--h", "T+1"],
-         "a quandle of order at least 2^99999 has a table of at least "
-         "2^199998 cells (limit 65536; set TWISTQ_MAX_TABLE)"),
+         "a quandle of order ~10^30102 has a ~10^60205-cell table "
+         "(limit 65536; set TWISTQ_MAX_TABLE)"),
         (["modular", "--p", "1000000", "--m", "1000000", "--h", "T+1"],
          "(limit 65536; set TWISTQ_MAX_TABLE)"),
         # |X| = 2^7199 prints, |X|^2 = 2^14398 (4335 digits) does not
@@ -184,8 +184,8 @@ class TestExitCodes:
          "table (limit 65536; set TWISTQ_MAX_TABLE)\n"),
         # m - 1 times log10(p) overflows a float
         (["modular", "--p", "2", "--m", str(10 ** 400), "--h", "T+1"],
-         "a quandle of order at least 2^~10^400 has a table of at least "
-         "2^~10^400 cells (limit 65536; set TWISTQ_MAX_TABLE)"),
+         "a quandle of order ~10^~10^399 has a ~10^~10^399-cell table "
+         "(limit 65536; set TWISTQ_MAX_TABLE)"),
     ], ids=["p0", "h-power", "modular-bound", "modular-p-and-m",
             "long-square", "long-order", "modular-m-past-a-float"])
     def test_construct_refused_in_one_line(self, capsys, monkeypatch, argv,
@@ -493,6 +493,20 @@ class TestVerifyAndPair:
                                    "--cocycle", str(co), "--cycle", str(cy)])
         assert report["result"]["value"] == "2"
 
+    def test_degree_zero_generator_reads_back(self, capsys, tmp_path):
+        report = run_json(capsys, ["cohomology", "--degree", "0"] + _R3)
+        generator, = report["result"]["cocycle_generators"]
+        assert generator == " -> 1\n"
+        co = tmp_path / "phi.txt"
+        co.write_text(generator)
+        report = run_json(capsys, ["cocycle", "verify", "--degree", "0",
+                                   "--cocycle", str(co)] + _R3)
+        assert report["result"]["is_cocycle"] is True
+        report = run_json(capsys, ["cocycle", "pair", "--degree", "0",
+                                   "--cocycle", str(co), "--cycle", str(co)]
+                          + _R3)
+        assert report["result"]["value"] == "1"
+
 
 class TestQuandleCommands:
     def test_info_standard(self, capsys):
@@ -730,13 +744,15 @@ def test_juxtaposed_polynomial_terms_are_refused(capsys, tmp_path):
      {"x": HOPF + "mod p\n"}, "bad integer 'p' in line 'mod p'"),
     (["cocycle", "verify", "--degree", "2", "--cocycle", "{x}"] + _R3,
      {"x": ",, -> 1\n"}, "bad cochain key in line ',, -> 1'"),
+    (["cocycle", "verify", "--degree", "1", "--cocycle", "{x}"] + _R3,
+     {"x": "0, -> 1\n"}, "bad cochain key in line '0, -> 1'"),
     (["invariant-surface", "--surface", "{x}", "--cocycle", "{ok}"] + _R3,
      {"x": "sheets: x y\ntp: sign=+1 L=a x=x y=y z=x\n"},
      "bad integer 'a' in line 'tp: sign=+1 L=a x=x y=y z=x'"),
     (["quandle", "info", "--quandle", "@{x}"],
      {"x": "2\n0 0\n1 1 # c\n"}, "bad table row '1 1 # c'"),
-], ids=["pd-override", "pd-mod", "cochain-key", "surface-field",
-        "table-row"])
+], ids=["pd-override", "pd-mod", "cochain-key", "cochain-key-trailing-comma",
+        "surface-field", "table-row"])
 def test_unreadable_integer_names_its_line(capsys, tmp_path, argv, files,
                                            reason):
     files = dict(files, ok="")
@@ -908,6 +924,24 @@ _REFUSALS = {
     "catalog-not-json": (["verify-suite", "--catalog", "{x}"], {"x": "[1, 2"},
                          "catalog is not JSON: Expecting ',' delimiter: "
                          "line 1 column 6 (char 5)"),
+    "catalog-not-a-list": (["verify-suite", "--catalog", "{x}"], {"x": "{}"},
+                           "catalog must be a JSON list of entries"),
+    "oracle-over-Z": (["homology", "--quandle", "R(3)", "--coeff",
+                       "Z[T]/(T+1)", "--degree", "2", "--oracle"], {},
+                      "brute-force oracle needs finite coefficients"),
+    "outer-twice": (_INVARIANT, {"x": HOPF + "outer out\n"},
+                    "outer is declared twice"),
+    "base-twice": (_INVARIANT, {"x": HOPF + "mod 2\nbase out\nbase out\n"},
+                   "base is declared twice"),
+    "mod-twice": (_INVARIANT, {"x": HOPF + "mod 2\nmod 3\n"},
+                  "mod is declared twice"),
+    "override-twice": (_INVARIANT, {"x": HOPF + "L 1 0\nL 1 2\n"},
+                       "L override of crossing '1' is declared twice"),
+    "sheet-twice": (_INVARIANT_SURFACE, {"x": "sheets: x x\n"},
+                    "sheet 'x' is declared twice"),
+    "sheet-twice-across-lines": (_INVARIANT_SURFACE,
+                                 {"x": "sheets: x y\nsheets: x\n"},
+                                 "sheet 'x' is declared twice"),
 }
 
 
@@ -1228,6 +1262,14 @@ class TestCatalogDispatch:
             assert not item["pass"]
             assert "unknown quandle name '@" in item["witness"]
             assert "0 2 1" not in item["witness"]
+
+    def test_unknown_quandle_spec_fails_with_witness(self):
+        item, = cli.run_catalog([{
+            "kind": "iso", "first": {"sum": ["R(3)", "R(3)"]},
+            "second": "R(3)", "expect": False}])["items"]
+        assert item == {"id": "entry-0", "pass": False, "witness":
+                        "ValueError: cannot interpret quandle spec "
+                        "{'sum': ['R(3)', 'R(3)']}"}
 
     def test_unknown_kind_fails_with_witness(self):
         assert cli.run_catalog_entry({"kind": "nope"}) == \

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -135,6 +136,23 @@ class TestStandardFamilies:
                 r"^a quandle of order ~10\^47712 has a ~10\^95424-cell "
                 r"table \(limit 65536; set TWISTQ_MAX_TABLE\)$")):
             quandle_standard("A(3;T^100000+1)")
+
+    def test_alexander_name_is_sized_before_its_terms_are_listed(
+            self, monkeypatch):
+        # h's 10^7 + 1 coefficients, listed, take 85 MB
+        monkeypatch.setenv("TWISTQ_MAX_DEGREE", "10000000")
+        monkeypatch.delenv("TWISTQ_MAX_TABLE", raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuandleError) as refused:
+                quandle_standard("A(3;T^10000000+1)")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (
+            "a quandle of order ~10^4771212 has a ~10^9542425-cell table "
+            "(limit 65536; set TWISTQ_MAX_TABLE)")
+        assert peak <= 5_000_000
 
     def test_alexander_name_is_sized_by_its_reduced_degree(self,
                                                            monkeypatch):

@@ -34,7 +34,7 @@ from operator import add, sub
 from . import VARIANTS
 from .coeff import RingError
 from .exactlin import ModuleInfo, homology_segment, solve_linear
-from .limits import check_limit, integer, power, quote, quote_key
+from .limits import check_limit, integer, power, show
 
 __all__ = [
     "ComplexSpec",
@@ -86,8 +86,8 @@ class _FormalSum:
     def add_term(self, key, v):
         key = tuple(int(k) for k in key)
         if len(key) != self.degree:
-            raise ValueError("key %s has wrong length for degree %d"
-                             % (quote_key(key), self.degree))
+            raise ValueError("key %s has wrong length for degree %s"
+                             % (show(key), show(self.degree)))
         s = self.ring.add(self.values.get(key, self.ring.zero()), v)
         if self.ring.is_zero(s):
             self.values.pop(key, None)
@@ -185,7 +185,7 @@ def boundary(spec, c):
     tq = spec.variant == "TQ"
     for key, terms in _faces(spec.x, c.values):
         if tq and is_degenerate(key):
-            raise ValueError("degenerate tuple %r in a TQ chain" % (key,))
+            raise ValueError("degenerate tuple %s in a TQ chain" % show(key))
         # (c0 + c1 T) coef unreduced: T coef is coef shifted up a power
         v, tv = c.values[key] + (0,), (0,) + c.values[key]
         for tup, c0, c1 in terms:
@@ -269,8 +269,8 @@ def _vector(spec, fs):
     covered = set(basis)
     for key in fs.values:
         if key not in covered and not spec.ring.is_zero(fs.values[key]):
-            raise ValueError("value on %r outside the %s basis"
-                             % (key, spec.variant))
+            raise ValueError("value on %s outside the %s basis"
+                             % (show(key), spec.variant))
     return vec
 
 
@@ -549,20 +549,20 @@ def parse_cochain(ring, text, degree=None, size=None):
             continue
         lhs, sep, rhs = line.partition("->")
         if not sep:
-            raise ValueError("missing '->' in cochain line %s" % quote(raw))
+            raise ValueError("missing '->' in cochain line %s" % show(raw))
         key = tuple(integer(v, ValueError, "a cochain key",
                             "bad cochain key in line %s", raw)
                     for v in lhs.split(",")) if lhs.strip() else ()
         if size is not None and not all(0 <= k < size for k in key):
             raise ValueError("cochain key %s is outside the quandle; the "
                              "quandle's elements are 0..%d"
-                             % (quote_key(key), size - 1))
+                             % (show(key), size - 1))
         if out is None:
             out = Cochain(ring, degree if degree is not None else len(key))
         elif degree is None and len(key) != out.degree:
             raise ValueError("cochain key %s has %d entries, but the first "
                              "key has %d"
-                             % (quote_key(key), len(key), out.degree))
+                             % (show(key), len(key), out.degree))
         out.add_term(key, ring.reduce(parse_poly(rhs.strip())))
     if out is None:
         if degree is None:

@@ -105,12 +105,12 @@ def _digest(command, inputs):
 # ring); the handler passes the two modules in
 _FAMILIES = {
     "modular": lambda cocycles, coeff, p: cocycles.modular_extension_cocycle(
-        int(p["p"]), int(p["m"]), coeff.parse_poly(p["h"])),
+        p["p"], p["m"], coeff.parse_poly(p["h"])),
     "polynomial": lambda cocycles, coeff, p:
         cocycles.polynomial_extension_cocycle(
-            int(p["p"]), coeff.parse_poly(p["h"]), int(p["m"])),
+            p["p"], coeff.parse_poly(p["h"]), p["m"]),
     "dihedral": lambda cocycles, coeff, p:
-        cocycles.dihedral_integral_cocycle(int(p["n"])),
+        cocycles.dihedral_integral_cocycle(p["n"]),
 }
 
 
@@ -118,7 +118,7 @@ def _make_ses(inputs):
     from . import cocycles, coeff
     g = coeff.parse_ring(inputs["ambient"])
     gens = tuple(g.reduce(coeff.parse_poly(s))
-                 for s in str(inputs["sub"]).split(";"))
+                 for s in inputs["sub"].split(";"))
     return cocycles.SesSpec(g, gens)
 
 
@@ -327,33 +327,69 @@ _KINDS = {
 }
 
 
-def _construct(params):
+# the JSON type of an option's value in a catalog, named in a witness
+_JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def _catalog_inputs(params, path):
+    """The inputs of the command path from a catalog mapping: each
+    required option given, and each key that names an option holding
+    the option's JSON type, an integer (never a boolean) for type=int, a
+    boolean for store_true and a string for any other, or for a quandle
+    a mapping, replaced by its table text.  Other keys pass unchecked."""
+    inputs = dict(params)
+    for flag, keywords in _COMMANDS[path][1]:
+        key = keywords.get("dest", flag[2:])
+        if key not in inputs:
+            if keywords.get("required"):
+                raise ValueError("%s is missing" % key)
+            continue
+        value = inputs[key]
+        want = (bool if keywords.get("action") == "store_true"
+                else keywords.get("type", str))
+        if key in ("quandle", "first", "second") and type(value) is dict:
+            inputs[key] = _shared(json.dumps(value, sort_keys=True),
+                                  _catalog_quandle, value)
+        elif type(value) is not want:  # JSON gives no subclasses
+            raise ValueError("%s must be %s" % (key, _JSON_TYPES[want]))
+    return inputs
+
+
+def _construct(params, what="construct"):
     """The report of `cocycle construct <family>` on a catalog construct
-    mapping."""
+    mapping, given as the entry's `what`."""
     from . import cocycles
+    from .limits import show
+    if not isinstance(params, dict):
+        raise ValueError("%s must be a mapping" % what)
     family = params.get("family")
-    if family not in _FAMILIES and family != "lift":
-        raise cocycles.CocycleError("unknown cocycle family %r" % family)
-    return _shared(json.dumps(params, sort_keys=True),
-                   _COMMANDS["cocycle construct " + family][0], params)
+    if family not in ("lift", *_FAMILIES):  # compared, never hashed
+        raise cocycles.CocycleError("unknown cocycle family %s"
+                                    % show(family))
+    path = "cocycle construct " + family
+    return _shared(json.dumps(params, sort_keys=True), _COMMANDS[path][0],
+                   _catalog_inputs(params, path))
 
 
 def _catalog_quandle(spec):
-    """Table text of a {"product": [a, b]} or {"extension": construct}
-    quandle spec."""
+    """Table text of a {"product": [a, b]} (two quandle names) or
+    {"extension": construct} quandle spec."""
     from . import chain, coeff, quandle
+    from .limits import show
     if "product" in spec:
-        a, b = spec["product"]
-        x = quandle.quandle_product(quandle.quandle_standard(a),
-                                    quandle.quandle_standard(b))
+        names = spec["product"]
+        if (type(names) is not list or len(names) != 2
+                or not all(isinstance(name, str) for name in names)):
+            raise ValueError("product must be a list of two strings")
+        x = quandle.quandle_product(*map(quandle.quandle_standard, names))
     elif "extension" in spec:
-        made = _construct(spec["extension"])
+        made = _construct(spec["extension"], "extension")
         ring = coeff.parse_ring(made["ring"])
         x = quandle.quandle_extension(
             quandle.quandle_from_table(made["quandle"]["table"]), ring,
             chain.parse_cochain(ring, made["cocycle"]))
     else:
-        raise ValueError("cannot interpret quandle spec %r" % (spec,))
+        raise ValueError("cannot interpret quandle spec %s" % show(spec))
     return quandle.render_quandle_table(x)
 
 
@@ -372,18 +408,15 @@ def _catalog_result(entry):
                   "degree": made["degree"], "quandle": "".join(
                       " ".join(map(str, row)) + "\n" for row in rows),
                   **inputs}
-    for key in ("quandle", "first", "second"):
-        if isinstance(inputs.get(key), dict):
-            inputs[key] = _shared(json.dumps(inputs[key], sort_keys=True),
-                                  _catalog_quandle, inputs[key])
-    return _COMMANDS[path][0](inputs)
+    return _COMMANDS[path][0](_catalog_inputs(inputs, path))
 
 
 def run_catalog_entry(entry):
     """Execute one catalog check; returns (ok, witness_text_or_None)."""
+    from .limits import show
     kind = entry.get("kind")
-    if kind not in _KINDS:
-        return False, "unknown catalog entry kind %r" % kind
+    if not isinstance(kind, str) or kind not in _KINDS:
+        return False, "unknown catalog entry kind %s" % show(kind)
     try:
         want = {field: read(entry) for field, read in _KINDS[kind][1].items()}
     except KeyError as exc:
@@ -526,7 +559,12 @@ def main(argv=None):
         result = _COMMANDS[args.command_path][0](inputs)
     except (OSError, ValueError) as exc:
         # RingError, QuandleError, CocycleError and DiagramError are all
-        # ValueErrors: a violated precondition of the computation
+        # ValueErrors: a violated precondition of the computation; an
+        # OSError's file name is outside text
+        if getattr(exc, "filename", None) is not None:
+            from .limits import show
+            exc = "[Errno %s] %s: %s" % (exc.errno, exc.strerror,
+                                         show(exc.filename))
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

@@ -18,7 +18,7 @@ import itertools
 from .coeff import AlexanderRing, RingError
 from .chain import (ComplexSpec, Cochain, basis_tuples, delta, is_cocycle,
                     is_degenerate)
-from .limits import check_limit, power
+from .limits import check_limit, power, show
 from .quandle import (FiniteQuandle, QuandleMap, _check_order,
                       alexander_quandle, dihedral_quandle, is_homomorphism)
 
@@ -293,16 +293,16 @@ def lift_h1(x, ring, seeds):
     for key in seeds:
         bad = [k for k in key if not 0 <= k < x.size]
         if bad:
-            raise CocycleError("seed key %r names element %d, but the "
+            raise CocycleError("seed key %s names element %s, but the "
                                "quandle's elements are 0..%d"
-                               % (tuple(key), bad[0], x.size - 1))
+                               % (show(tuple(key)), show(bad[0]), x.size - 1))
 
     table = {}
 
     def assign(key, v):
         v = ring.reduce(v)
         if table.setdefault(key, v) != v:
-            raise CocycleError("inconsistent value forced at %r" % (key,))
+            raise CocycleError("inconsistent value forced at %s" % show(key))
 
     degenerate = basis_tuples(x, n1, "TD")
     for key in degenerate:

@@ -15,7 +15,7 @@ not change the ideal), which makes reduction a plain division step.
 import math
 import re
 
-from .limits import check_limit, integer, quote
+from .limits import LONG_DIGITS, check_limit, integer, show
 
 __all__ = [
     "RingError",
@@ -37,10 +37,10 @@ def _inverse_mod(a, n):
     if n == 0:
         if a in (1, -1):
             return a
-        raise RingError("%d is not a unit in Z" % a)
+        raise RingError("%s is not a unit in Z" % show(a))
     a %= n
     if math.gcd(a, n) != 1:
-        raise RingError("%d is not a unit mod %d" % (a, n))
+        raise RingError("%s is not a unit mod %s" % (show(a), show(n)))
     return pow(a, -1, n)
 
 
@@ -212,7 +212,7 @@ def parse_terms(text):
         has_t = "t" in s[pos:m.end()].lower()
         if not num and not has_t or pos and not sign:
             raise RingError("cannot parse polynomial %s near %s"
-                            % (quote(text), quote(s[pos:])))
+                            % (show(text), show(s[pos:])))
         c = integer(num, RingError, "a polynomial") if num else 1
         e = integer(exp, RingError, "a polynomial") if exp else int(has_t)
         if e < 0:
@@ -223,7 +223,7 @@ def parse_terms(text):
             pos += 1
     deg = max(coeffs)
     check_limit(deg, "polynomial degree", RingError,
-                "polynomial %s has degree %s", quote(text), deg)
+                "polynomial %s has degree %s", text, deg)
     return coeffs
 
 
@@ -233,22 +233,30 @@ def parse_poly(text):
     return [terms.get(i, 0) for i in range(max(terms) + 1)]
 
 
+# the refusal of a result integer that str() will not print
+_TOO_LONG = ("a result has an integer of more than %d digits, too long to "
+             "print" % LONG_DIGITS)
+
+
 def render_poly(coeffs):
     """Render an ascending coefficient sequence as 'c_d T^d + ... + c_0'."""
     parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c == 0:
-            continue
-        if e == 0:
-            body = str(abs(c))
-        else:
-            mono = "T" if e == 1 else "T^%d" % e
-            body = mono if abs(c) == 1 else "%d%s" % (abs(c), mono)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
+    try:
+        for e in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[e]
+            if c == 0:
+                continue
+            if e == 0:
+                body = str(abs(c))
+            else:
+                mono = "T" if e == 1 else "T^%d" % e
+                body = mono if abs(c) == 1 else "%d%s" % (abs(c), mono)
+            if not parts:
+                parts.append(("-" if c < 0 else "") + body)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + body)
+    except ValueError:
+        raise RingError(_TOO_LONG) from None
     return " ".join(parts) if parts else "0"
 
 
@@ -260,7 +268,7 @@ def parse_ring(text):
     """Parse a ring descriptor such as 'Z3[T]/(T+1)' or 'Z[T]/(T^2-1)'."""
     m = _RING_RE.match(text)
     if not m:
-        raise RingError("cannot parse ring descriptor %s" % quote(text))
+        raise RingError("cannot parse ring descriptor %s" % show(text))
     n = integer(m.group(1) or "0", RingError, "a ring descriptor")
     return AlexanderRing(n, parse_poly(m.group(2)))
 
@@ -333,12 +341,16 @@ class GroupRingElem:
         if nonzero[-1][0] >= len(_LETTERS):
             raise RingError("no letters left to render rank-%d keys" % len(key))
         exps = {e for _, e in nonzero}
-        if len(nonzero) > 1 and len(exps) == 1 and nonzero[0][1] != 1:
-            word = "".join(_LETTERS[i] for i, _ in nonzero)
-            return "(%s)^%d" % (word, nonzero[0][1])
-        parts = []
-        for i, e in nonzero:
-            parts.append(_LETTERS[i] if e == 1 else "%s^%d" % (_LETTERS[i], e))
+        try:
+            if len(nonzero) > 1 and len(exps) == 1 and nonzero[0][1] != 1:
+                word = "".join(_LETTERS[i] for i, _ in nonzero)
+                return "(%s)^%d" % (word, nonzero[0][1])
+            parts = []
+            for i, e in nonzero:
+                parts.append(_LETTERS[i] if e == 1 else
+                             "%s^%d" % (_LETTERS[i], e))
+        except ValueError:
+            raise RingError(_TOO_LONG) from None
         return "".join(parts)
 
     @staticmethod

@@ -32,7 +32,7 @@ from operator import itemgetter
 
 from .coeff import GroupRingElem, RingError
 from .chain import ComplexSpec, is_cocycle
-from .limits import integer, quote
+from .limits import integer, show
 
 __all__ = [
     "DiagramError",
@@ -86,12 +86,12 @@ class Diagram:
                     if s in seen:
                         raise DiagramError(
                             "semiarc %s has two %s: orientation is ambiguous"
-                            % (quote(s), end))
+                            % (show(s), end))
                     seen[s] = (ci, pos)
         dangling = set(self.heads) ^ set(self.tails)
         if dangling:
             raise DiagramError("dangling semiarc(s): %s"
-                               % ", ".join(sorted(map(str, dangling))))
+                               % show(tuple(sorted(dangling))))
         if not self.crossings:
             raise DiagramError("diagram has no crossings")
         self.semiarcs = sorted(self.heads)
@@ -137,7 +137,7 @@ class Diagram:
         left = self.face_of[(ct, pt)]
         right = self.face_of[(ct, (pt - 1) % 4)]
         if self.face_of[(ch, (ph - 1) % 4)] != left or self.face_of[(ch, ph)] != right:
-            raise DiagramError("inconsistent sides along semiarc %s" % quote(s))
+            raise DiagramError("inconsistent sides along semiarc %s" % show(s))
         return left, right
 
     def source_region(self, ci):
@@ -149,7 +149,7 @@ class Diagram:
     def _face_id_index(self, name):
         if self.declared_faces and name in self._declared_index:
             return self._declared_index[name]
-        raise DiagramError("unknown face id %s" % quote(name))
+        raise DiagramError("unknown face id %s" % show(name))
 
     def _check_declared_faces(self):
         """Each declared face is a list of edge-side tokens like '2R';
@@ -161,16 +161,16 @@ class Diagram:
                 if s not in self.tails:
                     raise DiagramError("face %s names semiarc %s, which the "
                                        "diagram does not have"
-                                       % (quote(name), quote(s)))
+                                       % (show(name), show(s)))
                 left, right = self.left_right_faces(s)
                 touched.add(left if side == "L" else right)
             if len(touched) != 1:
                 raise DiagramError(
-                    "face %s does not describe a single region" % quote(name))
+                    "face %s does not describe a single region" % show(name))
             fi = touched.pop()
             if fi in self._declared_index.values():
                 raise DiagramError("face %s duplicates another declared face"
-                                   % quote(name))
+                                   % show(name))
             self._declared_index[name] = fi
 
 
@@ -213,25 +213,25 @@ def parse_pd(text):
         elif head == "l":
             ci_text, _, val = rest.strip().partition(" ")
             _once(overrides, number(ci_text), number(val),
-                  "L override of crossing %s" % quote(ci_text))
+                  "L override of crossing %s" % show(ci_text))
         elif head.startswith("face"):
             name, _, body = line[4:].partition(":")
             name = name.strip()
             if not name or not body.strip():
-                raise DiagramError("malformed face line %s" % quote(raw))
+                raise DiagramError("malformed face line %s" % show(raw))
             sides = []  # filled below
-            _once(declared, name, sides, "face %s" % quote(name))
+            _once(declared, name, sides, "face %s" % show(name))
             for tok in body.split():
                 sm = re.match(r"^(\w+)([LR])$", tok, re.IGNORECASE)
                 if not sm:
-                    raise DiagramError("bad edge-side token %s" % quote(tok))
+                    raise DiagramError("bad edge-side token %s" % show(tok))
                 sides.append((sm.group(1), sm.group(2).upper()))
         else:
-            raise DiagramError("cannot parse diagram line %s" % quote(raw))
+            raise DiagramError("cannot parse diagram line %s" % show(raw))
     bad = sorted(ci for ci in overrides if not 0 <= ci < len(crossings))
     if bad:
-        raise DiagramError("L override names crossing %d, but the crossings "
-                           "are 0..%d" % (bad[0], len(crossings) - 1))
+        raise DiagramError("L override names crossing %s, but the crossings "
+                           "are 0..%d" % (show(bad[0]), len(crossings) - 1))
     return Diagram(crossings, declared_faces=declared, l_overrides=overrides,
                    **directives)
 
@@ -424,8 +424,8 @@ def state_sum(diagram, x, ring, phi):
     p = diagram.mod_p
     # T^p acts trivially on the coefficients exactly when T^p == 1
     if p and ring.t_pow(ring.one(), p) != ring.one():
-        raise RingError("mod-%d numbering needs T^%d to act trivially on "
-                        "the coefficients" % (p, p))
+        raise RingError("mod-%s numbering needs T^%s to act trivially on "
+                        "the coefficients" % (show(p), show(p)))
     if diagram.l_overrides and len(diagram.l_overrides) == len(diagram.crossings):
         lnum = diagram.l_overrides.__getitem__
     else:
@@ -481,11 +481,11 @@ def parse_surface(text):
         body = body.strip()
         if head == "sheets":
             for name in body.split():
-                _once(sheets, name, None, "sheet %s" % quote(name))
+                _once(sheets, name, None, "sheet %s" % show(name))
         elif head == "rel":
             m = re.match(r"^(\w+)\s*=\s*(\w+)\s*\*\s*(\w+)$", body)
             if not m:
-                raise DiagramError("malformed relation %s" % quote(raw))
+                raise DiagramError("malformed relation %s" % show(raw))
             rels.append((m.group(1), m.group(2), m.group(3)))
         elif head == "tp":
             fields = {}
@@ -498,7 +498,7 @@ def parse_surface(text):
             except KeyError as e:
                 raise DiagramError("triple point missing field %s" % e)
         else:
-            raise DiagramError("cannot parse surface line %s" % quote(raw))
+            raise DiagramError("cannot parse surface line %s" % show(raw))
     if not sheets:
         raise DiagramError("surface presentation has no sheets")
     return SurfacePresentation(list(sheets), rels, triples)

@@ -8,13 +8,10 @@ limit without a reload.
 Every integer of outside text is read by `integer`, which refuses a
 token of more than LONG_DIGITS characters before int() sees it, in one
 line that names the kind of input and the length but echoes no text.
-A refusal shows outside text through `quote`, which cuts a long text to
-a prefix and its length, a key of integers read from it (a cochain's
-tuple) through `quote_key`, which does the same to the key's repr, and
-an integer of more than SHORT_DIGITS digits as ~10^k, so no message
-grows with its input.  `power` sizes what a guard compares and builds
-none past LONG_DIGITS digits: it keeps the decade, floor(log10), which
-prints as ~10^<decade>, the decade the integer itself would print.
+A refusal shows each value it echoes through `show`, one rule for every
+type, so no message grows with its input.  `power` sizes what a guard
+compares and builds none past LONG_DIGITS digits: it keeps the decade,
+floor(log10), which `show` shows as the integer's own.
 """
 
 import math
@@ -34,51 +31,59 @@ GUARDS = {  # stage: (variable, default limit), and what the limit counts
 }
 
 
-def quote(text):
-    """repr(text), or for a text of more than QUOTE_CHARS characters the
-    repr of its first QUOTE_CHARS and '... (<length> characters)'."""
+def show(value):
+    """value as a refusal shows it, by its type: an int in decimal up to
+    SHORT_DIGITS digits and beyond as ~10^<digits - 1>, its sign kept,
+    and a size from `power` as ~10^<decade>; a text, or anything else by
+    its repr, whole up to QUOTE_CHARS characters and beyond as its first
+    QUOTE_CHARS and '... (<length> characters)'; a tuple (a key) by the
+    repr of its first QUOTE_CHARS entries, cut the same way but with
+    '... (length <entries>)'."""
+    if isinstance(value, _Vast):
+        return "~10^" + show(value.decade)
+    if isinstance(value, int) and abs(value) >= 10 ** SHORT_DIGITS:
+        k = int(math.log10(abs(value)))  # the float may be one off
+        k += (10 ** (k + 1) <= abs(value)) - (10 ** k > abs(value))
+        return "-" * (value < 0) + "~10^%d" % k
+    if isinstance(value, tuple):
+        text = repr(value[:QUOTE_CHARS])
+        if len(value) <= QUOTE_CHARS and len(text) <= QUOTE_CHARS:
+            return text
+        return "%s... (length %d)" % (text[:QUOTE_CHARS], len(value))
+    if isinstance(value, str):
+        text, head = value, repr(value[:QUOTE_CHARS])
+    else:
+        text = repr(value)
+        head = text[:QUOTE_CHARS]
     if len(text) <= QUOTE_CHARS:
-        return repr(text)
-    return "%r... (%d characters)" % (text[:QUOTE_CHARS], len(text))
-
-
-def quote_key(key):
-    """repr(key), or for a key whose repr is longer than QUOTE_CHARS
-    characters the first QUOTE_CHARS of it and '... (length <len(key)>)'.
-    Only the first QUOTE_CHARS entries are rendered: each takes at least
-    one character."""
-    text = repr(key[:QUOTE_CHARS])
-    if len(key) <= QUOTE_CHARS and len(text) <= QUOTE_CHARS:
-        return text
-    return "%s... (length %d)" % (text[:QUOTE_CHARS], len(key))
+        return repr(value)
+    return "%s... (%d characters)" % (head, len(text))
 
 
 def integer(token, error, what, message=None, *args):
     """int(token), a token of the input `what`, or error(message % args)
     (default "bad integer <token> in <what>") when int() rejects it;
-    the token and each str among args show through quote."""
+    the token and each of args show through `show`."""
     if len(token) > LONG_DIGITS:
         raise error("integer of %d characters in %s (limit %d)"
                     % (len(token), what, LONG_DIGITS))
     try:
         return int(token)
     except ValueError:
-        raise error(message % tuple(quote(a) if isinstance(a, str) else a
-                                    for a in args) if message else
-                    "bad integer %s in %s" % (quote(token), what)) from None
+        raise error(message % tuple(map(show, args)) if message else
+                    "bad integer %s in %s" % (show(token), what)) from None
 
 
 def check_limit(size, stage, error, what, *args):
     """Raise error("<what % args> (limit L; set <var>)") when size
     exceeds L, the integer in the stage's environment variable var (its
-    default in GUARDS when var is unset).  what takes integers with %s:
-    one of more than SHORT_DIGITS digits shows as ~10^<log10, floored>,
-    and so does a size from `power` past LONG_DIGITS digits."""
+    default in GUARDS when var is unset).  what takes each of args with
+    %s, shown through `show`."""
     var, default = GUARDS[stage]
     limit = integer(os.environ.get(var, str(default)), error, var)
     if size > limit:
-        shown = tuple(_decimal(a) if isinstance(a, int) else a for a in args)
-        raise error("%s (limit %d; set %s)" % (what % shown, limit, var))
+        raise error("%s (limit %s; set %s)"
+                    % (what % tuple(map(show, args)), show(limit), var))
 
 
 def power(base, exp):
@@ -92,8 +97,7 @@ def power(base, exp):
 
 class _Vast:
     """A size of more than LONG_DIGITS digits, so above every limit
-    (which has at most LONG_DIGITS), kept as its decade and shown as
-    ~10^<decade>, the decade shown as _decimal shows an integer."""
+    (which has at most LONG_DIGITS), kept as its decade."""
 
     __slots__ = ("decade",)
 
@@ -102,10 +106,3 @@ class _Vast:
 
     def __gt__(self, limit):
         return True
-
-    def __str__(self):
-        return "~10^" + _decimal(self.decade)
-
-
-def _decimal(k):
-    return str(k) if k < 10 ** SHORT_DIGITS else "~10^%d" % math.log10(k)

@@ -10,7 +10,7 @@ integers 0 .. q-1; an optional label list carries human-readable names.
 from operator import itemgetter
 
 from . import coeff
-from .limits import check_limit, integer, power, quote
+from .limits import check_limit, integer, power, show
 
 __all__ = [
     "QuandleError",
@@ -74,7 +74,7 @@ class FiniteQuandle:
         for row in self.table:
             for v in row:
                 if not (0 <= v < q):
-                    raise QuandleError("table entry %r out of range" % (v,))
+                    raise QuandleError("table entry %s out of range" % show(v))
         for a in range(q):
             if self.table[a][a] != a:
                 raise QuandleError(
@@ -119,7 +119,7 @@ class QuandleMap:
             raise QuandleError("map must assign every element")
         for v in self.values:
             if not (0 <= v < codomain.size):
-                raise QuandleError("map value %r out of range" % (v,))
+                raise QuandleError("map value %s out of range" % show(v))
 
     def __call__(self, a):
         return self.values[a]
@@ -178,7 +178,7 @@ def quandle_standard(name):
         if kind == "A":
             mod_text, _, h_text = body.partition(";")
             if not h_text:
-                raise QuandleError("A(n;h) needs a polynomial: %s" % quote(name))
+                raise QuandleError("A(n;h) needs a polynomial: %s" % show(name))
             n, h = number(mod_text), coeff.parse_terms(h_text)
             if n >= 2:  # the order n^deg h, before h's terms are listed
                 _check_order(n, max((d for d, c in h.items() if c % n),
@@ -186,7 +186,7 @@ def quandle_standard(name):
             ring = coeff.AlexanderRing(n, [h.get(d, 0)
                                            for d in range(max(h) + 1)])
             return alexander_quandle(ring, name="A(%s;%s)" % (mod_text, h_text.strip()))
-    raise QuandleError("unknown quandle name %s" % quote(name))
+    raise QuandleError("unknown quandle name %s" % show(name))
 
 
 def quandle_product(x, y):
@@ -303,7 +303,8 @@ def parse_quandle_table(text):
     q = integer(lines[0], QuandleError, "a quandle table",
                 "first line must be the size, got %s", lines[0])
     if q < 1:
-        raise QuandleError("quandle table size must be >= 1, got %d" % q)
+        raise QuandleError("quandle table size must be >= 1, got %s"
+                           % show(q))
     _check_order(q)
     if len(lines) != q + 1:
         raise QuandleError("expected %d rows, got %d" % (q, len(lines) - 1))

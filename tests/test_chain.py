@@ -68,6 +68,19 @@ class TestBoundary:
         with pytest.raises(ValueError):
             boundary(s, Chain(R3, 2, {(1, 1): R3.one()}))
 
+    def test_long_keys_are_refused_in_short_messages(self):
+        long_key = (0,) * 200
+        for call in (
+                lambda: boundary(spec(dihedral_quandle(3), R3, "TQ", 200),
+                                 Chain(R3, 200, {long_key: R3.one()})),
+                lambda: is_coboundary(
+                    spec(trivial_quandle(1), R3, "TQ", 200),
+                    Cochain(R3, 200, {long_key: R3.one()}))):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert "(length 200)" in str(info.value)
+            assert len(str(info.value)) < 300
+
     def test_trivial_quandle_factors_through_t_minus_1(self):
         # over T_2: d(x1, x2) = (T-1)[(x1) - (x2)]
         ring = parse_ring("Z[T]/(T^2-1)")

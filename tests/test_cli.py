@@ -775,6 +775,7 @@ def _run_on_files(capsys, tmp_path, argv, files):
 
 
 _LONG = "1" * 5000
+_NINES = "9" * 4300  # the longest integer outside text may hold
 _INVARIANT = ["invariant", "--pd", "{x}", "--cocycle", "{ok}"] + _R3
 _INVARIANT_SURFACE = ["invariant-surface", "--surface", "{x}",
                       "--cocycle", "{ok}"] + _R3
@@ -857,6 +858,31 @@ _LONG_TEXTS = {
     "key-of-another-length": (
         ["cocycle", "construct", "lift", "--seeds", "{x}"] + _R3,
         {"x": "0,1 -> 1\n%s -> 1\n" % _KEY}, 300),
+    "override-of-a-vast-crossing": (_INVARIANT,
+                                    {"x": HOPF + "L %s 0\n" % _NINES}, 300),
+    "mod-p-numbering": (_INVARIANT, {"x": HOPF + "mod %s\n" % _NINES}, 300),
+    "dangling-semiarcs": (_INVARIANT, {"x": "".join(
+        "Xp[a%d,b%d,c%d,d%d]\n" % (i, i, i, i) for i in range(2000))}, 300),
+    "dangling-long-name": (_INVARIANT, {
+        "x": "Xp[1,3,2,4]\nXp[3,1,4,%s]\n" % ("n" * 100000)}, 300),
+    "table-entry": (["quandle", "info", "--quandle", "@{x}"],
+                    {"x": "2\n0 %s\n1 1\n" % _NINES}, 300),
+    "eta-map-value": (["cocycle", "construct", "obstruction2", "--ambient",
+                       "Z9[T]/(T+1)", "--sub", "3", "--quandle", "R(3)",
+                       "--eta", "0,1," + _NINES], {}, 300),
+    "unit-mod-n": (["homology", "--quandle", "R(3)", "--degree", "2",
+                    "--coeff", "Z1%s[T]/(2T+1)" % ("0" * 4299)], {}, 300),
+    "unit-in-Z": (["homology", "--quandle", "R(3)", "--degree", "2",
+                   "--coeff", "Z[T]/(%sT+1)" % _NINES], {}, 300),
+    "power-of-a-vast-override": (
+        ["invariant", "--pd", "{x}", "--cocycle", "{ok}", "--quandle",
+         "T(2)", "--coeff", "Z[T]/(T^2-T-1)"],
+        {"x": HOPF + "L 0 %s\n" % _NINES}, 300),
+    "file-name": (["invariant", "--pd", "p" * 100000, "--cocycle", "{ok}"]
+                  + _R3, {}, 300),
+    "key-for-a-vast-degree": (["cocycle", "verify", "--degree", _NINES,
+                               "--cocycle", "{x}"] + _R3,
+                              {"x": "0,1 -> 1\n"}, 300),
 }
 
 
@@ -942,6 +968,12 @@ _REFUSALS = {
     "sheet-twice-across-lines": (_INVARIANT_SURFACE,
                                  {"x": "sheets: x y\nsheets: x\n"},
                                  "sheet 'x' is declared twice"),
+    "result-too-long-to-print": (
+        ["cocycle", "pair", "--quandle", "T(2)", "--coeff", "Z[T]/(T^2-1)",
+         "--degree", "2", "--cocycle", "{x}", "--cycle", "{x}"],
+        {"x": "0,1 -> %s\n" % _NINES},
+        "a result has an integer of more than 4300 digits, too long to "
+        "print"),
 }
 
 
@@ -981,7 +1013,8 @@ def _mutated(draw, text):
     piece = st.one_of(
         st.text(alphabet=sorted(set(text)) + ["9", "-"], max_size=4),
         st.sampled_from(["99999999", "-1", "0", "\n", "T^", "Xn[1,2,3,4]",
-                         ",", "->", "=", "*", "\"", "[", "{}", "null"]))
+                         ",", "->", "=", "*", "\"", "[", "{}", "null",
+                         _NINES, "n" * 5000]))
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(len(text), i + 8)))
@@ -1008,7 +1041,7 @@ def test_mutated_text_exits_0_or_2(capsys, tmp_path, monkeypatch, kind,
     assert code in (0, 2), err
     if code == 2:
         assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and len(err.encode()) < 300, err[:400]
 
 
 class TestVerifySuite:
@@ -1186,6 +1219,36 @@ _EXPECT_KEYS = ("expect", "expect_t", "expect_tq", "expect_colorings",
 _PERTURBED = [(entry["id"], key) for entry in cli.load_catalog()
               for key in _EXPECT_KEYS if key in entry]
 _IDS = [entry["id"] for entry in cli.load_catalog() if "expect" in entry]
+_ENTRIES = {
+    "homology": {"kind": "homology", "quandle": "R(3)",
+                 "coeff": "Z3[T]/(T+1)", "degree": 2, "expect": [3, 3]},
+    "table": {"kind": "cocycle-table", "construct": {
+        "family": "modular", "p": 3, "m": 2, "h": "T+1"},
+        "expect": "0,2 -> 1\n1,0 -> 2\n1,2 -> 1\n2,0 -> 2\n"},
+    "iso": {"kind": "iso", "first": {"product": ["R(2)", "R(3)"]},
+            "second": {"product": ["R(3)", "R(2)"]}, "expect": True},
+}
+# (entry, changed fields, witness) of fields of the wrong JSON type
+_MISTYPED = {
+    "degree-text": ("homology", {"degree": "2"}, "degree must be an integer"),
+    "degree-boolean": ("homology", {"degree": True},
+                       "degree must be an integer"),
+    "oracle-text": ("homology", {"oracle": "no"}, "oracle must be a boolean"),
+    "coeff-integer": ("homology", {"coeff": 3}, "coeff must be a string"),
+    "quandle-list": ("homology", {"quandle": ["R(3)"]},
+                     "quandle must be a string"),
+    "construct-list": ("table", {"construct": []},
+                       "construct must be a mapping"),
+    "p-float": ("table", {"construct": {"family": "modular", "p": 3.7,
+                                        "m": 2, "h": "T+1"}},
+                "p must be an integer"),
+    "h-missing": ("table", {"construct": {"family": "modular", "p": 3,
+                                          "m": 2}}, "h is missing"),
+    "product-of-one": ("iso", {"first": {"product": ["R(2)"]}},
+                       "product must be a list of two strings"),
+    "extension-list": ("iso", {"first": {"extension": []}},
+                       "extension must be a mapping"),
+}
 
 
 class TestCatalogDispatch:
@@ -1270,6 +1333,28 @@ class TestCatalogDispatch:
         assert item == {"id": "entry-0", "pass": False, "witness":
                         "ValueError: cannot interpret quandle spec "
                         "{'sum': ['R(3)', 'R(3)']}"}
+
+    @pytest.mark.parametrize("name,change,witness", _MISTYPED.values(),
+                             ids=_MISTYPED.keys())
+    def test_mistyped_field_fails_with_witness(self, name, change, witness):
+        entry = _ENTRIES[name]
+        assert cli.run_catalog_entry(entry) == (True, None)
+        item, = cli.run_catalog([dict(entry, **change)])["items"]
+        assert item["witness"] == "ValueError: " + witness
+
+    def test_key_naming_no_option_is_left_alone(self):
+        entry = dict(_ENTRIES["homology"], cocycle_degree="two")
+        assert cli.run_catalog_entry(entry) == (True, None)
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "k" * 100000},
+        {"kind": "cocycle-table", "construct": {"family": "f" * 100000},
+         "expect": ""},
+        {"kind": "iso", "first": {"sum": "s" * 100000}, "second": "R(3)",
+         "expect": False}], ids=["kind", "family", "quandle-spec"])
+    def test_long_value_is_shown_short_in_its_witness(self, entry):
+        item, = cli.run_catalog([entry])["items"]
+        assert not item["pass"] and len(item["witness"]) < 300
 
     def test_unknown_kind_fails_with_witness(self):
         assert cli.run_catalog_entry({"kind": "nope"}) == \

@@ -249,6 +249,14 @@ class TestLiftH1:
         with pytest.raises(CocycleError):
             lift_h1(x, ring, {(0, 1): (1,), (1, 2): (2,)})
 
+    def test_vast_seed_element_is_refused_in_a_short_message(self):
+        x = dihedral_quandle(3)
+        ring = parse_ring("Z3[T]/(T+1)")
+        with pytest.raises(CocycleError) as info:
+            lift_h1(x, ring, {(0, 10 ** 4299) + (0,) * 5000: (1,)})
+        assert "names element ~10^4299" in str(info.value)
+        assert len(str(info.value)) < 300
+
     def test_empty_and_short_seeds_rejected(self):
         x = dihedral_quandle(3)
         ring = parse_ring("Z3[T]/(T+1)")

@@ -249,3 +249,15 @@ class TestGroupRing:
         with pytest.raises(RingError, match="no letters left to render "
                                             "rank-9 keys"):
             GroupRingElem(r, {(0,) * 8 + (1,): 1}).render()
+
+    @pytest.mark.parametrize("render", [
+        lambda big: render_poly([1, big]),
+        lambda big: GroupRingElem(R(0), {(big,): 1}).render(),
+        lambda big: GroupRingElem(parse_ring("Z[T]/(T^2-1)"),
+                                  {(big, big): 1}).render()],
+        ids=["polynomial", "exponent", "common-exponent"])
+    def test_integer_too_long_to_print_is_refused(self, render):
+        assert render(10 ** 4299)  # 4300 digits print
+        with pytest.raises(RingError, match="more than 4300 digits, too "
+                                            "long to print"):
+            render(10 ** 4300)

@@ -1,4 +1,4 @@
-"""The guard table in `limits` and README's copy of it."""
+"""The guard table in `limits`, README's copy of it, and `show`."""
 
 import re
 from pathlib import Path
@@ -19,3 +19,22 @@ def test_readme_states_the_guard_table():
 def test_five_variables_set_the_six_guards():
     assert len({var for var, _ in limits.GUARDS.values()}) == 5
 
+
+
+def test_show_picks_the_shape_from_the_type():
+    show = limits.show
+    assert show(10 ** 20 - 1) == "99999999999999999999"  # 20 digits
+    assert show(-(10 ** 20 - 1)) == "-99999999999999999999"
+    assert show(10 ** 20) == "~10^20"  # 21 digits
+    assert show(-10 ** 20) == "-~10^20"
+    assert show(-10 ** 4299) == "-~10^4299"
+    assert show(10 ** 4299 - 1) == "~10^4298"
+    assert show(limits.power(10, 10 ** 6)) == "~10^1000000"
+    assert show(limits.power(10, 10 ** 401)) == "~10^~10^401"
+    assert show("a" * 80) == repr("a" * 80)
+    assert show("a" * 81) == "%r... (81 characters)" % ("a" * 80)
+    assert show((0,) * 26) == repr((0,) * 26)
+    assert show((0,) * 81) == "%s... (length 81)" % repr((0,) * 80)[:80]
+    assert show({"sum": ["R(3)"]}) == "{'sum': ['R(3)']}"
+    long_dict = {"sum": "s" * 100}
+    assert show(long_dict) == "%s... (111 characters)" % repr(long_dict)[:80]

@@ -47,6 +47,7 @@ __all__ = [
     "cohomology",
     "delta",
     "is_cocycle",
+    "require_cocycle",
     "is_coboundary",
     "pair",
     "brute_force_homology",
@@ -381,6 +382,16 @@ def is_cocycle(spec, f):
     if df.is_zero():
         return True, None
     return False, df.support()[0]
+
+
+def require_cocycle(spec, f, error, what):
+    """f, or error("<what> fails the <n>-cocycle condition at <key>")
+    with key the witness of `is_cocycle`, shown through limits.show."""
+    ok, witness = is_cocycle(spec, f)
+    if not ok:
+        raise error("%s fails the %d-cocycle condition at %s"
+                    % (what, spec.degree, show(witness)))
+    return f
 
 
 def is_coboundary(spec, f):

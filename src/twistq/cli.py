@@ -21,7 +21,6 @@ quandle its entries share once, and keeps nothing once it returns.
 import argparse
 import hashlib
 import json
-import re
 import sys
 import time
 
@@ -48,6 +47,14 @@ class CliParser(argparse.ArgumentParser):
             return self._get_value(action, "--")
         return super()._get_values(action, arg_strings)
 
+    def _get_value(self, action, arg_string):
+        if action.type is not int:
+            return super()._get_value(action, arg_string)
+        from .limits import integer  # argparse would echo the value whole
+        return integer(arg_string, lambda m: argparse.ArgumentError(action, m),
+                       action.option_strings[-1], "invalid int value: %s",
+                       arg_string)
+
 
 _SHARED = None  # {(maker, key): made} while run_catalog runs
 
@@ -65,14 +72,9 @@ def _shared(key, make, *args):
 def _load_quandle(text):
     """A quandle argument is a standard name (T(n), R(n), A(n;h)) or
     the table text itself (main inlines an '@path' argument before the
-    handler runs).  The first non-comment line of a table is its size,
-    so it starts with a digit, or with a sign and a digit."""
+    handler runs)."""
     from . import quandle
-    lines = [ln for ln in map(str.strip, text.splitlines())
-             if ln and not ln.startswith("#")]
-    if lines and re.match(r"[+-]?\d", lines[0]):
-        return _shared(text, quandle.parse_quandle_table, text)
-    return _shared(text, quandle.quandle_standard, text)
+    return _shared(text, quandle.parse_quandle, text)
 
 
 def _quandle_payload(x):
@@ -390,7 +392,7 @@ def _catalog_quandle(spec):
             chain.parse_cochain(ring, made["cocycle"]))
     else:
         raise ValueError("cannot interpret quandle spec %s" % show(spec))
-    return quandle.render_quandle_table(x)
+    return quandle.render_quandle_table(x.table)
 
 
 def _catalog_result(entry):
@@ -403,10 +405,10 @@ def _catalog_result(entry):
         return made
     inputs = {"variant": "TQ", **entry}
     if made:
-        rows = [[made["quandle"]["size"]]] + made["quandle"]["table"]
+        from .quandle import render_quandle_table
         inputs = {"cocycle": made["cocycle"], "coeff": made["ring"],
-                  "degree": made["degree"], "quandle": "".join(
-                      " ".join(map(str, row)) + "\n" for row in rows),
+                  "degree": made["degree"],
+                  "quandle": render_quandle_table(made["quandle"]["table"]),
                   **inputs}
     return _COMMANDS[path][0](_catalog_inputs(inputs, path))
 

@@ -16,8 +16,8 @@ cocycle condition before returning.
 import itertools
 
 from .coeff import AlexanderRing, RingError
-from .chain import (ComplexSpec, Cochain, basis_tuples, delta, is_cocycle,
-                    is_degenerate)
+from .chain import (ComplexSpec, Cochain, _subgroup_closure, basis_tuples,
+                    delta, is_degenerate, require_cocycle)
 from .limits import check_limit, power, show
 from .quandle import (FiniteQuandle, QuandleMap, _check_order,
                       alexander_quandle, dihedral_quandle, is_homomorphism)
@@ -38,14 +38,6 @@ class CocycleError(ValueError):
     pass
 
 
-def _verified(spec, f, what):
-    ok, witness = is_cocycle(spec, f)
-    if not ok:
-        raise CocycleError("%s failed the cocycle condition at %r"
-                           % (what, witness))
-    return f
-
-
 # -- carry cocycles --------------------------------------------------------
 
 def _carry_cocycle(x, big, lift, small, unit, what):
@@ -55,7 +47,8 @@ def _carry_cocycle(x, big, lift, small, unit, what):
     s = Cochain(big, 1, {(i,): v for i, v in enumerate(lift)})
     ds = delta(ComplexSpec(x, big, "TQ", 1), s)
     phi = Cochain(small, 2, {k: unit(v) for k, v in ds.values.items()})
-    return _verified(ComplexSpec(x, small, "TQ", 2), phi, what), x, small
+    return require_cocycle(ComplexSpec(x, small, "TQ", 2), phi,
+                           CocycleError, what), x, small
 
 
 def modular_extension_cocycle(p, m, h_coeffs):
@@ -162,17 +155,15 @@ class SesSpec:
         size = power(g.modulus, g.degree)
         check_limit(size, "table", CocycleError,
                     "the ambient module has %s elements", size)
-        gens = [g.reduce(v) for v in n_gens]
-        # close under addition, negation and T in both directions
-        seen, frontier = {g.zero()}, [g.zero()]
-        while frontier:
-            base = frontier.pop()
-            for e in [g.add(base, v) for v in gens] + [
-                    g.t_act(base), g.t_pow(base, -1), g.neg(base)]:
-                if e not in seen:
-                    seen.add(e)
-                    frontier.append(e)
-        self.n_set = frozenset(seen)
+        # N is spanned by 0 and T^k v, 0 <= k < deg h, for each generator
+        # v: h monic with a unit constant term puts T^deg h v and T^-1 v in it
+        span = [g.zero()]
+        for v in n_gens:
+            v = g.reduce(v)
+            for _ in range(g.degree):
+                span.append(v)
+                v = g.t_act(v)
+        self.n_set = frozenset(_subgroup_closure(span, g.modulus))
         # a coset is represented by its least element, the first of its
         # members met in ascending order
         self._coset_rep, self.a_reps = {}, []
@@ -218,7 +209,8 @@ def obstruction_2cocycle(ses, x, eta):
     phi = delta(ComplexSpec(x, g, "TQ", 1), s_eta)
     if not all(ses.in_n(v) for v in phi.values.values()):
         raise CocycleError("obstruction value escapes the submodule")
-    return _verified(ComplexSpec(x, g, "TQ", 2), phi, "lifting obstruction")
+    return require_cocycle(ComplexSpec(x, g, "TQ", 2), phi, CocycleError,
+                           "lifting obstruction")
 
 
 def extension_homomorphism(ses, x, eta):
@@ -262,8 +254,8 @@ def obstruction_3cocycle(ses, x, phi):
     theta = delta(ComplexSpec(x, g, "TQ", 2), s_phi)
     if not all(ses.in_n(v) for v in theta.values.values()):
         raise CocycleError("phi is not a 2-cocycle over the quotient module")
-    return _verified(ComplexSpec(x, g, "TQ", 3), theta,
-                     "3-cocycle obstruction")
+    return require_cocycle(ComplexSpec(x, g, "TQ", 3), theta, CocycleError,
+                           "3-cocycle obstruction")
 
 
 # -- lifting a cocycle valued in H^1 ----------------------------------------
@@ -335,5 +327,6 @@ def lift_h1(x, ring, seeds):
                     changed = True
 
     psi = Cochain(ring, n1, table)  # unreached tuples are zero
-    _verified(ComplexSpec(x, ring, "TR", n1), psi, "lifted cochain")
+    require_cocycle(ComplexSpec(x, ring, "TR", n1), psi, CocycleError,
+                    "lifted cochain")
     return psi, all(ring.is_zero(psi(k)) for k in degenerate)

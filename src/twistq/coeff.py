@@ -238,26 +238,30 @@ _TOO_LONG = ("a result has an integer of more than %d digits, too long to "
              "print" % LONG_DIGITS)
 
 
-def render_poly(coeffs):
-    """Render an ascending coefficient sequence as 'c_d T^d + ... + c_0'."""
+def _signed_sum(terms, word):
+    """'c_1 w_1 + c_2 w_2 - ...', or '0', for a list of (c, m): c a
+    nonzero integer, w = word(m) the text of the monomial m ('' for 1).
+    An integer that str() refuses, in c or in w, is refused as _TOO_LONG."""
     parts = []
     try:
-        for e in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[e]
-            if c == 0:
-                continue
-            if e == 0:
-                body = str(abs(c))
-            else:
-                mono = "T" if e == 1 else "T^%d" % e
-                body = mono if abs(c) == 1 else "%d%s" % (abs(c), mono)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
+        for c, m in terms:
+            w = word(m)
+            body = w if w and (c == 1 or c == -1) else str(abs(c)) + w
+            if parts:
                 parts.append(("- " if c < 0 else "+ ") + body)
+            else:
+                parts.append("-" + body if c < 0 else body)
+    except RingError:  # word's own refusal, a ValueError kept as it is
+        raise
     except ValueError:
         raise RingError(_TOO_LONG) from None
     return " ".join(parts) if parts else "0"
+
+
+def render_poly(coeffs):
+    """Render an ascending coefficient sequence as 'c_d T^d + ... + c_0'."""
+    return _signed_sum([(c, e) for e, c in enumerate(coeffs) if c][::-1],
+                       lambda e: "T^%d" % e if e > 1 else "T" * e)
 
 
 _RING_RE = re.compile(
@@ -337,44 +341,24 @@ class GroupRingElem:
     def _word(key):
         nonzero = [(i, e) for i, e in enumerate(key) if e != 0]
         if not nonzero:
-            return "1"
+            return ""
         if nonzero[-1][0] >= len(_LETTERS):
             raise RingError("no letters left to render rank-%d keys" % len(key))
         exps = {e for _, e in nonzero}
-        try:
-            if len(nonzero) > 1 and len(exps) == 1 and nonzero[0][1] != 1:
-                word = "".join(_LETTERS[i] for i, _ in nonzero)
-                return "(%s)^%d" % (word, nonzero[0][1])
-            parts = []
-            for i, e in nonzero:
-                parts.append(_LETTERS[i] if e == 1 else
-                             "%s^%d" % (_LETTERS[i], e))
-        except ValueError:
-            raise RingError(_TOO_LONG) from None
-        return "".join(parts)
+        if len(nonzero) > 1 and len(exps) == 1 and nonzero[0][1] != 1:
+            word = "".join(_LETTERS[i] for i, _ in nonzero)
+            return "(%s)^%d" % (word, nonzero[0][1])
+        return "".join(_LETTERS[i] if e == 1 else "%s^%d" % (_LETTERS[i], e)
+                       for i, e in nonzero)
 
     @staticmethod
     def _term_order(key):
         return (sum(1 for e in key if e < 0), key)
 
     def render(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for key in sorted(self.terms, key=self._term_order):
-            mult = self.terms[key]
-            word = self._word(key)
-            if word == "1":
-                body = str(abs(mult))
-            elif abs(mult) == 1:
-                body = word
-            else:
-                body = "%d%s" % (abs(mult), word)
-            if not chunks:
-                chunks.append(("-" if mult < 0 else "") + body)
-            else:
-                chunks.append(("- " if mult < 0 else "+ ") + body)
-        return " ".join(chunks)
+        return _signed_sum([(self.terms[key], key) for key in
+                            sorted(self.terms, key=self._term_order)],
+                           self._word)
 
     def canonical_under_T(self):
         """Representative of the T-orbit with lexicographically least text."""

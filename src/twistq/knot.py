@@ -31,7 +31,7 @@ import re
 from operator import itemgetter
 
 from .coeff import GroupRingElem, RingError
-from .chain import ComplexSpec, is_cocycle
+from .chain import ComplexSpec, require_cocycle
 from .limits import integer, show
 
 __all__ = [
@@ -181,6 +181,18 @@ def _once(table, key, value, what):
     table[key] = value
 
 
+def _lines(text, what):
+    """(raw, content, number) for each line of text that keeps content
+    once its '#' comment and outer blanks are cut; number(token) reads an
+    integer of that line, `what` naming the input in a refusal."""
+    for raw in text.splitlines():
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield raw, content, lambda token, raw=raw: integer(
+                token, DiagramError, what, "bad integer %s in line %s",
+                token, raw)
+
+
 def parse_pd(text):
     """Parse a diagram file: crossing lines Xp[...]/Xn[...] plus the
     directives 'outer <face-id>', 'base <face-id>', 'mod <p>',
@@ -188,15 +200,7 @@ def parse_pd(text):
     'L <crossing-index> <value>', each at most once (per face or
     crossing)."""
     crossings, directives, declared, overrides = [], {}, {}, {}
-
-    def number(token):  # in raw, the line being read
-        return integer(token, DiagramError, "a diagram line",
-                       "bad integer %s in line %s", token, raw)
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line, number in _lines(text, "a diagram line"):
         m = _CROSSING_RE.match(line)
         if m:
             sign = 1 if m.group(1).lower() == "p" else -1
@@ -368,13 +372,6 @@ def colorings(diagram, x):
     return _colorings(diagram.semiarcs, rels, x)
 
 
-def _require_cocycle(x, ring, f, degree):
-    ok, witness = is_cocycle(ComplexSpec(x, ring, "TQ", degree), f)
-    if not ok:
-        raise DiagramError("weight function fails the %d-cocycle "
-                           "condition at %r" % (degree, witness))
-
-
 def _weigh(cols, terms, ring, f, canonical):
     """(value, cols, weights): the weight sum_{(sign, L, cells)} sign *
     T^-L * f(colors of cells) of each coloring in cols, and value the
@@ -420,7 +417,8 @@ def state_sum(diagram, x, ring, phi):
     canonicalized under the T-action (the base region is a free choice);
     an unnumberable mod-p diagram yields 0.
     """
-    _require_cocycle(x, ring, phi, 2)
+    require_cocycle(ComplexSpec(x, ring, "TQ", 2), phi, DiagramError,
+                    "weight function")
     p = diagram.mod_p
     # T^p acts trivially on the coefficients exactly when T^p == 1
     if p and ring.t_pow(ring.one(), p) != ring.one():
@@ -467,15 +465,7 @@ def parse_surface(text):
     """Parse 'sheets: a b c', 'rel: c = a * b' and
     'tp: sign=+1 L=0 x=a y=b z=c' lines, each sheet named once."""
     sheets, rels, triples = {}, [], []
-
-    def number(token):  # in raw, the line being read
-        return integer(token, DiagramError, "a surface line",
-                       "bad integer %s in line %s", token, raw)
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line, number in _lines(text, "a surface line"):
         head, _, body = line.partition(":")
         head = head.strip().lower()
         body = body.strip()
@@ -514,6 +504,7 @@ def state_sum_surface(sp, x, ring, theta):
     """Cocycle state sum of a knotted-surface presentation, using a
     3-cocycle theta; the value is canonicalized under the T-action.
     Returns (value, colorings, per_coloring)."""
-    _require_cocycle(x, ring, theta, 3)
+    require_cocycle(ComplexSpec(x, ring, "TQ", 3), theta, DiagramError,
+                    "weight function")
     terms = [(sign, L, (xx, yy, zz)) for sign, L, xx, yy, zz in sp.triples]
     return _weigh(surface_colorings(sp, x), terms, ring, theta, True)

@@ -10,8 +10,9 @@ token of more than LONG_DIGITS characters before int() sees it, in one
 line that names the kind of input and the length but echoes no text.
 A refusal shows each value it echoes through `show`, one rule for every
 type, so no message grows with its input.  `power` sizes what a guard
-compares and builds none past LONG_DIGITS digits: it keeps the decade,
-floor(log10), which `show` shows as the integer's own.
+compares and keeps a size past LONG_DIGITS digits as its decade,
+floor(log10), which `show` shows as the integer's own: exact up to
+2 * LONG_DIGITS digits, by `show`'s rule, and estimated beyond.
 """
 
 import math
@@ -20,6 +21,7 @@ import os
 LONG_DIGITS = 4300  # str() refuses longer integers unless told otherwise
 SHORT_DIGITS = 20   # longer integers show as ~10^k in a refusal
 QUOTE_CHARS = 80    # longer texts show as a prefix and a length
+_PAST_LONG = 10 ** LONG_DIGITS  # the least of more than LONG_DIGITS digits
 
 GUARDS = {  # stage: (variable, default limit), and what the limit counts
     "basis": ("TWISTQ_MAX_BASIS", 20000),  # tuples, listed or walked
@@ -42,9 +44,7 @@ def show(value):
     if isinstance(value, _Vast):
         return "~10^" + show(value.decade)
     if isinstance(value, int) and abs(value) >= 10 ** SHORT_DIGITS:
-        k = int(math.log10(abs(value)))  # the float may be one off
-        k += (10 ** (k + 1) <= abs(value)) - (10 ** k > abs(value))
-        return "-" * (value < 0) + "~10^%d" % k
+        return "-" * (value < 0) + "~10^%d" % _decade(abs(value))
     if isinstance(value, tuple):
         text = repr(value[:QUOTE_CHARS])
         if len(value) <= QUOTE_CHARS and len(text) <= QUOTE_CHARS:
@@ -86,13 +86,22 @@ def check_limit(size, stage, error, what, *args):
                     % (what % tuple(map(show, args)), show(limit), var))
 
 
+def _decade(n):
+    """floor(log10(n)) of an integer n >= 1, exactly."""
+    k = int(math.log10(n))  # the float may be one off
+    return k + (10 ** (k + 1) <= n) - (10 ** k > n)
+
+
 def power(base, exp):
-    """base ** exp, or, past LONG_DIGITS digits, a _Vast holding its
-    decade floor(exp * log10(base)), found in integers, so the size is
-    never built and an exp too large for a float is sized too."""
+    """base ** exp, or past LONG_DIGITS digits a _Vast of its decade: exact
+    up to 2 * LONG_DIGITS digits, beyond that floor(exp * log10(base))
+    found in integers, so an exp too large for a float is sized too."""
     num, den = math.log10(max(base, 1)).as_integer_ratio()
     decade = exp * num // den
-    return base ** exp if decade < LONG_DIGITS else _Vast(decade)
+    if decade > 2 * LONG_DIGITS:
+        return _Vast(decade)
+    value = base ** exp
+    return value if value < _PAST_LONG else _Vast(_decade(value))
 
 
 class _Vast:

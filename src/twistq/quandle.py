@@ -7,6 +7,7 @@ self-distributive ((a * b) * c == (a * c) * (b * c)).  Elements are the
 integers 0 .. q-1; an optional label list carries human-readable names.
 """
 
+import re
 from operator import itemgetter
 
 from . import coeff
@@ -25,6 +26,7 @@ __all__ = [
     "quandle_extension",
     "is_homomorphism",
     "find_isomorphism",
+    "parse_quandle",
     "parse_quandle_table",
     "render_quandle_table",
 ]
@@ -193,17 +195,11 @@ def quandle_product(x, y):
     """Direct product, (a1, a2) * (b1, b2) componentwise.
     Element (a, b) is encoded as a * y.size + b."""
     _check_order(x.size * y.size)
-    table = []
-    labels = []
-    for a1 in range(x.size):
-        for a2 in range(y.size):
-            labels.append("(%s,%s)" % (x.labels[a1], y.labels[a2]))
-            row = []
-            for b1 in range(x.size):
-                for b2 in range(y.size):
-                    row.append(x.op(a1, b1) * y.size + y.op(a2, b2))
-            table.append(row)
-    return FiniteQuandle(table, labels=labels)
+    pairs = [(a, b) for a in range(x.size) for b in range(y.size)]
+    return FiniteQuandle(
+        [[x.op(a1, b1) * y.size + y.op(a2, b2) for b1, b2 in pairs]
+         for a1, a2 in pairs],
+        labels=["(%s,%s)" % (x.labels[a], y.labels[b]) for a, b in pairs])
 
 
 def quandle_extension(x, ring, phi):
@@ -219,10 +215,8 @@ def quandle_extension(x, ring, phi):
         raise QuandleError("extension needs a finite coefficient ring")
     _check_order(ring.size() * x.size)
     from . import chain
-    spec = chain.ComplexSpec(x, ring, "TQ", 2)
-    ok, witness = chain.is_cocycle(spec, phi)
-    if not ok:
-        raise QuandleError("phi is not a 2-cocycle (fails at %r)" % (witness,))
+    chain.require_cocycle(chain.ComplexSpec(x, ring, "TQ", 2), phi,
+                          QuandleError, "phi")
     elems = ring.elements()
     index = {e: i for i, e in enumerate(elems)}
     ta, rest = ring.quandle_halves(elems)
@@ -294,10 +288,23 @@ def find_isomorphism(x, y):
 
 # -- text format -----------------------------------------------------------
 
+def _table_lines(text):
+    """The lines of a table's text, stripped, blank and '#' lines left out."""
+    return [ln for ln in map(str.strip, text.splitlines())
+            if ln and not ln.startswith("#")]
+
+
+def parse_quandle(text):
+    """A quandle from its name (T(n), R(n), A(n;h)) or its table text,
+    whose first line, the size, starts with a digit or a sign and a digit."""
+    lines = _table_lines(text)
+    return (parse_quandle_table if lines and re.match(r"[+-]?\d", lines[0])
+            else quandle_standard)(text)
+
+
 def parse_quandle_table(text):
     """Parse 'q' on the first line followed by q whitespace-separated rows."""
-    lines = [ln for ln in (l.strip() for l in text.splitlines())
-             if ln and not ln.startswith("#")]
+    lines = _table_lines(text)
     if not lines:
         raise QuandleError("empty quandle table")
     q = integer(lines[0], QuandleError, "a quandle table",
@@ -313,8 +320,8 @@ def parse_quandle_table(text):
           for v in ln.split()] for ln in lines[1:]])
 
 
-def render_quandle_table(x):
-    lines = [str(x.size)]
-    for row in x.table:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def render_quandle_table(table):
+    """The text parse_quandle_table reads: the size of the operation
+    table (a list of rows), then its rows."""
+    return "".join(" ".join(map(str, row)) + "\n"
+                   for row in [[len(table)], *table])

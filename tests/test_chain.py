@@ -12,17 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twistq
+from twistq import knot
 from twistq.coeff import AlexanderRing, parse_ring
 from twistq.chain import (Chain, Cochain, ComplexSpec, VARIANTS, boundary,
                           brute_force_homology, cohomology, delta, homology,
                           is_cocycle, is_coboundary, is_degenerate,
                           basis_tuples, pair, parse_cochain, render_cochain,
-                          _abelian_invariants, _basis_size, _columns, _faces,
-                          _subgroup_closure, _t_columns)
-from twistq.cocycles import SesSpec, modular_extension_cocycle
-from twistq.quandle import (_check_order, alexander_quandle,
-                            dihedral_quandle, quandle_standard,
-                            trivial_quandle)
+                          require_cocycle, _abelian_invariants, _basis_size,
+                          _columns, _faces, _subgroup_closure, _t_columns)
+from twistq.cocycles import CocycleError, SesSpec, modular_extension_cocycle
+from twistq.quandle import (QuandleError, _check_order, alexander_quandle,
+                            dihedral_quandle, quandle_extension,
+                            quandle_standard, trivial_quandle)
 
 R3 = parse_ring("Z3[T]/(T+1)")
 
@@ -634,3 +635,47 @@ class TestGuards:
         s = spec(dihedral_quandle(3), R3, "TQ", 2)
         cols = _t_columns(s)
         assert len(cols) == len(basis_tuples(s.x, 2, "TQ"))
+
+
+# -- the one cocycle check ---------------------------------------------------
+# Each caller that needs a cocycle refuses a non-cocycle through
+# require_cocycle, with its own error type and subject; the witness key
+# shows through limits.show, so a long key is cut.
+
+_HOPF = "Xp[1,3,2,4]\nXp[3,1,4,2]\nface out: 3L\nouter out\n"
+
+
+def _non_cocycle(n, key=(0, 1, 0)):
+    return Cochain(R3, n, {key[:n]: (1,)})
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: knot.state_sum(knot.parse_pd(_HOPF), dihedral_quandle(3), R3,
+                            _non_cocycle(2)),
+     knot.DiagramError,
+     "weight function fails the 2-cocycle condition at (0, 1, 0)"),
+    (lambda: knot.state_sum_surface(knot.parse_surface("sheets: a\n"),
+                                    dihedral_quandle(3), R3,
+                                    _non_cocycle(3, (0, 1, 2))),
+     knot.DiagramError,
+     "weight function fails the 3-cocycle condition at (0, 1, 0, 2)"),
+    (lambda: quandle_extension(dihedral_quandle(3), R3, _non_cocycle(2)),
+     QuandleError, "phi fails the 2-cocycle condition at (0, 1, 0)"),
+    (lambda: require_cocycle(spec(trivial_quandle(1), R3, "TQ", 200),
+                             _non_cocycle(200, (0,) * 200), CocycleError,
+                             "a cochain"),
+     CocycleError, "a cochain fails the 200-cocycle condition at "
+     + repr((0,) * 80)[:80] + "... (length 200)"),
+], ids=["state_sum", "state_sum_surface", "quandle_extension",
+        "long-key"])
+def test_require_cocycle_refuses_in_each_callers_words(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+    assert len(str(info.value).encode()) < 300
+
+
+def test_require_cocycle_returns_a_cocycle():
+    f = Cochain(R3, 2)
+    assert require_cocycle(spec(dihedral_quandle(3), R3), f, CocycleError,
+                           "f") is f

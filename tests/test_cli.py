@@ -105,6 +105,24 @@ class TestExitCodes:
         assert e.value.code == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value,reason", [
+        ("x", "invalid int value: 'x'"),
+        ("x" * 200, "invalid int value: %r... (200 characters)" % ("x" * 80)),
+        ("1" * 5000, "integer of 5000 characters in --degree (limit 4300)"),
+        ("x" * 100000,
+         "integer of 100000 characters in --degree (limit 4300)"),
+    ], ids=["short", "long", "digits", "vast"])
+    def test_bad_integer_option_is_not_echoed_whole(self, capsys, value,
+                                                    reason):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["homology", "--quandle", "R(3)", "--coeff",
+                      "Z3[T]/(T+1)", "--degree", value])
+        out, err = capsys.readouterr()
+        assert e.value.code == 64 and out == ""
+        assert err.endswith("twistq homology: error: argument --degree: %s\n"
+                            % reason)
+        assert all(len(line.encode()) < 300 for line in err.splitlines())
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as e:
             cli.main(["homology", "--quandle", "R(3)"])
@@ -186,8 +204,13 @@ class TestExitCodes:
         (["modular", "--p", "2", "--m", str(10 ** 400), "--h", "T+1"],
          "a quandle of order ~10^~10^399 has a ~10^~10^399-cell table "
          "(limit 65536; set TWISTQ_MAX_TABLE)"),
+        # log10(p) rounds up to 4300.0; p has 4300 digits, p^2 8600
+        (["modular", "--p", "9" * 4300, "--m", "2", "--h", "T+1"],
+         "error: a quandle of order ~10^4299 has a ~10^8599-cell table "
+         "(limit 65536; set TWISTQ_MAX_TABLE)\n"),
     ], ids=["p0", "h-power", "modular-bound", "modular-p-and-m",
-            "long-square", "long-order", "modular-m-past-a-float"])
+            "long-square", "long-order", "modular-m-past-a-float",
+            "p-just-below-a-decade"])
     def test_construct_refused_in_one_line(self, capsys, monkeypatch, argv,
                                            reason):
         for var in ("TWISTQ_MAX_DEGREE", "TWISTQ_MAX_TABLE"):
@@ -1446,3 +1469,12 @@ def test_command_loads_only_its_modules(tmp_path, argv, code, modules):
     got_code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert got_code == code, proc.stderr
     assert loaded == sorted(modules)
+
+
+def test_bad_integer_option_loads_only_limits():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", _PROBE, src,
+                           "homology", "--degree", "x"] + _COMPLEX[:4],
+                          capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stdout.splitlines()[-1]) == \
+        [64, sorted(_BASE + ["twistq.limits"])]

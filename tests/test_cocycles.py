@@ -119,6 +119,36 @@ class TestSesSpec:
         with pytest.raises(CocycleError):
             SesSpec(parse_ring("Z[T]/(T+1)"), ((3,),))
 
+    @pytest.mark.parametrize("ambient,sub", [
+        ("Z9[T]/(T+1)", ["3"]), ("Z8[T]/(T+1)", ["4", "2"]),
+        ("Z27[T]/(T+1)", ["9", "0", "3"]), ("Z6[T]/(T+1)", ["2", "3"]),
+        ("Z4[T]/(T^2+T+1)", ["2"]), ("Z4[T]/(T^2+T+1)", ["2T", "0"]),
+        ("Z9[T]/(T^2-1)", ["3T+3", "T-1"]), ("Z9[T]/(T^2+2)", ["T+1"]),
+        ("Z5[T]/(T^2+1)", ["0"]), ("Z5[T]/(T^2+1)", []),
+        ("Z5[T]/(T^2+1)", ["T+2"]), ("Z2[T]/(T^3+T+1)", ["T^2+1"]),
+        ("Z3[T]/(T^3-1)", ["T-1"]), ("Z3[T]/(T^3-1)", ["T^2+T+1", "0"]),
+        ("Z4[T]/(T^3+T+1)", ["2", "2T^2"]), ("Z2[T]/(T^4+T+1)", ["0", "0"]),
+    ])
+    def test_submodule_matches_the_closure_search(self, ambient, sub):
+        g = parse_ring(ambient)
+        gens = tuple(g.parse_elem(v) for v in sub)
+        assert SesSpec(g, gens).n_set == _ref_n_set(g, gens)
+
+
+def _ref_n_set(g, gens):
+    """N as SesSpec first built it: {0} closed, by a search, under adding
+    a generator, T, T^-1 and negation."""
+    gens = [g.reduce(v) for v in gens]
+    seen, frontier = {g.zero()}, [g.zero()]
+    while frontier:
+        base = frontier.pop()
+        for e in [g.add(base, v) for v in gens] + [
+                g.t_act(base), g.t_pow(base, -1), g.neg(base)]:
+            if e not in seen:
+                seen.add(e)
+                frontier.append(e)
+    return frozenset(seen)
+
 
 class TestObstruction2:
     def test_identity_eta_gives_scaled_carry(self):
@@ -283,8 +313,8 @@ class TestLiftH1:
 def _checked(x, ring, n, f, what):
     ok, witness = is_cocycle(ComplexSpec(x, ring, "TQ", n), f)
     if not ok:
-        raise CocycleError("%s failed the cocycle condition at %r"
-                           % (what, witness))
+        raise CocycleError("%s fails the %d-cocycle condition at %r"
+                           % (what, n, witness))
     return f
 
 

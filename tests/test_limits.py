@@ -38,3 +38,17 @@ def test_show_picks_the_shape_from_the_type():
     assert show({"sum": ["R(3)"]}) == "{'sum': ['R(3)']}"
     long_dict = {"sum": "s" * 100}
     assert show(long_dict) == "%s... (111 characters)" % repr(long_dict)[:80]
+
+
+def test_power_shows_the_exact_decade_while_it_builds():
+    # log10 of 10^4300 - 1 rounds to 4300.0 as a float; the power is
+    # built up to 8600 digits, so its decade is counted, not estimated
+    show, power = limits.show, limits.power
+    assert show(power(10 ** 4300 - 1, 1)) == "~10^4299"
+    assert show(power(10 ** 4300 - 1, 2)) == "~10^8599"
+    assert show(power(10, 4300)) == "~10^4300"
+    assert show(power(10, 4299)) == "~10^4299"
+    assert power(10, 4299) == 10 ** 4299  # 4300 digits: still an integer
+    assert show(power(2, 10 ** 5)) == "~10^30102"  # estimated
+    assert [power(b, e) for b, e in ((0, 3), (1, 10 ** 9), (7, 0))] == \
+        [0, 1, 1]

@@ -326,7 +326,7 @@ class TestHomomorphisms:
 class TestText:
     def test_roundtrip(self):
         x = dihedral_quandle(4)
-        assert parse_quandle_table(render_quandle_table(x)) == x
+        assert parse_quandle_table(render_quandle_table(x.table)) == x
 
     def test_parse_errors(self):
         with pytest.raises(QuandleError):

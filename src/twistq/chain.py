@@ -34,7 +34,7 @@ from operator import add, sub
 from . import VARIANTS
 from .coeff import RingError
 from .exactlin import ModuleInfo, homology_segment, solve_linear
-from .limits import check_limit, integer, power, show
+from .limits import check_limit, integer, lines, power, show
 
 __all__ = [
     "ComplexSpec",
@@ -554,10 +554,7 @@ def parse_cochain(ring, text, degree=None, size=None):
     x_i must name one of its elements."""
     from .coeff import parse_poly
     out = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line, _ in lines(text, ValueError, "a cochain key"):
         lhs, sep, rhs = line.partition("->")
         if not sep:
             raise ValueError("missing '->' in cochain line %s" % show(raw))

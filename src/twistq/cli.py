@@ -388,7 +388,7 @@ def _catalog_quandle(spec):
         made = _construct(spec["extension"], "extension")
         ring = coeff.parse_ring(made["ring"])
         x = quandle.quandle_extension(
-            quandle.quandle_from_table(made["quandle"]["table"]), ring,
+            quandle.FiniteQuandle(made["quandle"]["table"]), ring,
             chain.parse_cochain(ring, made["cocycle"]))
     else:
         raise ValueError("cannot interpret quandle spec %s" % show(spec))

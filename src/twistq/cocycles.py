@@ -226,13 +226,11 @@ def extension_homomorphism(ses, x, eta):
                 "the correction search has %s candidates", size)
     gq = alexander_quandle(g)
     index = {e: i for i, e in enumerate(g.elements())}
+    s_eta = [ses.section(eta(a)) for a in range(x.size)]
     for xi in itertools.product(n_elems, repeat=x.size):
-        values = [g.add(ses.section(eta(a)), xi[a]) for a in range(x.size)]
-        ok = all(
-            values[x.op(a, b)] == g.quandle_op(values[a], values[b])
-            for a in range(x.size) for b in range(x.size))
-        if ok:
-            return QuandleMap(x, gq, [index[v] for v in values])
+        f = QuandleMap(x, gq, [index[g.add(s, v)] for s, v in zip(s_eta, xi)])
+        if is_homomorphism(f)[0]:
+            return f
     return None
 
 

@@ -32,7 +32,7 @@ from operator import itemgetter
 
 from .coeff import GroupRingElem, RingError
 from .chain import ComplexSpec, require_cocycle
-from .limits import integer, show
+from .limits import lines, show
 
 __all__ = [
     "DiagramError",
@@ -181,18 +181,6 @@ def _once(table, key, value, what):
     table[key] = value
 
 
-def _lines(text, what):
-    """(raw, content, number) for each line of text that keeps content
-    once its '#' comment and outer blanks are cut; number(token) reads an
-    integer of that line, `what` naming the input in a refusal."""
-    for raw in text.splitlines():
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            yield raw, content, lambda token, raw=raw: integer(
-                token, DiagramError, what, "bad integer %s in line %s",
-                token, raw)
-
-
 def parse_pd(text):
     """Parse a diagram file: crossing lines Xp[...]/Xn[...] plus the
     directives 'outer <face-id>', 'base <face-id>', 'mod <p>',
@@ -200,7 +188,7 @@ def parse_pd(text):
     'L <crossing-index> <value>', each at most once (per face or
     crossing)."""
     crossings, directives, declared, overrides = [], {}, {}, {}
-    for raw, line, number in _lines(text, "a diagram line"):
+    for raw, line, number in lines(text, DiagramError, "a diagram line"):
         m = _CROSSING_RE.match(line)
         if m:
             sign = 1 if m.group(1).lower() == "p" else -1
@@ -218,8 +206,8 @@ def parse_pd(text):
             ci_text, _, val = rest.strip().partition(" ")
             _once(overrides, number(ci_text), number(val),
                   "L override of crossing %s" % show(ci_text))
-        elif head.startswith("face"):
-            name, _, body = line[4:].partition(":")
+        elif head == "face":
+            name, _, body = rest.partition(":")
             name = name.strip()
             if not name or not body.strip():
                 raise DiagramError("malformed face line %s" % show(raw))
@@ -465,7 +453,7 @@ def parse_surface(text):
     """Parse 'sheets: a b c', 'rel: c = a * b' and
     'tp: sign=+1 L=0 x=a y=b z=c' lines, each sheet named once."""
     sheets, rels, triples = {}, [], []
-    for raw, line, number in _lines(text, "a surface line"):
+    for raw, line, number in lines(text, DiagramError, "a surface line"):
         head, _, body = line.partition(":")
         head = head.strip().lower()
         body = body.strip()

@@ -5,9 +5,12 @@ TWISTQ_MAX_* that overrides its limit, and its default.  check_limit
 looks both up by stage on every call, so a shell or a test can change a
 limit without a reload.
 
-Every integer of outside text is read by `integer`, which refuses a
-token of more than LONG_DIGITS characters before int() sees it, in one
-line that names the kind of input and the length but echoes no text.
+Every line format of outside text (quandle tables, cochains, diagrams,
+surfaces) is read by `lines`, which drops blank lines and everything
+from '#' to the end of a line.  Every integer of outside text is read
+by `integer`, which refuses a token of more than LONG_DIGITS characters
+before int() sees it, in one line that names the kind of input and the
+length but echoes no text.
 A refusal shows each value it echoes through `show`, one rule for every
 type, so no message grows with its input.  `power` sizes what a guard
 compares and keeps a size past LONG_DIGITS digits as its decade,
@@ -65,13 +68,24 @@ def integer(token, error, what, message=None, *args):
     (default "bad integer <token> in <what>") when int() rejects it;
     the token and each of args show through `show`."""
     if len(token) > LONG_DIGITS:
-        raise error("integer of %d characters in %s (limit %d)"
+        raise error("token of %d characters in %s (limit %d)"
                     % (len(token), what, LONG_DIGITS))
     try:
         return int(token)
     except ValueError:
         raise error(message % tuple(map(show, args)) if message else
                     "bad integer %s in %s" % (show(token), what)) from None
+
+
+def lines(text, error, what):
+    """(raw, content, number) for each line of text that keeps content
+    once its '#' comment and outer blanks are cut; number(token) reads an
+    integer of that line, `what` naming the input in a refusal."""
+    for raw in text.splitlines():
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield raw, content, lambda token, raw=raw: integer(
+                token, error, what, "bad integer %s in line %s", token, raw)
 
 
 def check_limit(size, stage, error, what, *args):

@@ -11,13 +11,12 @@ import re
 from operator import itemgetter
 
 from . import coeff
-from .limits import check_limit, integer, power, show
+from .limits import check_limit, integer, lines, power, show
 
 __all__ = [
     "QuandleError",
     "FiniteQuandle",
     "QuandleMap",
-    "quandle_from_table",
     "trivial_quandle",
     "dihedral_quandle",
     "alexander_quandle",
@@ -128,10 +127,6 @@ class QuandleMap:
 
     def __repr__(self):
         return "QuandleMap(%r)" % (self.values,)
-
-
-def quandle_from_table(table, labels=None, name=None):
-    return FiniteQuandle(table, labels=labels, name=name)
 
 
 def trivial_quandle(n):
@@ -288,36 +283,31 @@ def find_isomorphism(x, y):
 
 # -- text format -----------------------------------------------------------
 
-def _table_lines(text):
-    """The lines of a table's text, stripped, blank and '#' lines left out."""
-    return [ln for ln in map(str.strip, text.splitlines())
-            if ln and not ln.startswith("#")]
-
-
 def parse_quandle(text):
     """A quandle from its name (T(n), R(n), A(n;h)) or its table text,
     whose first line, the size, starts with a digit or a sign and a digit."""
-    lines = _table_lines(text)
-    return (parse_quandle_table if lines and re.match(r"[+-]?\d", lines[0])
+    first = next(lines(text, QuandleError, "a quandle table"), None)
+    return (parse_quandle_table if first and re.match(r"[+-]?\d", first[1])
             else quandle_standard)(text)
 
 
 def parse_quandle_table(text):
     """Parse 'q' on the first line followed by q whitespace-separated rows."""
-    lines = _table_lines(text)
-    if not lines:
+    rows = [line for _, line, _ in lines(text, QuandleError,
+                                         "a quandle table")]
+    if not rows:
         raise QuandleError("empty quandle table")
-    q = integer(lines[0], QuandleError, "a quandle table",
-                "first line must be the size, got %s", lines[0])
+    q = integer(rows[0], QuandleError, "a quandle table",
+                "first line must be the size, got %s", rows[0])
     if q < 1:
         raise QuandleError("quandle table size must be >= 1, got %s"
                            % show(q))
     _check_order(q)
-    if len(lines) != q + 1:
-        raise QuandleError("expected %d rows, got %d" % (q, len(lines) - 1))
-    return quandle_from_table(
-        [[integer(v, QuandleError, "a quandle table", "bad table row %s", ln)
-          for v in ln.split()] for ln in lines[1:]])
+    if len(rows) != q + 1:
+        raise QuandleError("expected %d rows, got %d" % (q, len(rows) - 1))
+    return FiniteQuandle(
+        [[integer(v, QuandleError, "a quandle table", "bad table row %s", row)
+          for v in row.split()] for row in rows[1:]])
 
 
 def render_quandle_table(table):

@@ -1,13 +1,9 @@
 """Chain assembly against an independent reference of the boundary.
 
 The reference evaluates the formula of the `twistq.chain` docstring term
-by term with the ring's own arithmetic,
-
-    d(x_1, ..., x_n) = sum_{i=1..n} (-1)^i [ T (x_1, ..., ^x_i, ..., x_n)
-        - (x_1 * x_i, ..., x_{i-1} * x_i, x_{i+1}, ..., x_n) ],
-
-and builds every matrix entry by entry, so it shares no code with the
-one boundary pass that `boundary`, `delta` and the engine's columns read.
+by term (`boundary_formula`) with the ring's own arithmetic and builds
+every matrix entry by entry, so it shares no code with the one boundary
+pass that `boundary`, `delta` and the engine's columns read.
 """
 
 import itertools
@@ -21,24 +17,12 @@ from twistq.chain import (Chain, Cochain, ComplexSpec, VARIANTS,
 from twistq.coeff import RingError, parse_ring
 from twistq.quandle import quandle_standard
 
+from boundary_formula import boundary_terms
+
 QUANDLES = ["T(2)", "R(3)", "R(4)", "A(2;T^2+T+1)"]
 # degree 1, 2 and 3, over Z and over Z/n
 RINGS = ["Z[T]/(T+1)", "Z5[T]/(T+2)", "Z[T]/(T^2-1)", "Z4[T]/(T^2+T+1)",
          "Z2[T]/(T^3+T+1)"]
-
-
-def _terms(x, key):
-    """d key as [(tuple, T exponent, sign)], one entry per formula term."""
-    out = []
-    n = len(key)
-    if n <= 1:
-        return out
-    for i in range(1, n + 1):
-        s = (-1) ** i
-        out.append((key[:i - 1] + key[i:], 1, s))
-        out.append((tuple(x.op(key[j], key[i - 1]) for j in range(i - 1))
-                    + key[i:], 0, -s))
-    return out
 
 
 def _act(ring, sign, texp, v):
@@ -51,7 +35,7 @@ def _ref_boundary(spec, values):
     for TQ, as {tuple: nonzero ring element}."""
     ring, out = spec.ring, {}
     for key, coef in values.items():
-        for tup, texp, s in _terms(spec.x, key):
+        for tup, texp, s in boundary_terms(spec.x, key):
             if spec.variant == "TQ" and is_degenerate(tup):
                 continue
             out[tup] = ring.add(out.get(tup, ring.zero()),
@@ -66,7 +50,7 @@ def _ref_delta(spec, values):
     out = {}
     for key in basis_tuples(spec.x, n + 1, spec.variant):
         acc = ring.zero()
-        for tup, texp, s in _terms(spec.x, key):
+        for tup, texp, s in boundary_terms(spec.x, key):
             if tup in values:
                 acc = ring.add(acc, _act(ring, s * (-1) ** (n + 1), texp,
                                          values[tup]))
@@ -128,7 +112,7 @@ def test_columns_match_the_formula(qname):
         # gathered over the terms of every d h
         images = {(s, k): {} for s in basis for k in range(ring.degree)}
         for h in high:
-            for tup, texp, sg in _terms(spec.x, h):
+            for tup, texp, sg in boundary_terms(spec.x, h):
                 for k, e in enumerate(units):
                     image = images.get((tup, k))
                     if image is not None:

@@ -19,11 +19,13 @@ from twistq.chain import (Chain, Cochain, ComplexSpec, VARIANTS, boundary,
                           is_cocycle, is_coboundary, is_degenerate,
                           basis_tuples, pair, parse_cochain, render_cochain,
                           require_cocycle, _abelian_invariants, _basis_size,
-                          _columns, _faces, _subgroup_closure, _t_columns)
+                          _columns, _subgroup_closure, _t_columns)
 from twistq.cocycles import CocycleError, SesSpec, modular_extension_cocycle
 from twistq.quandle import (QuandleError, _check_order, alexander_quandle,
                             dihedral_quandle, quandle_extension,
                             quandle_standard, trivial_quandle)
+
+from boundary_formula import boundary_terms
 
 R3 = parse_ring("Z3[T]/(T+1)")
 
@@ -127,22 +129,22 @@ class TestComplexProperty:
 
 
 def reference_delta(spec, f):
-    """chain.delta as one pass of _faces over the degree-(n + 1) basis,
-    each source's faces summed in plain integers and reduced."""
+    """delta f from the formula's terms (boundary_formula) over the
+    degree-(n + 1) basis, each source's terms summed in plain integers
+    and reduced."""
     ring, n = spec.ring, spec.degree
     d, m = ring.degree, ring.modulus
-    sign = 1 if n % 2 else -1
+    sign = 1 if n % 2 else -1  # (-1)^(n + 1)
     table = {t: [sign * a for a in v + ring.t_act(v)]
              for t, v in f.values.items()}
     out = Cochain(ring, n + 1)
-    for key, terms in _faces(spec.x, basis_tuples(spec.x, n + 1,
-                                                   spec.variant)):
+    for key in basis_tuples(spec.x, n + 1, spec.variant):
         acc = [0] * d
-        for t, c0, c1 in terms:
+        for t, texp, s in boundary_terms(spec.x, key):
             w = table.get(t)
             if w is not None:
                 for k in range(d):
-                    acc[k] += c0 * w[k] + c1 * w[d + k]
+                    acc[k] += s * w[texp * d + k]
         if m:
             acc = [a % m for a in acc]
         if any(acc):

@@ -108,9 +108,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("value,reason", [
         ("x", "invalid int value: 'x'"),
         ("x" * 200, "invalid int value: %r... (200 characters)" % ("x" * 80)),
-        ("1" * 5000, "integer of 5000 characters in --degree (limit 4300)"),
+        ("1" * 5000, "token of 5000 characters in --degree (limit 4300)"),
         ("x" * 100000,
-         "integer of 100000 characters in --degree (limit 4300)"),
+         "token of 100000 characters in --degree (limit 4300)"),
     ], ids=["short", "long", "digits", "vast"])
     def test_bad_integer_option_is_not_echoed_whole(self, capsys, value,
                                                     reason):
@@ -773,7 +773,7 @@ def test_juxtaposed_polynomial_terms_are_refused(capsys, tmp_path):
      {"x": "sheets: x y\ntp: sign=+1 L=a x=x y=y z=x\n"},
      "bad integer 'a' in line 'tp: sign=+1 L=a x=x y=y z=x'"),
     (["quandle", "info", "--quandle", "@{x}"],
-     {"x": "2\n0 0\n1 1 # c\n"}, "bad table row '1 1 # c'"),
+     {"x": "2\n0 0\n1 1 x\n"}, "bad table row '1 1 x'"),
 ], ids=["pd-override", "pd-mod", "cochain-key", "cochain-key-trailing-comma",
         "surface-field", "table-row"])
 def test_unreadable_integer_names_its_line(capsys, tmp_path, argv, files,
@@ -858,7 +858,7 @@ def test_long_integer_is_refused_without_echo(
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and len(err) < 200
     assert _LONG[:50] not in err
-    assert "integer of 5000 characters in " in err
+    assert "token of 5000 characters in " in err
 
 
 _TERMS = "T" + "+T" * 19999 + "+x"  # 20,000 terms, the last one bad
@@ -929,6 +929,8 @@ _REFUSALS = {
     "mod-1": (_INVARIANT, {"x": HOPF + "mod 1\n"}, "mod needs p >= 2"),
     "face-without-name": (_INVARIANT, {"x": HOPF + "face : 3L\n"},
                           "malformed face line 'face : 3L'"),
+    "face-prefix": (_INVARIANT, {"x": HOPF + "facet out: 3L\n"},
+                    "cannot parse diagram line 'facet out: 3L'"),
     "relation-without-product": (_INVARIANT_SURFACE,
                                  {"x": "sheets: x y\nrel: x = y\n"},
                                  "malformed relation 'rel: x = y'"),

@@ -150,6 +150,19 @@ def _ref_n_set(g, gens):
     return frozenset(seen)
 
 
+def reference_lift(ses, x, eta):
+    """The images of extension_homomorphism's lift, or None, found with
+    the ring's own quandle operation on every pair of each candidate."""
+    g = ses.g_ring
+    index = {e: i for i, e in enumerate(g.elements())}
+    for xi in itertools.product(sorted(ses.n_set), repeat=x.size):
+        values = [g.add(ses.section(eta(a)), xi[a]) for a in range(x.size)]
+        if all(values[x.op(a, b)] == g.quandle_op(values[a], values[b])
+               for a in range(x.size) for b in range(x.size)):
+            return tuple(index[v] for v in values)
+    return None
+
+
 class TestObstruction2:
     def test_identity_eta_gives_scaled_carry(self):
         ses = _z9_ses()
@@ -189,6 +202,25 @@ class TestObstruction2:
                           s2(eta(x.op(x1, x2))))
                 diff.add_term((x1, x2), g.sub(v, phi((x1, x2))))
         assert is_coboundary(ComplexSpec(x, g, "TQ", 2), diff) is not None
+
+    def test_first_lift_is_a_later_candidate(self):
+        # R(4) onto Z4/(2) = T(2) by parity: the section's own values
+        # (0, 1, 0, 1) do not lift, the correction (0, 0, 2, 2) does
+        ses = SesSpec(parse_ring("Z4[T]/(T+1)"), ((2,),))
+        x = dihedral_quandle(4)
+        eta = QuandleMap(x, ses.a_quandle, [0, 1, 0, 1])
+        assert not is_homomorphism(QuandleMap(
+            x, alexander_quandle(ses.g_ring), [0, 1, 0, 1]))[0]
+        assert extension_homomorphism(ses, x, eta).values == (0, 1, 2, 3)
+        z9, r3 = _z9_ses(), dihedral_quandle(3)
+        z8 = SesSpec(parse_ring("Z8[T]/(T+3)"), ((4,),))
+        for ses, x, images in ((ses, x, [0, 1, 0, 1]), (ses, x, [1, 0, 1, 0]),
+                               (z8, x, [1, 2, 1, 2]), (z8, x, [3, 0, 3, 0]),
+                               (z9, r3, [0, 1, 2]), (z9, r3, [0, 0, 0])):
+            eta = QuandleMap(x, ses.a_quandle, images)
+            lift = extension_homomorphism(ses, x, eta)
+            assert (lift.values if lift else None) == \
+                reference_lift(ses, x, eta), images
 
     def test_non_homomorphism_rejected(self):
         ses = _z9_ses()

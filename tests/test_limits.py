@@ -1,9 +1,16 @@
-"""The guard table in `limits`, README's copy of it, and `show`."""
+"""The guard table in `limits`, README's copy of it, `show`, and the
+comment rule `lines` gives every line format."""
 
 import re
 from pathlib import Path
 
+import pytest
+
 from twistq import limits
+from twistq.chain import parse_cochain
+from twistq.coeff import parse_ring
+from twistq.knot import parse_pd, parse_surface
+from twistq.quandle import parse_quandle_table
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,3 +59,27 @@ def test_power_shows_the_exact_decade_while_it_builds():
     assert show(power(2, 10 ** 5)) == "~10^30102"  # estimated
     assert [power(b, e) for b, e in ((0, 3), (1, 10 ** 9), (7, 0))] == \
         [0, 1, 1]
+
+
+# one text of each line format and a parse of it that compares by value
+_R3 = parse_ring("Z3[T]/(T+1)")
+_LINE_FORMATS = {
+    "table": ("3\n0 2 1\n2 1 0\n1 0 2\n", parse_quandle_table),
+    "cochain": ("0,1 -> T\n1,0 -> 1\n2,0 -> 2T + 1\n",
+                lambda text: parse_cochain(_R3, text)),
+    "diagram": ("Xp[1,3,2,4]\nXp[3,1,4,2]\nface out: 3L\nouter out\n"
+                "L 1 0\n", lambda text: vars(parse_pd(text))),
+    "surface": ("sheets: x y z\nrel: z = x * y\n"
+                "tp: sign=+1 L=0 x=x y=y z=z\n",
+                lambda text: vars(parse_surface(text))),
+}
+
+
+@pytest.mark.parametrize("text,parse", _LINE_FORMATS.values(),
+                         ids=_LINE_FORMATS.keys())
+def test_every_line_format_drops_comments_and_blanks(text, parse):
+    rows = text.splitlines()
+    commented = "".join(row + "  # note\n" for row in rows)
+    spaced = "\n# a comment line\n\n   \n".join(rows) + "\n"
+    assert parse(commented) == parse(text)
+    assert parse(spaced) == parse(text)

@@ -10,10 +10,10 @@ from twistq import cli
 from twistq.coeff import AlexanderRing, RingError, parse_ring
 from twistq.chain import Cochain, parse_cochain
 from twistq.cocycles import SesSpec
-from twistq.quandle import (QuandleError, QuandleMap, alexander_quandle,
-                            dihedral_quandle, find_isomorphism,
-                            is_homomorphism, parse_quandle_table,
-                            quandle_extension, quandle_from_table,
+from twistq.quandle import (FiniteQuandle, QuandleError, QuandleMap,
+                            alexander_quandle, dihedral_quandle,
+                            find_isomorphism, is_homomorphism,
+                            parse_quandle_table, quandle_extension,
                             quandle_product, quandle_standard,
                             render_quandle_table, trivial_quandle)
 
@@ -36,25 +36,25 @@ def _first_distributivity_failure(t):
 
 class TestValidation:
     def test_singleton(self):
-        assert quandle_from_table([[0]]).size == 1
+        assert FiniteQuandle([[0]]).size == 1
 
     def test_dihedral_table_valid(self):
         t = [[(2 * b - a) % 3 for b in range(3)] for a in range(3)]
-        assert quandle_from_table(t) == dihedral_quandle(3)
+        assert FiniteQuandle(t) == dihedral_quandle(3)
 
     def test_idempotency_violation(self):
         with pytest.raises(QuandleError, match="idempotency"):
-            quandle_from_table([[1, 0], [0, 1]])
+            FiniteQuandle([[1, 0], [0, 1]])
 
     def test_right_invertibility_violation(self):
         with pytest.raises(QuandleError, match="bijection"):
-            quandle_from_table([[0, 0, 0], [1, 1, 1], [0, 2, 2]])
+            FiniteQuandle([[0, 0, 0], [1, 1, 1], [0, 2, 2]])
 
     def test_distributivity_violation(self):
         # right translations are bijections and the diagonal is fixed,
         # but ((a*b)*c) == (a*c)*(b*c) fails
         with pytest.raises(QuandleError, match="self-distributivity"):
-            quandle_from_table([[0, 0, 3, 0], [2, 1, 0, 1],
+            FiniteQuandle([[0, 0, 3, 0], [2, 1, 0, 1],
                                 [3, 3, 2, 2], [1, 2, 1, 3]])
 
     def test_distributivity_check_matches_triple_loop(self):
@@ -73,11 +73,11 @@ class TestValidation:
             table = [[cols[b][a] for b in range(q)] for a in range(q)]
             want = _first_distributivity_failure(table)
             if want is None:
-                assert quandle_from_table(table).size == q
+                assert FiniteQuandle(table).size == q
                 passed += 1
             else:
                 with pytest.raises(QuandleError) as exc:
-                    quandle_from_table(table)
+                    FiniteQuandle(table)
                 assert str(exc.value) == want
                 failed += 1
         assert failed > 100 and passed > 10
@@ -243,7 +243,7 @@ class TestAlexanderTables:
                    if e["id"] == eid)
         made = cli._construct(params)
         ring = parse_ring(made["ring"])
-        x = quandle_from_table(made["quandle"]["table"])
+        x = FiniteQuandle(made["quandle"]["table"])
         phi = parse_cochain(ring, made["cocycle"])
         elems = ring.elements()
         index = {e: i for i, e in enumerate(elems)}
@@ -312,7 +312,7 @@ class TestHomomorphisms:
             t = [[right[b][a] for b in range(q)] for a in range(q)]
             if all(t[t[a][b]][c] == t[t[a][c]][t[b][c]]
                    for a in range(q) for b in range(q) for c in range(q)):
-                quandles.append(quandle_from_table(t))
+                quandles.append(FiniteQuandle(t))
         assert len(quandles) == [1, 1, 5, 36][q - 1]
         for x in quandles:
             for y in quandles:

@@ -101,9 +101,6 @@ class _FormalSum:
     def is_zero(self):
         return not self.values
 
-    def support(self):
-        return sorted(self.values)
-
     def __eq__(self, other):
         return (type(self) is type(other) and self.ring == other.ring
                 and self.degree == other.degree and self.values == other.values)
@@ -381,7 +378,7 @@ def is_cocycle(spec, f):
     df = delta(spec, f)
     if df.is_zero():
         return True, None
-    return False, df.support()[0]
+    return False, min(df.values)
 
 
 def require_cocycle(spec, f, error, what):

@@ -7,10 +7,11 @@ cocycle valued in degree-one cohomology to one degree higher.
 
 As for group extensions, each family and obstruction cocycle is the
 coboundary `chain.delta` s of a set-theoretic section s read in the
-bigger coefficient module.  A family divides the carry unit (p^(m-1),
-h^(m-1) or n) out of the values of delta s; an obstruction keeps them
-in G after checking that they lie in N.  Every constructor verifies the
-cocycle condition before returning.
+bigger coefficient module.  `_lifted`, the one owner of delta of a
+lifted section, maps each value into the smaller module and verifies
+the cocycle condition: a family divides the carry unit (p^(m-1),
+h^(m-1) or n) out of each value; an obstruction keeps each in G after
+checking that it lies in N.
 """
 
 import itertools
@@ -38,6 +39,17 @@ class CocycleError(ValueError):
     pass
 
 
+def _lifted(x, s, small, value, what):
+    """delta s for a section s, a TQ cochain of degree n on x over the
+    bigger ring s.ring, with each value passed through `value` into
+    `small`; refused as `what` unless it is an (n + 1)-cocycle."""
+    n1 = s.degree + 1
+    ds = delta(ComplexSpec(x, s.ring, "TQ", s.degree), s)
+    phi = Cochain(small, n1, {k: value(v) for k, v in ds.values.items()})
+    return require_cocycle(ComplexSpec(x, small, "TQ", n1), phi,
+                           CocycleError, what)
+
+
 # -- carry cocycles --------------------------------------------------------
 
 def _carry_cocycle(x, big, lift, small, unit, what):
@@ -45,10 +57,7 @@ def _carry_cocycle(x, big, lift, small, unit, what):
     (delta s)(x1, x2) = T s(x1) + (1 - T) s(x2) - s(x1 * x2), the operation
     in big minus the section of the result, is the carry times the unit."""
     s = Cochain(big, 1, {(i,): v for i, v in enumerate(lift)})
-    ds = delta(ComplexSpec(x, big, "TQ", 1), s)
-    phi = Cochain(small, 2, {k: unit(v) for k, v in ds.values.items()})
-    return require_cocycle(ComplexSpec(x, small, "TQ", 2), phi,
-                           CocycleError, what), x, small
+    return _lifted(x, s, small, unit, what), x, small
 
 
 def modular_extension_cocycle(p, m, h_coeffs):
@@ -139,16 +148,15 @@ def dihedral_integral_cocycle(n):
 
 class SesSpec:
     """0 -> N -> G -> A -> 0 of modules over the Laurent ring, with G a
-    finite coefficient ring and N the submodule generated by `n_gens`.
+    finite coefficient ring and N the submodule `n_set` spanned by gens.
 
     A is realized on canonical (minimal) coset representatives inside G;
-    `a_quandle` carries the Alexander quandle structure of A and
-    `section` maps an A-index to its representative in G.
+    `a_quandle` carries the Alexander quandle structure of A, and the
+    section is `a_reps`: a_reps[i] represents the i-th element of A in G.
     """
 
-    def __init__(self, g_ring, n_gens):
+    def __init__(self, g_ring, gens):
         self.g_ring = g = g_ring
-        self.n_gens = n_gens
         if g.modulus == 0:
             raise CocycleError("the ambient module must be finite")
         # N and G are listed
@@ -158,21 +166,20 @@ class SesSpec:
         # N is spanned by 0 and T^k v, 0 <= k < deg h, for each generator
         # v: h monic with a unit constant term puts T^deg h v and T^-1 v in it
         span = [g.zero()]
-        for v in n_gens:
+        for v in gens:
             v = g.reduce(v)
             for _ in range(g.degree):
                 span.append(v)
                 v = g.t_act(v)
         self.n_set = frozenset(_subgroup_closure(span, g.modulus))
         # a coset is represented by its least element, the first of its
-        # members met in ascending order
-        self._coset_rep, self.a_reps = {}, []
+        # members met in ascending order; _index: element -> index in A
+        self._index, self.a_reps = {}, []
         for e in g.elements():
-            if e not in self._coset_rep:
-                self.a_reps.append(e)
+            if e not in self._index:
                 for v in self.n_set:
-                    self._coset_rep[g.add(e, v)] = e
-        self._rep_index = {r: i for i, r in enumerate(self.a_reps)}
+                    self._index[g.add(e, v)] = len(self.a_reps)
+                self.a_reps.append(e)
         _check_order(len(self.a_reps))
         ta, rest = g.quandle_halves(self.a_reps)
         table = [[self.project(g.add(t, r)) for r in rest] for t in ta]
@@ -181,14 +188,16 @@ class SesSpec:
 
     def project(self, e):
         """Index in A of the coset of e in G."""
-        return self._rep_index[self._coset_rep[e]]
+        return self._index[e]
 
-    def section(self, i):
-        """Canonical representative in G of the i-th element of A."""
-        return self.a_reps[i]
 
-    def in_n(self, e):
-        return e in self.n_set
+def _n_valued(ses, message):
+    """An obstruction's value map: v in N to v, else CocycleError."""
+    def value(v):
+        if v not in ses.n_set:
+            raise CocycleError(message)
+        return v
+    return value
 
 
 def obstruction_2cocycle(ses, x, eta):
@@ -203,14 +212,12 @@ def obstruction_2cocycle(ses, x, eta):
         raise CocycleError("eta must land in the quotient quandle of the sequence")
     ok, witness = is_homomorphism(eta)
     if not ok:
-        raise CocycleError("eta is not a quandle homomorphism (at %r)" % (witness,))
+        raise CocycleError("eta is not a quandle homomorphism (at %s)"
+                           % show(witness))
     g = ses.g_ring
-    s_eta = Cochain(g, 1, {(a,): ses.section(eta(a)) for a in range(x.size)})
-    phi = delta(ComplexSpec(x, g, "TQ", 1), s_eta)
-    if not all(ses.in_n(v) for v in phi.values.values()):
-        raise CocycleError("obstruction value escapes the submodule")
-    return require_cocycle(ComplexSpec(x, g, "TQ", 2), phi, CocycleError,
-                           "lifting obstruction")
+    s_eta = Cochain(g, 1, {(a,): ses.a_reps[eta(a)] for a in range(x.size)})
+    return _lifted(x, s_eta, g, _n_valued(
+        ses, "obstruction value escapes the submodule"), "lifting obstruction")
 
 
 def extension_homomorphism(ses, x, eta):
@@ -226,7 +233,7 @@ def extension_homomorphism(ses, x, eta):
                 "the correction search has %s candidates", size)
     gq = alexander_quandle(g)
     index = {e: i for i, e in enumerate(g.elements())}
-    s_eta = [ses.section(eta(a)) for a in range(x.size)]
+    s_eta = [ses.a_reps[eta(a)] for a in range(x.size)]
     for xi in itertools.product(n_elems, repeat=x.size):
         f = QuandleMap(x, gq, [index[g.add(s, v)] for s, v in zip(s_eta, xi)])
         if is_homomorphism(f)[0]:
@@ -243,17 +250,15 @@ def obstruction_3cocycle(ses, x, phi):
 
     Values lie in N; returned as a G-valued 3-cocycle."""
     g = ses.g_ring
-    if any(is_degenerate(key) and not ses.in_n(v)
+    if any(is_degenerate(key) and v not in ses.n_set
            for key, v in phi.values.items()):
         raise CocycleError("phi is not normalized on degenerate pairs")
-    s_phi = Cochain(g, 2, {key: ses.section(ses.project(v))
+    s_phi = Cochain(g, 2, {key: ses.a_reps[ses.project(v)]
                            for key, v in phi.values.items()})
     # delta at degree 2 has sign -1, which gives theta term for term
-    theta = delta(ComplexSpec(x, g, "TQ", 2), s_phi)
-    if not all(ses.in_n(v) for v in theta.values.values()):
-        raise CocycleError("phi is not a 2-cocycle over the quotient module")
-    return require_cocycle(ComplexSpec(x, g, "TQ", 3), theta, CocycleError,
-                           "3-cocycle obstruction")
+    return _lifted(x, s_phi, g, _n_valued(
+        ses, "phi is not a 2-cocycle over the quotient module"),
+        "3-cocycle obstruction")
 
 
 # -- lifting a cocycle valued in H^1 ----------------------------------------

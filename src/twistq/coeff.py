@@ -104,15 +104,9 @@ class AlexanderRing:
         return tuple(_red(x + y, self.modulus)
                      for x, y in zip(a, b, strict=True))
 
-    def neg(self, a):
-        return tuple(_red(-x, self.modulus) for x in a)
-
     def sub(self, a, b):
         return tuple(_red(x - y, self.modulus)
                      for x, y in zip(a, b, strict=True))
-
-    def scalar_mul(self, k, a):
-        return tuple(_red(k * x, self.modulus) for x in a)
 
     def mul(self, a, b):
         prod = [0] * (2 * self.degree - 1)
@@ -176,9 +170,6 @@ class AlexanderRing:
 
     def render_elem(self, a):
         return render_poly(a)
-
-    def parse_elem(self, text):
-        return self.reduce(parse_poly(text))
 
     def __eq__(self, other):
         return (isinstance(other, AlexanderRing)
@@ -309,16 +300,6 @@ class GroupRingElem:
             self.terms[key] = m
         else:
             self.terms.pop(key, None)
-
-    def __add__(self, other):
-        out = GroupRingElem(self.ring, self.terms)
-        for key, mult in other.terms.items():
-            out.add_term(key, mult)
-        return out
-
-    def scale(self, k):
-        return GroupRingElem(
-            self.ring, {key: k * m for key, m in self.terms.items()})
 
     def t_act(self):
         """Apply the T-action of A to every group element key."""

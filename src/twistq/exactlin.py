@@ -391,9 +391,6 @@ class ModuleInfo:
         self.t_action = [list(r) for r in t_action]
         self.cycles = [list(z) for z in cycles]
 
-    def is_trivial(self):
-        return not self.invariant_factors
-
     def order(self):
         if any(d == 0 for d in self.invariant_factors):
             return None

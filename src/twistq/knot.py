@@ -194,16 +194,16 @@ def parse_pd(text):
             sign = 1 if m.group(1).lower() == "p" else -1
             crossings.append((sign, tuple(m.group(i) for i in range(2, 6))))
             continue
-        head, _, rest = line.partition(" ")
+        head, rest = (line.split(None, 1) + [""])[:2]
         head = head.lower()
         if head in ("outer", "base"):
-            _once(directives, head, rest.strip(), head)
+            _once(directives, head, rest, head)
         elif head == "mod":
             _once(directives, "mod_p", number(rest), head)
             if directives["mod_p"] < 2:
                 raise DiagramError("mod needs p >= 2")
         elif head == "l":
-            ci_text, _, val = rest.strip().partition(" ")
+            ci_text, val = (rest.split(None, 1) + [""])[:2]
             _once(overrides, number(ci_text), number(val),
                   "L override of crossing %s" % show(ci_text))
         elif head == "face":

@@ -61,13 +61,6 @@ class FiniteQuandle:
     def op(self, a, b):
         return self.table[a][b]
 
-    def op_inv(self, c, b):
-        """The unique a with a * b == c."""
-        return self.inv[b][c]
-
-    def elements(self):
-        return range(self.size)
-
     def _validate(self):
         q = self.size
         if any(len(row) != q for row in self.table):
@@ -208,6 +201,7 @@ def quandle_extension(x, ring, phi):
     """
     if ring.modulus == 0:
         raise QuandleError("extension needs a finite coefficient ring")
+    _check_order(ring.modulus, ring.degree)  # before size() computes n^d
     _check_order(ring.size() * x.size)
     from . import chain
     chain.require_cocycle(chain.ComplexSpec(x, ring, "TQ", 2), phi,
@@ -261,7 +255,7 @@ def find_isomorphism(x, y):
                 c = x.table[s][t]
                 if c <= a and y.table[img[s]][img[t]] != img[c]:
                     return False
-            s = x.op_inv(a, b)  # s * b == a
+            s = x.inv[b][a]  # s * b == a
             if s < a and y.table[img[s]][img[b]] != v:
                 return False
         return True

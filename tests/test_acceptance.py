@@ -56,8 +56,8 @@ def test_criterion_01(capsys):
 def test_criterion_02(capsys):
     for n in (5, 7):
         ring = parse_ring("Z%d[T]/(T+1)" % n)
-        assert homology(ComplexSpec(dihedral_quandle(3), ring, "TQ", 2)) \
-            .is_trivial()
+        assert not homology(ComplexSpec(dihedral_quandle(3), ring, "TQ",
+                                        2)).invariant_factors
     report(capsys, 2, True,
            "degree-2 homology of R(3) vanishes over Z5 and Z7 coefficients")
 

@@ -27,7 +27,7 @@ RINGS = ["Z[T]/(T+1)", "Z5[T]/(T+2)", "Z[T]/(T^2-1)", "Z4[T]/(T^2+T+1)",
 
 def _act(ring, sign, texp, v):
     v = ring.t_act(v) if texp else v
-    return v if sign > 0 else ring.neg(v)
+    return v if sign > 0 else ring.sub(ring.zero(), v)
 
 
 def _ref_boundary(spec, values):

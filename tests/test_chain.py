@@ -91,7 +91,7 @@ class TestBoundary:
         d = boundary(spec(x, ring, "TR", 2),
                      Chain(ring, 2, {(0, 1): ring.one()}))
         tm1 = ring.sub(ring.t_act(ring.one()), ring.one())
-        assert d.values == {(0,): tm1, (1,): ring.neg(tm1)}
+        assert d.values == {(0,): tm1, (1,): ring.sub(ring.zero(), tm1)}
 
 
 _SQUARE_QUANDLES = [trivial_quandle(2), trivial_quandle(3),
@@ -158,7 +158,7 @@ def reference_is_cocycle(spec, f, df):
         for key, v in f.values.items():
             if is_degenerate(key) and not spec.ring.is_zero(v):
                 return False, key
-    return (True, None) if df.is_zero() else (False, df.support()[0])
+    return (True, None) if df.is_zero() else (False, min(df.values))
 
 
 _DELTA_QUANDLES = [trivial_quandle(1), trivial_quandle(2),
@@ -301,7 +301,7 @@ class TestHomology:
         for n in (5, 7):
             ring = parse_ring("Z%d[T]/(T+1)" % n)
             info = homology(spec(dihedral_quandle(3), ring, "TQ", 2))
-            assert info.is_trivial()
+            assert not info.invariant_factors
 
     def test_h1_tq_r3(self):
         assert homology(spec(dihedral_quandle(3), parse_ring("Z2[T]/(T+1)"),
@@ -312,7 +312,8 @@ class TestHomology:
     def test_h2_tq_t2_invertible_shift(self):
         # T - 1 invertible makes the degree-2 group vanish
         ring = parse_ring("Z3[T]/(T-2)")
-        assert homology(spec(trivial_quandle(2), ring, "TQ", 2)).is_trivial()
+        assert not homology(spec(trivial_quandle(2), ring, "TQ",
+                                 2)).invariant_factors
 
     def test_oracle_t1(self):
         info = brute_force_homology(
@@ -415,7 +416,7 @@ class TestCohomology:
     def test_generators_are_cocycles(self):
         s = spec(dihedral_quandle(3), R3, "TQ", 2)
         info, gens = cohomology(s)
-        assert not info.is_trivial()
+        assert info.invariant_factors
         for g in gens:
             assert is_cocycle(s, g)[0]
 

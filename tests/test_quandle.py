@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from twistq import cli
-from twistq.coeff import AlexanderRing, RingError, parse_ring
+from twistq.coeff import AlexanderRing, RingError, parse_poly, parse_ring
 from twistq.chain import Cochain, parse_cochain
 from twistq.cocycles import SesSpec
 from twistq.quandle import (FiniteQuandle, QuandleError, QuandleMap,
@@ -84,9 +84,9 @@ class TestValidation:
 
     def test_op_inverse(self):
         x = dihedral_quandle(5)
-        for a in x.elements():
-            for b in x.elements():
-                assert x.op_inv(x.op(a, b), b) == a
+        for a in range(x.size):
+            for b in range(x.size):
+                assert x.inv[b][x.op(a, b)] == a
 
 
 class TestStandardFamilies:
@@ -209,6 +209,24 @@ class TestProductAndExtension:
         assert quandle_product(dihedral_quandle(3),
                                trivial_quandle(2)).size == 6
 
+    def test_ring_order_is_guarded_before_it_is_computed(self,
+                                                         monkeypatch):
+        # the ring's order 10^4000000, computed, is an integer of 1.7 MB
+        monkeypatch.delenv("TWISTQ_MAX_TABLE", raising=False)
+        ring = AlexanderRing(10 ** 4000, [1] + [0] * 999 + [1])
+        x, phi = trivial_quandle(1), Cochain(ring, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuandleError) as refused:
+                quandle_extension(x, ring, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == (
+            "a quandle of order ~10^4000000 has a ~10^8000000-cell table "
+            "(limit 65536; set TWISTQ_MAX_TABLE)")
+        assert peak < 100_000
+
     def test_infinite_ring_rejected(self):
         with pytest.raises(QuandleError):
             quandle_extension(dihedral_quandle(3), AlexanderRing(0, [1, 1]),
@@ -259,7 +277,7 @@ class TestAlexanderTables:
         ("Z8[T]/(T+1)", "2")])
     def test_quotient_table_matches_quandle_op(self, text, sub):
         g = parse_ring(text)
-        ses = SesSpec(g, (g.parse_elem(sub),))
+        ses = SesSpec(g, (g.reduce(parse_poly(sub)),))
         assert ses.a_quandle.table == _reference_table(
             g, ses.a_reps, lambda c, i, j: ses.project(c))
 

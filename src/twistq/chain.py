@@ -25,6 +25,11 @@ base-|X| digits, and the faces are summed entry by entry.  For TQ the
 column builder keeps the targets in its basis and `boundary` the
 non-degenerate ones, while `delta` reads a cochain on every target,
 degenerate or not.
+
+`exactlin` is imported when it is used: by `homology`, `cohomology`
+and `is_coboundary`, which run its elimination, and by the oracle for
+its result type.  A cocycle construction, pairing or state sum never
+loads it.
 """
 
 import itertools
@@ -33,7 +38,6 @@ from operator import add, sub
 
 from . import VARIANTS
 from .coeff import RingError
-from .exactlin import ModuleInfo, homology_segment, solve_linear
 from .limits import check_limit, integer, lines, power, show
 
 __all__ = [
@@ -284,6 +288,7 @@ def _from_vector(spec, vec, basis):
 
 def homology(spec):
     """Degree-n twisted homology as a ModuleInfo."""
+    from .exactlin import homology_segment
     return homology_segment(_columns(spec.at_degree(spec.degree + 1)),
                             _columns(spec), spec.ring.modulus,
                             _t_columns(spec))
@@ -292,6 +297,7 @@ def homology(spec):
 def cohomology(spec):
     """Degree-n twisted cohomology; returns (ModuleInfo, cocycle_gens)
     where cocycle_gens generate the group of n-cocycles."""
+    from .exactlin import homology_segment
     info = homology_segment(_columns(spec, True),
                             _columns(spec.at_degree(spec.degree + 1), True),
                             spec.ring.modulus, _t_columns(spec), cycles=True)
@@ -393,6 +399,7 @@ def require_cocycle(spec, f, error, what):
 
 def is_coboundary(spec, f):
     """Find g of degree n - 1 with delta g == f, or return None."""
+    from .exactlin import solve_linear
     n = spec.degree
     if n == 0:
         return None if not f.is_zero() else Cochain(spec.ring, 0)
@@ -513,6 +520,7 @@ def brute_force_homology(spec):
     #{h : q h == 0} being #{z in Z : q z in B} / |B|.  Only usable for
     finite coefficients and small chain groups (TWISTQ_MAX_BRUTE).
     """
+    from .exactlin import ModuleInfo
     ring, n = spec.ring, spec.degree
     if ring.modulus == 0:
         raise RingError("brute-force oracle needs finite coefficients")

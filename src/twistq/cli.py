@@ -12,14 +12,17 @@ computation fails, 64 for usage errors and 70 for an internal error (a
 bug in twistq: any other exception), which prints one line,
 `internal error: <type>: <message>`, to standard error and no report.
 
-Parsing and dispatch need no computation module: each handler imports
-the modules its command runs when it runs, so a process loads only
-those.  A catalog run builds each construct, catalog quandle and parsed
-quandle its entries share once, and keeps nothing once it returns.
+A process builds and loads only what its command runs: the parser gives
+options only to the command that argv's leading words name (every other
+command is still registered by name, so usage and help read the same),
+each handler imports its computation modules when it runs, hashlib
+loads only for a report and the catalog runner, `twistq.catalog`, only
+for verify-suite.  A catalog run builds each construct, catalog quandle,
+parsed quandle and parsed ring its entries share once, and keeps nothing
+once it returns.
 """
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -77,6 +80,11 @@ def _load_quandle(text):
     return _shared(text, quandle.parse_quandle, text)
 
 
+def _load_ring(text):
+    from . import coeff
+    return _shared(text, coeff.parse_ring, text)
+
+
 def _quandle_payload(x):
     return {"name": x.name, "size": x.size, "labels": list(x.labels),
             "table": [list(row) for row in x.table]}
@@ -98,6 +106,7 @@ def _resolve_inputs(args):
 
 
 def _digest(command, inputs):
+    import hashlib  # OpenSSL loads only for a report
     blob = json.dumps({"command": command, "inputs": inputs},
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -118,7 +127,7 @@ _FAMILIES = {
 
 def _make_ses(inputs):
     from . import cocycles, coeff
-    g = coeff.parse_ring(inputs["ambient"])
+    g = _load_ring(inputs["ambient"])
     gens = tuple(g.reduce(coeff.parse_poly(s))
                  for s in inputs["sub"].split(";"))
     return cocycles.SesSpec(g, gens)
@@ -127,9 +136,9 @@ def _make_ses(inputs):
 # -- subcommand handlers -----------------------------------------------------
 
 def _spec_from(inputs):
-    from . import chain, coeff
+    from . import chain
     x = _load_quandle(inputs["quandle"])
-    ring = coeff.parse_ring(inputs["coeff"])
+    ring = _load_ring(inputs["coeff"])
     return chain.ComplexSpec(x, ring, inputs["variant"], inputs["degree"])
 
 
@@ -180,9 +189,9 @@ def _cmd_construct_family(inputs):
 
 
 def _cmd_construct_lift(inputs):
-    from . import chain, cocycles, coeff
+    from . import chain, cocycles
     x = _load_quandle(inputs["quandle"])
-    ring = coeff.parse_ring(inputs["coeff"])
+    ring = _load_ring(inputs["coeff"])
     seeds = chain.parse_cochain(ring, inputs["seeds"], size=x.size)
     psi, is_tq = cocycles.lift_h1(x, ring, seeds.values)
     result = _construct_result(psi, x, ring)
@@ -256,9 +265,9 @@ def _cmd_quandle_iso(inputs):
 
 
 def _state_sum_result(inputs, diagram, state_sum, degree):
-    from . import chain, coeff
+    from . import chain
     x = _load_quandle(inputs["quandle"])
-    ring = coeff.parse_ring(inputs["coeff"])
+    ring = _load_ring(inputs["coeff"])
     phi = chain.parse_cochain(ring, inputs["cocycle"], degree=degree,
                               size=x.size)
     value, cols, weights = state_sum(diagram, x, ring, phi)
@@ -279,184 +288,27 @@ def _cmd_invariant_surface(inputs):
                              knot.state_sum_surface, 3)
 
 
-# -- catalog / verify-suite --------------------------------------------------
+# -- verify-suite ------------------------------------------------------------
 
-def load_catalog(text=None):
-    from . import limits
-    if text is None:
-        from importlib import resources
-        text = resources.files("twistq").joinpath(
-            "data/catalog.json").read_text()
-    try:
-        entries = json.loads(text, parse_int=lambda token: limits.integer(
-            token, ValueError, "the catalog"))
-    except RecursionError:
-        raise ValueError("catalog is nested too deeply to read") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError("catalog is not JSON: %s" % exc) from None
-    if not isinstance(entries, list):
-        raise ValueError("catalog must be a JSON list of entries")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError("catalog entry %d is not a JSON object" % i)
-    return entries
-
-
-# kind: (command path, {result field: reader}).  A reader gives the value
-# the entry expects in the field, raises KeyError for a key the entry
-# must give, or returns _SKIP for a check the entry does not ask for.
-# The command None stands for the entry's `construct` alone.
-_SKIP = object()
-_STATE_SUM = {"value": lambda e: e["expect"],
-              "colorings": lambda e: e.get("expect_colorings", _SKIP)}
-_KINDS = {
-    "homology": ("homology", {
-        "invariant_factors": lambda e: e["expect"],
-        # homology reports oracle_factors only when the entry asks
-        "oracle_factors": lambda e: e["expect"] if e.get("oracle") else _SKIP,
-        "t_action": lambda e: e.get("expect_t", _SKIP)}),
-    "cocycle-table": (None, {"cocycle": lambda e: e["expect"]}),
-    "lift": ("cocycle construct lift", {
-        "cocycle": lambda e: e["expect"],
-        "is_tq": lambda e: e.get("expect_tq", _SKIP)}),
-    "pairing": ("cocycle pair", {"value": lambda e: e["expect"]}),
-    "not-coboundary": ("cocycle verify", {
-        "is_cocycle": lambda e: True,
-        "is_coboundary": lambda e: not e.get("expect_none", True)}),
-    "invariant": ("invariant", _STATE_SUM),
-    "invariant-surface": ("invariant-surface", _STATE_SUM),
-    "iso": ("quandle iso", {"isomorphic": lambda e: e["expect"]}),
-}
-
-
-# the JSON type of an option's value in a catalog, named in a witness
-_JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string"}
-
-
-def _catalog_inputs(params, path):
-    """The inputs of the command path from a catalog mapping: each
-    required option given, and each key that names an option holding
-    the option's JSON type, an integer (never a boolean) for type=int, a
-    boolean for store_true and a string for any other, or for a quandle
-    a mapping, replaced by its table text.  Other keys pass unchecked."""
-    inputs = dict(params)
-    for flag, keywords in _COMMANDS[path][1]:
-        key = keywords.get("dest", flag[2:])
-        if key not in inputs:
-            if keywords.get("required"):
-                raise ValueError("%s is missing" % key)
-            continue
-        value = inputs[key]
-        want = (bool if keywords.get("action") == "store_true"
-                else keywords.get("type", str))
-        if key in ("quandle", "first", "second") and type(value) is dict:
-            inputs[key] = _shared(json.dumps(value, sort_keys=True),
-                                  _catalog_quandle, value)
-        elif type(value) is not want:  # JSON gives no subclasses
-            raise ValueError("%s must be %s" % (key, _JSON_TYPES[want]))
-    return inputs
-
-
-def _construct(params, what="construct"):
-    """The report of `cocycle construct <family>` on a catalog construct
-    mapping, given as the entry's `what`."""
-    from . import cocycles
-    from .limits import show
-    if not isinstance(params, dict):
-        raise ValueError("%s must be a mapping" % what)
-    family = params.get("family")
-    if family not in ("lift", *_FAMILIES):  # compared, never hashed
-        raise cocycles.CocycleError("unknown cocycle family %s"
-                                    % show(family))
-    path = "cocycle construct " + family
-    return _shared(json.dumps(params, sort_keys=True), _COMMANDS[path][0],
-                   _catalog_inputs(params, path))
-
-
-def _catalog_quandle(spec):
-    """Table text of a {"product": [a, b]} (two quandle names) or
-    {"extension": construct} quandle spec."""
-    from . import chain, coeff, quandle
-    from .limits import show
-    if "product" in spec:
-        names = spec["product"]
-        if (type(names) is not list or len(names) != 2
-                or not all(isinstance(name, str) for name in names)):
-            raise ValueError("product must be a list of two strings")
-        x = quandle.quandle_product(*map(quandle.quandle_standard, names))
-    elif "extension" in spec:
-        made = _construct(spec["extension"], "extension")
-        ring = coeff.parse_ring(made["ring"])
-        x = quandle.quandle_extension(
-            quandle.FiniteQuandle(made["quandle"]["table"]), ring,
-            chain.parse_cochain(ring, made["cocycle"]))
-    else:
-        raise ValueError("cannot interpret quandle spec %s" % show(spec))
-    return quandle.render_quandle_table(x.table)
-
-
-def _catalog_result(entry):
-    """The report of the CLI command that checks a catalog entry.  A
-    construct's report supplies the command's cocycle, coeff, degree and
-    quandle (table text)."""
-    path = _KINDS[entry["kind"]][0]
-    made = _construct(entry["construct"]) if "construct" in entry else {}
-    if path is None:
-        return made
-    inputs = {"variant": "TQ", **entry}
-    if made:
-        from .quandle import render_quandle_table
-        inputs = {"cocycle": made["cocycle"], "coeff": made["ring"],
-                  "degree": made["degree"],
-                  "quandle": render_quandle_table(made["quandle"]["table"]),
-                  **inputs}
-    return _COMMANDS[path][0](_catalog_inputs(inputs, path))
-
-
-def run_catalog_entry(entry):
-    """Execute one catalog check; returns (ok, witness_text_or_None)."""
-    from .limits import show
-    kind = entry.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        return False, "unknown catalog entry kind %s" % show(kind)
-    try:
-        want = {field: read(entry) for field, read in _KINDS[kind][1].items()}
-    except KeyError as exc:
-        return False, "%s is missing" % exc.args[0]
-    result = _catalog_result(entry)
-    for field, value in want.items():
-        if value is _SKIP:
-            continue
-        if field not in result:
-            return False, "%s is missing from the report" % field
-        if result[field] != value:
-            return False, "%s is %s, expected %s" % (
-                field, json.dumps(result[field]), json.dumps(value))
-    return True, None
+def _checker():
+    """A catalog checker that runs entries through the command table."""
+    from .catalog import Checker
+    return Checker(_COMMANDS, ("lift", *_FAMILIES), _shared)
 
 
 def run_catalog(entries):
+    """The verify-suite result of catalog entries; the run shares what
+    its entries build, and keeps nothing once it returns."""
     global _SHARED
-    items, _SHARED = [], {}
+    _SHARED = {}
     try:
-        for i, entry in enumerate(entries):
-            eid = entry.get("id", "entry-%d" % i)
-            try:
-                ok, witness = run_catalog_entry(entry)
-            except Exception as exc:  # a broken entry fails, not the run
-                ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-            items.append({"id": eid, "pass": ok, "witness": witness})
+        return _checker().run(entries)
     finally:
         _SHARED = None
-    result = {"items": items,
-              "passed": sum(1 for it in items if it["pass"]),
-              "failed": sum(1 for it in items if not it["pass"])}
-    if not items:
-        result["warning"] = "catalog is empty; nothing was verified"
-    return result
 
 
 def _cmd_verify_suite(inputs):
+    from .catalog import load_catalog
     result = run_catalog(load_catalog(inputs.get("catalog")))
     if "warning" in result:
         print("warning: %s" % result["warning"], file=sys.stderr)
@@ -530,7 +382,10 @@ _COMMANDS = {
 _DESTS = ("subcommand", "action", "family")
 
 
-def build_parser():
+def build_parser(command=None):
+    """The twistq parser; given a command path, only that command gets
+    its options.  Every command stays registered by name, so usage, help
+    and errors read the same as with all options."""
     parser = CliParser(prog="twistq",
                        description="Twisted quandle homology, cocycles and "
                                    "cocycle state-sum invariants.")
@@ -546,16 +401,32 @@ def build_parser():
                 subs[words[:depth]] = node.add_subparsers(
                     dest=_DESTS[depth], required=True, parser_class=CliParser)
         p = subs[words[:-1]].add_parser(words[-1])
-        for flag, keywords in options:
-            p.add_argument(flag, **keywords)
+        if command in (None, path):
+            for flag, keywords in options:
+                p.add_argument(flag, **keywords)
         p.set_defaults(command_path=path)
     return parser
 
 
+def _command_path(argv):
+    """The command path that argv's leading words (those before its first
+    option) name, else None.  argparse reaches that command through those
+    words alone, so it parses no other command's options."""
+    words = []
+    for arg in argv:
+        if arg.startswith("-"):
+            break
+        words.append(arg)
+    for path in _COMMANDS:
+        if path.split() == words[:path.count(" ") + 1]:
+            return path
+    return None
+
+
 def main(argv=None):
     started = time.monotonic()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_command_path(argv)).parse_args(argv)
     try:
         inputs = _resolve_inputs(args)
         result = _COMMANDS[args.command_path][0](inputs)

@@ -11,7 +11,8 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from twistq import cli
+from twistq import catalog, cli
+from test_help_golden import NODES
 
 HOPF = """\
 Xp[1,3,2,4]
@@ -1077,7 +1078,7 @@ class TestVerifySuite:
         assert result["passed"] == len(result["items"]) >= 25
 
     def test_perturbed_entry_fails_with_witness(self, capsys, tmp_path):
-        entries = cli.load_catalog()
+        entries = catalog.load_catalog()
         entries[0] = dict(entries[0])
         entries[0]["expect"] = [5]
         bad = tmp_path / "catalog.json"
@@ -1121,8 +1122,8 @@ class TestVerifySuite:
 
 
 class TestCatalogSharing:
-    """A catalog run builds each construct, catalog quandle and parsed
-    quandle once, and keeps nothing once it returns."""
+    """A catalog run builds each construct, catalog quandle, parsed
+    quandle and parsed ring once, and keeps nothing once it returns."""
 
     def _spy(self, monkeypatch):
         """Record each (make, key, args, value) that _shared hands out,
@@ -1143,7 +1144,7 @@ class TestCatalogSharing:
         return handed, made
 
     def test_run_matches_entries_run_alone(self):
-        entries = cli.load_catalog()
+        entries = catalog.load_catalog()
         alone = [cli.run_catalog([entry])["items"][0] for entry in entries]
         assert cli.run_catalog(entries)["items"] == alone
 
@@ -1153,7 +1154,7 @@ class TestCatalogSharing:
         assert run(capsys, ["verify-suite"])[:2] == first[:2]
 
     def test_nothing_is_shared_outside_a_run(self, monkeypatch):
-        entries = cli.load_catalog()
+        entries = catalog.load_catalog()
         assert cli._SHARED is None
         seen = []
         _, options = cli._COMMANDS["quandle iso"]
@@ -1175,7 +1176,7 @@ class TestCatalogSharing:
         assert cli._load_quandle("R(3)") is not cli._load_quandle("R(3)")
 
     def test_each_construct_and_quandle_is_made_once(self, monkeypatch):
-        entries = cli.load_catalog()
+        entries = catalog.load_catalog()
         # 14 constructs are asked for, by entries and extension quandles
         assert sum("construct" in e for e in entries) + sum(
             "extension" in e[k] for e in entries for k in ("first", "second")
@@ -1184,6 +1185,9 @@ class TestCatalogSharing:
         cli.run_catalog(entries)
         assert len({key for make, key, *_ in handed
                     if make.__name__.startswith("_cmd_construct")}) == 4
+        # the entries read 8 ring texts, most of them more than once
+        assert len({key for make, key, *_ in handed
+                    if make.__name__ == "parse_ring"}) == 8
         assert set(made.values()) == {1}
         assert len(made) == len({(make, key) for make, key, *_ in handed})
 
@@ -1217,14 +1221,15 @@ class TestCatalogSharing:
 
     def test_shared_inputs_are_not_mutated(self, monkeypatch):
         handed, _ = self._spy(monkeypatch)
-        cli.run_catalog(cli.load_catalog())
+        cli.run_catalog(catalog.load_catalog())
         monkeypatch.undo()
-        for make, key, args, value in handed:
+        # the run's checker still holds the spy, which records these calls
+        for make, key, args, value in list(handed):
             fresh = make(*args)
             if hasattr(value, "table"):  # a parsed quandle
                 assert (value.table, value.labels, value.name) == (
                     fresh.table, fresh.labels, fresh.name)
-            else:  # a construct report or catalog quandle text
+            else:  # a construct report, catalog quandle text or a ring
                 assert value == fresh
 
 
@@ -1241,9 +1246,9 @@ def _wrong(value):
 
 _EXPECT_KEYS = ("expect", "expect_t", "expect_tq", "expect_colorings",
                 "expect_none")
-_PERTURBED = [(entry["id"], key) for entry in cli.load_catalog()
+_PERTURBED = [(entry["id"], key) for entry in catalog.load_catalog()
               for key in _EXPECT_KEYS if key in entry]
-_IDS = [entry["id"] for entry in cli.load_catalog() if "expect" in entry]
+_IDS = [entry["id"] for entry in catalog.load_catalog() if "expect" in entry]
 _ENTRIES = {
     "homology": {"kind": "homology", "quandle": "R(3)",
                  "coeff": "Z3[T]/(T+1)", "degree": 2, "expect": [3, 3]},
@@ -1279,7 +1284,7 @@ _MISTYPED = {
 class TestCatalogDispatch:
     def test_non_object_entry_is_refused(self, capsys, tmp_path):
         with pytest.raises(ValueError, match="catalog entry 1 is not"):
-            cli.load_catalog('[{"kind": "iso"}, 2]')
+            catalog.load_catalog('[{"kind": "iso"}, 2]')
         bad = tmp_path / "catalog.json"
         bad.write_text("[1, 2]")
         code, out, err = run(capsys, ["verify-suite", "--catalog", str(bad)])
@@ -1289,27 +1294,27 @@ class TestCatalogDispatch:
     @pytest.mark.parametrize("eid,key", _PERTURBED,
                              ids=["%s:%s" % p for p in _PERTURBED])
     def test_every_expectation_is_checked(self, eid, key):
-        entry = next(e for e in cli.load_catalog() if e["id"] == eid)
-        assert cli.run_catalog_entry(entry) == (True, None)
-        ok, witness = cli.run_catalog_entry(dict(entry,
-                                                 **{key: _wrong(entry[key])}))
+        entry = next(e for e in catalog.load_catalog() if e["id"] == eid)
+        assert cli._checker().check(entry) == (True, None)
+        ok, witness = cli._checker().check(
+            dict(entry, **{key: _wrong(entry[key])}))
         assert not ok and witness
 
     def test_every_kind_and_field_is_exercised(self):
         # every field the kind table reads is in a bundled entry's report
-        entries = cli.load_catalog()
-        assert set(cli._KINDS) <= {e["kind"] for e in entries}
-        for kind, (_path, reads) in cli._KINDS.items():
-            results = [cli._catalog_result(e) for e in entries
+        entries = catalog.load_catalog()
+        assert set(catalog._KINDS) <= {e["kind"] for e in entries}
+        for kind, (_path, reads) in catalog._KINDS.items():
+            results = [cli._checker().result(e) for e in entries
                        if e["kind"] == kind]
             for field in reads:
                 assert any(field in r for r in results), (kind, field)
 
     @pytest.mark.parametrize("eid", _IDS)
     def test_entry_without_expect_fails(self, eid):
-        entry = next(e for e in cli.load_catalog() if e["id"] == eid)
+        entry = next(e for e in catalog.load_catalog() if e["id"] == eid)
         del entry["expect"]
-        assert cli.run_catalog_entry(entry) == (False, "expect is missing")
+        assert cli._checker().check(entry) == (False, "expect is missing")
 
     def test_cocycle_table_without_construct_fails(self):
         item, = cli.run_catalog([{"kind": "cocycle-table",
@@ -1331,9 +1336,9 @@ class TestCatalogDispatch:
                  "coeff": "Z3[T]/(T+1)", "degree": 2,
                  "cocycle": "0,1 -> 1\n"}
         expected = (False, "is_cocycle is false, expected true")
-        assert cli.run_catalog_entry(entry) == expected
+        assert cli._checker().check(entry) == expected
         # the requirement is fixed: an entry cannot ask for a non-cocycle
-        assert cli.run_catalog_entry(dict(entry, is_cocycle=False)) == \
+        assert cli._checker().check(dict(entry, is_cocycle=False)) == \
             expected
 
     def test_catalog_reads_no_quandle_file(self, tmp_path):
@@ -1363,13 +1368,13 @@ class TestCatalogDispatch:
                              ids=_MISTYPED.keys())
     def test_mistyped_field_fails_with_witness(self, name, change, witness):
         entry = _ENTRIES[name]
-        assert cli.run_catalog_entry(entry) == (True, None)
+        assert cli._checker().check(entry) == (True, None)
         item, = cli.run_catalog([dict(entry, **change)])["items"]
         assert item["witness"] == "ValueError: " + witness
 
     def test_key_naming_no_option_is_left_alone(self):
         entry = dict(_ENTRIES["homology"], cocycle_degree="two")
-        assert cli.run_catalog_entry(entry) == (True, None)
+        assert cli._checker().check(entry) == (True, None)
 
     @pytest.mark.parametrize("entry", [
         {"kind": "k" * 100000},
@@ -1382,7 +1387,7 @@ class TestCatalogDispatch:
         assert not item["pass"] and len(item["witness"]) < 300
 
     def test_unknown_kind_fails_with_witness(self):
-        assert cli.run_catalog_entry({"kind": "nope"}) == \
+        assert cli._checker().check({"kind": "nope"}) == \
             (False, "unknown catalog entry kind 'nope'")
 
     def test_parser_and_command_table_agree(self):
@@ -1400,9 +1405,9 @@ class TestCatalogDispatch:
 
 
 # A child process runs one command through main() and reports the twistq
-# modules (and dataclasses) it holds afterwards.  It starts with -S, so
-# the site module's imports do not count, and finds twistq on an
-# explicit sys.path.
+# modules (and dataclasses and hashlib) it holds afterwards.  It starts
+# with -S, so the site module's imports do not count, and finds twistq on
+# an explicit sys.path.
 _PROBE = """\
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -1412,22 +1417,24 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] in ("twistq",
-                                                      "dataclasses"))]))
+                               if m.split(".")[0] in ("twistq", "dataclasses",
+                                                      "hashlib"))]))
 """
 _BASE = ["twistq", "twistq.cli"]
 _QUANDLE = _BASE + ["twistq.coeff", "twistq.limits", "twistq.quandle"]
-_CHAIN = _QUANDLE + ["twistq.chain", "twistq.exactlin"]
+_CHAIN = _QUANDLE + ["twistq.chain"]
+_SOLVE = _CHAIN + ["twistq.exactlin"]
 _COCYCLES = _CHAIN + ["twistq.cocycles"]
 _KNOT = _CHAIN + ["twistq.knot"]
 _COMPLEX = ["--quandle", "R(3)", "--coeff", "Z3[T]/(T+1)", "--degree", "2"]
 _SES = ["--ambient", "Z9[T]/(T+1)", "--sub", "3", "--quandle", "R(3)"]
 _STATE_SUM = ["--quandle", "T(2)", "--coeff", "Z[T]/(T^2-1)"]
+# (argv, exit code, modules besides hashlib, which only a report loads)
 _LOADS = [
     (["no-such-command"], 64, _BASE),
-    (["homology"] + _COMPLEX, 0, _CHAIN),
-    (["cohomology"] + _COMPLEX, 0, _CHAIN),
-    (["cocycle", "verify", "--cocycle", "{phi}"] + _COMPLEX, 0, _CHAIN),
+    (["homology"] + _COMPLEX, 0, _SOLVE),
+    (["cohomology"] + _COMPLEX, 0, _SOLVE),
+    (["cocycle", "verify", "--cocycle", "{phi}"] + _COMPLEX, 0, _SOLVE),
     (["cocycle", "pair", "--cocycle", "{phi}", "--cycle", "{cycle}"]
      + _COMPLEX, 0, _CHAIN),
     (["cocycle", "construct", "modular", "--p", "3", "--m", "2",
@@ -1448,35 +1455,139 @@ _LOADS = [
      + _STATE_SUM, 0, _KNOT),
     (["invariant-surface", "--surface", "{surface}", "--cocycle", "{zero}"]
      + _STATE_SUM, 0, _KNOT),
-    (["verify-suite"], 0, _COCYCLES + ["twistq.knot"]),
+    (["verify-suite"], 0, _COCYCLES + ["twistq.catalog", "twistq.exactlin",
+                                       "twistq.knot"]),
 ]
+_FILES = {"phi": "0,1 -> 2\n0,2 -> 1\n1,0 -> 1\n1,2 -> 2\n"
+                 "2,0 -> 2\n2,1 -> 1\n",
+          "cycle": "1,0 -> 1\n2,0 -> 2\n", "zero": "",
+          "seeds": "0,1 -> 1\n", "hopf": HOPF,
+          "hopf_phi": "0,1 -> T\n1,0 -> 1\n",
+          "surface": "sheets: x y\ntp: sign=+1 L=0 x=x y=y z=x\n"}
 
 
-@pytest.mark.parametrize("argv,code,modules", _LOADS, ids=[
-    " ".join(itertools.takewhile(lambda a: a[0] != "-", argv))
-    for argv, _, _ in _LOADS])
-def test_command_loads_only_its_modules(tmp_path, argv, code, modules):
-    files = {"phi": "0,1 -> 2\n0,2 -> 1\n1,0 -> 1\n1,2 -> 2\n"
-                    "2,0 -> 2\n2,1 -> 1\n",
-             "cycle": "1,0 -> 1\n2,0 -> 2\n", "zero": "",
-             "seeds": "0,1 -> 1\n", "hopf": HOPF,
-             "hopf_phi": "0,1 -> T\n1,0 -> 1\n",
-             "surface": "sheets: x y\ntp: sign=+1 L=0 x=x y=y z=x\n"}
-    for name, text in files.items():
+def _with_files(tmp_path, argv):
+    """argv with each {name} replaced by the path of a file holding
+    _FILES[name]."""
+    for name, text in _FILES.items():
         (tmp_path / name).write_text(text)
-    argv = [a.format(**{n: str(tmp_path / n) for n in files}) for a in argv]
+    return [a.format(**{n: str(tmp_path / n) for n in _FILES}) for a in argv]
+
+
+def _probe(argv):
+    """(exit code, sorted modules) of argv run by _PROBE."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-S", "-c", _PROBE, src] + argv,
                           capture_output=True, text=True, timeout=60)
-    got_code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert got_code == code, proc.stderr
-    assert loaded == sorted(modules)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_LOAD_IDS = [" ".join(itertools.takewhile(lambda a: a[0] != "-", argv))
+             for argv, _, _ in _LOADS]
+
+
+@pytest.mark.parametrize("argv,code,modules", _LOADS, ids=_LOAD_IDS)
+def test_command_loads_only_its_modules(tmp_path, argv, code, modules):
+    got_code, loaded = _probe(_with_files(tmp_path, argv))
+    assert got_code == code
+    assert loaded == sorted(modules + ["hashlib"] * (code == 0))
 
 
 def test_bad_integer_option_loads_only_limits():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run([sys.executable, "-S", "-c", _PROBE, src,
-                           "homology", "--degree", "x"] + _COMPLEX[:4],
-                          capture_output=True, text=True, timeout=60)
-    assert json.loads(proc.stdout.splitlines()[-1]) == \
+    assert _probe(["homology", "--degree", "x"] + _COMPLEX[:4]) == \
         [64, sorted(_BASE + ["twistq.limits"])]
+
+
+def test_refused_input_loads_no_hashlib():
+    assert _probe(["quandle", "info", "--quandle", "R(x)"]) == \
+        [2, sorted(_QUANDLE)]
+
+
+def test_catalog_never_imports_the_front_end(tmp_path):
+    # run as `python -m twistq.cli`, the front end is __main__: an import
+    # of twistq.cli would run it a second time, with tables of its own
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "twistq.cli",
+         "verify-suite"], capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "twistq.catalog" in imported and "twistq.cli" not in imported
+    assert json.loads(proc.stdout)["result"]["failed"] == 0
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), wall time left out."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, "\n".join(line for line in err.split("\n")
+                                 if not line.startswith("wall-time: "))
+
+
+def _parity(capsys, monkeypatch, argv):
+    """Assert main(argv) with the command's own parser gives what it gives
+    with the whole tree; returns that outcome."""
+    mine = _outcome(capsys, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_command_path", lambda argv: None)
+        assert _outcome(capsys, argv) == mine, argv
+    return mine
+
+
+# argv words of the parser fuzz: every command word and option, the root's
+# flag, help, `--`, unknown words and a few values
+_WORDS = sorted(
+    {word for path in cli._COMMANDS for word in path.split()}
+    | {flag for _, options in cli._COMMANDS.values() for flag, _ in options}
+    | {"--pretty", "--", "-h", "-x", "--bogus", "bogus", "R(3)", "3", "-1",
+       "x", ""})
+
+
+class TestParserParity:
+    """main builds options only for the command argv's leading words
+    name; what it prints and returns is what the whole tree gives."""
+
+    @pytest.mark.parametrize("node", NODES, ids=[
+        " ".join(node) or "twistq" for node in NODES])
+    def test_help_and_usage(self, capsys, monkeypatch, node):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _parity(capsys, monkeypatch, node + ["--help"])[0] == 0
+        assert _parity(capsys, monkeypatch, node + ["--bogus"])[0] == \
+            cli.EX_USAGE
+
+    @pytest.mark.parametrize("argv,code", [(a, c) for a, c, _ in _LOADS],
+                             ids=_LOAD_IDS)
+    def test_commands(self, capsys, monkeypatch, tmp_path, argv, code):
+        assert _parity(capsys, monkeypatch,
+                       _with_files(tmp_path, argv))[0] == code
+
+    def test_only_the_named_command_gets_options(self):
+        def options(parser):
+            return [a.dest for a in parser._actions if a.option_strings]
+        assert cli._command_path(["cocycle", "construct", "lift", "-h"]) \
+            == "cocycle construct lift"
+        for argv in (["cocycle", "construct"], ["--pretty", "homology"],
+                     ["cocycle", "-x", "construct", "lift"], ["lift"]):
+            assert cli._command_path(argv) is None
+        subs = cli.build_parser("quandle iso")._subparsers._group_actions[0]
+        quandle = subs.choices["quandle"]._subparsers._group_actions[0]
+        assert options(quandle.choices["iso"]) == ["help", "first", "second"]
+        assert options(quandle.choices["info"]) == ["help"]
+        assert options(subs.choices["homology"]) == ["help"]
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(NODES), st.lists(st.sampled_from(_WORDS),
+                                            max_size=7))
+    def test_fuzzed_argv(self, capsys, monkeypatch, node, words):
+        # every handler is replaced: parity is the parser's, not the
+        # computation's, so a run only echoes the inputs it was given
+        for path, (_, options) in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, path, (dict, options))
+        _parity(capsys, monkeypatch, node + words)

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twistq.cli import load_catalog
+from twistq.catalog import load_catalog
 from twistq.coeff import GroupRingElem, parse_ring
 from twistq.chain import Cochain, ComplexSpec, delta
 from twistq.cocycles import (SesSpec, dihedral_integral_cocycle,

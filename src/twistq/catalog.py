@@ -2,16 +2,14 @@
 its report must hold.
 
 An entry's kind gives the command path whose handler checks it and the
-result fields it compares.  A `Checker` runs entries through the command
-line's table, which the front end hands in: this module never imports
-`twistq.cli`, since under `python -m twistq.cli` that import would run
-the front end a second time, with a table and a shared store of its own.
-Only `verify-suite` loads it.
+result fields it compares; `run` checks entries through the command
+table of `twistq.cli`, within the store of that module's `run_catalog`.
+Only `verify-suite` loads this module.
 """
 
 import json
 
-from . import chain, cocycles, coeff, quandle
+from . import chain, cli, cocycles, quandle
 from .limits import integer, show
 
 
@@ -66,125 +64,117 @@ _KINDS = {
 _JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
-class Checker:
-    """Checks catalog entries through a command table, {path: (handler,
-    [(flag, add_argument keywords), ...])}.  An entry's construct may
-    name one of `families`, each a `cocycle construct` path's last word;
-    `shared(key, make, *args)` gives make(*args), made once per run."""
+def inputs(params, path):
+    """The inputs of the command path from a catalog mapping: each
+    required option given, and each key that names an option holding the
+    option's JSON type, an integer (never a boolean) for type=int, a
+    boolean for store_true and a string for any other, or for a quandle
+    a mapping, replaced by its table text.  Other keys pass unchecked."""
+    out = dict(params)
+    for flag, keywords in cli._COMMANDS[path][1]:
+        key = keywords.get("dest", flag[2:])
+        if key not in out:
+            if keywords.get("required"):
+                raise ValueError("%s is missing" % key)
+            continue
+        value = out[key]
+        want = (bool if keywords.get("action") == "store_true"
+                else keywords.get("type", str))
+        if key in ("quandle", "first", "second") and type(value) is dict:
+            out[key] = cli._shared(json.dumps(value, sort_keys=True),
+                                   quandle_text, value)
+        elif type(value) is not want:  # JSON gives no subclasses
+            raise ValueError("%s must be %s" % (key, _JSON_TYPES[want]))
+    return out
 
-    def __init__(self, commands, families, shared):
-        self.commands, self.families, self.shared = commands, families, shared
 
-    def inputs(self, params, path):
-        """The inputs of the command path from a catalog mapping: each
-        required option given, and each key that names an option holding
-        the option's JSON type, an integer (never a boolean) for type=int,
-        a boolean for store_true and a string for any other, or for a
-        quandle a mapping, replaced by its table text.  Other keys pass
-        unchecked."""
-        inputs = dict(params)
-        for flag, keywords in self.commands[path][1]:
-            key = keywords.get("dest", flag[2:])
-            if key not in inputs:
-                if keywords.get("required"):
-                    raise ValueError("%s is missing" % key)
-                continue
-            value = inputs[key]
-            want = (bool if keywords.get("action") == "store_true"
-                    else keywords.get("type", str))
-            if key in ("quandle", "first", "second") and type(value) is dict:
-                inputs[key] = self.shared(json.dumps(value, sort_keys=True),
-                                          self.quandle_text, value)
-            elif type(value) is not want:  # JSON gives no subclasses
-                raise ValueError("%s must be %s" % (key, _JSON_TYPES[want]))
-        return inputs
+def construct(params, what="construct"):
+    """The report of `cocycle construct <family>` on a catalog construct
+    mapping, given as the entry's `what`."""
+    if not isinstance(params, dict):
+        raise ValueError("%s must be a mapping" % what)
+    family = params.get("family")
+    if family not in ("lift", *cli._FAMILIES):  # compared, never hashed
+        raise cocycles.CocycleError("unknown cocycle family %s"
+                                    % show(family))
+    path = "cocycle construct " + family
+    return cli._shared(json.dumps(params, sort_keys=True),
+                       cli._COMMANDS[path][0], inputs(params, path))
 
-    def construct(self, params, what="construct"):
-        """The report of `cocycle construct <family>` on a catalog
-        construct mapping, given as the entry's `what`."""
-        if not isinstance(params, dict):
-            raise ValueError("%s must be a mapping" % what)
-        family = params.get("family")
-        if family not in self.families:  # compared, never hashed
-            raise cocycles.CocycleError("unknown cocycle family %s"
-                                        % show(family))
-        path = "cocycle construct " + family
-        return self.shared(json.dumps(params, sort_keys=True),
-                           self.commands[path][0], self.inputs(params, path))
 
-    def quandle_text(self, spec):
-        """Table text of a {"product": [a, b]} (two quandle names) or
-        {"extension": construct} quandle spec."""
-        if "product" in spec:
-            names = spec["product"]
-            if (type(names) is not list or len(names) != 2
-                    or not all(isinstance(name, str) for name in names)):
-                raise ValueError("product must be a list of two strings")
-            x = quandle.quandle_product(*map(quandle.quandle_standard, names))
-        elif "extension" in spec:
-            made = self.construct(spec["extension"], "extension")
-            ring = self.shared(made["ring"], coeff.parse_ring, made["ring"])
-            x = quandle.quandle_extension(
-                quandle.FiniteQuandle(made["quandle"]["table"]), ring,
-                chain.parse_cochain(ring, made["cocycle"]))
-        else:
-            raise ValueError("cannot interpret quandle spec %s" % show(spec))
-        return quandle.render_quandle_table(x.table)
+def quandle_text(spec):
+    """Table text of a {"product": [a, b]} (two quandle names) or
+    {"extension": construct} quandle spec."""
+    if "product" in spec:
+        names = spec["product"]
+        if (type(names) is not list or len(names) != 2
+                or not all(isinstance(name, str) for name in names)):
+            raise ValueError("product must be a list of two strings")
+        x = quandle.quandle_product(*map(quandle.quandle_standard, names))
+    elif "extension" in spec:
+        made = construct(spec["extension"], "extension")
+        ring = cli._load_ring(made["ring"])
+        x = quandle.quandle_extension(
+            quandle.FiniteQuandle(made["quandle"]["table"]), ring,
+            chain.parse_cochain(ring, made["cocycle"]))
+    else:
+        raise ValueError("cannot interpret quandle spec %s" % show(spec))
+    return quandle.render_quandle_table(x.table)
 
-    def result(self, entry):
-        """The report of the command that checks a catalog entry.  A
-        construct's report supplies the command's cocycle, coeff, degree
-        and quandle (table text)."""
-        path = _KINDS[entry["kind"]][0]
-        made = {}
-        if "construct" in entry:
-            made = self.construct(entry["construct"])
-        if path is None:
-            return made
-        inputs = {"variant": "TQ", **entry}
-        if made:
-            inputs = {"cocycle": made["cocycle"], "coeff": made["ring"],
-                      "degree": made["degree"],
-                      "quandle": quandle.render_quandle_table(
-                          made["quandle"]["table"]),
-                      **inputs}
-        return self.commands[path][0](self.inputs(inputs, path))
 
-    def check(self, entry):
-        """Execute one catalog check; returns (ok, witness_text_or_None)."""
-        kind = entry.get("kind")
-        if not isinstance(kind, str) or kind not in _KINDS:
-            return False, "unknown catalog entry kind %s" % show(kind)
+def result(entry):
+    """The report of the command that checks a catalog entry.  A
+    construct's report supplies the command's cocycle, coeff, degree and
+    quandle (table text)."""
+    path = _KINDS[entry["kind"]][0]
+    made = construct(entry["construct"]) if "construct" in entry else {}
+    if path is None:
+        return made
+    given = {"variant": "TQ", **entry}
+    if made:
+        given = {"cocycle": made["cocycle"], "coeff": made["ring"],
+                 "degree": made["degree"],
+                 "quandle": quandle.render_quandle_table(
+                     made["quandle"]["table"]),
+                 **given}
+    return cli._COMMANDS[path][0](inputs(given, path))
+
+
+def check(entry):
+    """Execute one catalog check; returns (ok, witness_text_or_None)."""
+    kind = entry.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        return False, "unknown catalog entry kind %s" % show(kind)
+    try:
+        want = {field: read(entry) for field, read in _KINDS[kind][1].items()}
+    except KeyError as exc:
+        return False, "%s is missing" % exc.args[0]
+    report = result(entry)
+    for field, value in want.items():
+        if value is _SKIP:
+            continue
+        if field not in report:
+            return False, "%s is missing from the report" % field
+        if report[field] != value:
+            return False, "%s is %s, expected %s" % (
+                field, json.dumps(report[field]), json.dumps(value))
+    return True, None
+
+
+def run(entries):
+    """The verify-suite result: each entry's pass and witness, and the
+    counts."""
+    items = []
+    for i, entry in enumerate(entries):
+        eid = entry.get("id", "entry-%d" % i)
         try:
-            want = {field: read(entry)
-                    for field, read in _KINDS[kind][1].items()}
-        except KeyError as exc:
-            return False, "%s is missing" % exc.args[0]
-        result = self.result(entry)
-        for field, value in want.items():
-            if value is _SKIP:
-                continue
-            if field not in result:
-                return False, "%s is missing from the report" % field
-            if result[field] != value:
-                return False, "%s is %s, expected %s" % (
-                    field, json.dumps(result[field]), json.dumps(value))
-        return True, None
-
-    def run(self, entries):
-        """The verify-suite result: each entry's pass and witness, and
-        the counts."""
-        items = []
-        for i, entry in enumerate(entries):
-            eid = entry.get("id", "entry-%d" % i)
-            try:
-                ok, witness = self.check(entry)
-            except Exception as exc:  # a broken entry fails, not the run
-                ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-            items.append({"id": eid, "pass": ok, "witness": witness})
-        result = {"items": items,
-                  "passed": sum(1 for it in items if it["pass"]),
-                  "failed": sum(1 for it in items if not it["pass"])}
-        if not items:
-            result["warning"] = "catalog is empty; nothing was verified"
-        return result
+            ok, witness = check(entry)
+        except Exception as exc:  # a broken entry fails, not the run
+            ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
+        items.append({"id": eid, "pass": ok, "witness": witness})
+    out = {"items": items,
+           "passed": sum(1 for it in items if it["pass"]),
+           "failed": sum(1 for it in items if not it["pass"])}
+    if not items:
+        out["warning"] = "catalog is empty; nothing was verified"
+    return out

@@ -38,7 +38,7 @@ from operator import add, sub
 
 from . import VARIANTS
 from .coeff import RingError
-from .limits import check_limit, integer, lines, power, show
+from .limits import check_limit, integer, lines, once, power, show
 
 __all__ = [
     "ComplexSpec",
@@ -555,10 +555,10 @@ def brute_force_homology(spec):
 
 def parse_cochain(ring, text, degree=None, size=None):
     """Parse lines of the form 'x1,x2,...,xn -> ringElem', or ' -> ringElem'
-    for the key () of degree 0; with size, the order of the quandle, each
-    x_i must name one of its elements."""
+    for the key () of degree 0, each key given once; with size, the order
+    of the quandle, each x_i must name one of its elements."""
     from .coeff import parse_poly
-    out = None
+    out, keys = None, {}
     for raw, line, _ in lines(text, ValueError, "a cochain key"):
         lhs, sep, rhs = line.partition("->")
         if not sep:
@@ -576,6 +576,7 @@ def parse_cochain(ring, text, degree=None, size=None):
             raise ValueError("cochain key %s has %d entries, but the first "
                              "key has %d"
                              % (show(key), len(key), out.degree))
+        once(keys, key, None, ValueError, "cochain key %s", key)
         out.add_term(key, ring.reduce(parse_poly(rhs.strip())))
     if out is None:
         if degree is None:

@@ -32,7 +32,7 @@ from operator import itemgetter
 
 from .coeff import GroupRingElem, RingError
 from .chain import ComplexSpec, require_cocycle
-from .limits import lines, show
+from .limits import lines, once, show
 
 __all__ = [
     "DiagramError",
@@ -174,13 +174,6 @@ class Diagram:
             self._declared_index[name] = fi
 
 
-def _once(table, key, value, what):
-    """table[key] = value, refused when table already holds key."""
-    if key in table:
-        raise DiagramError("%s is declared twice" % what)
-    table[key] = value
-
-
 def parse_pd(text):
     """Parse a diagram file: crossing lines Xp[...]/Xn[...] plus the
     directives 'outer <face-id>', 'base <face-id>', 'mod <p>',
@@ -197,22 +190,22 @@ def parse_pd(text):
         head, rest = (line.split(None, 1) + [""])[:2]
         head = head.lower()
         if head in ("outer", "base"):
-            _once(directives, head, rest, head)
+            once(directives, head, rest, DiagramError, head)
         elif head == "mod":
-            _once(directives, "mod_p", number(rest), head)
+            once(directives, "mod_p", number(rest), DiagramError, head)
             if directives["mod_p"] < 2:
                 raise DiagramError("mod needs p >= 2")
         elif head == "l":
             ci_text, val = (rest.split(None, 1) + [""])[:2]
-            _once(overrides, number(ci_text), number(val),
-                  "L override of crossing %s" % show(ci_text))
+            once(overrides, number(ci_text), number(val), DiagramError,
+                 "L override of crossing %s", ci_text)
         elif head == "face":
             name, _, body = rest.partition(":")
             name = name.strip()
             if not name or not body.strip():
                 raise DiagramError("malformed face line %s" % show(raw))
             sides = []  # filled below
-            _once(declared, name, sides, "face %s" % show(name))
+            once(declared, name, sides, DiagramError, "face %s", name)
             for tok in body.split():
                 sm = re.match(r"^(\w+)([LR])$", tok, re.IGNORECASE)
                 if not sm:
@@ -449,9 +442,13 @@ class SurfacePresentation:
                 raise DiagramError("triple point sign must be +-1")
 
 
+_TP_FIELDS = ("sign", "l", "x", "y", "z")
+
+
 def parse_surface(text):
     """Parse 'sheets: a b c', 'rel: c = a * b' and
-    'tp: sign=+1 L=0 x=a y=b z=c' lines, each sheet named once."""
+    'tp: sign=+1 L=0 x=a y=b z=c' lines, each sheet named once and each
+    of a triple point's five fields given once, and no other field."""
     sheets, rels, triples = {}, [], []
     for raw, line, number in lines(text, DiagramError, "a surface line"):
         head, _, body = line.partition(":")
@@ -459,7 +456,7 @@ def parse_surface(text):
         body = body.strip()
         if head == "sheets":
             for name in body.split():
-                _once(sheets, name, None, "sheet %s" % show(name))
+                once(sheets, name, None, DiagramError, "sheet %s", name)
         elif head == "rel":
             m = re.match(r"^(\w+)\s*=\s*(\w+)\s*\*\s*(\w+)$", body)
             if not m:
@@ -468,8 +465,12 @@ def parse_surface(text):
         elif head == "tp":
             fields = {}
             for tok in body.split():
-                k, _, v = tok.partition("=")
-                fields[k.lower()] = v
+                k, sep, v = tok.partition("=")
+                if not sep or k.lower() not in _TP_FIELDS:
+                    raise DiagramError("unknown triple point field %s"
+                                       % show(tok))
+                once(fields, k.lower(), v, DiagramError,
+                     "triple point field %s", k)
             try:
                 triples.append((number(fields["sign"]), number(fields["l"]),
                                 fields["x"], fields["y"], fields["z"]))

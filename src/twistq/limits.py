@@ -7,7 +7,9 @@ limit without a reload.
 
 Every line format of outside text (quandle tables, cochains, diagrams,
 surfaces) is read by `lines`, which drops blank lines and everything
-from '#' to the end of a line.  Every integer of outside text is read
+from '#' to the end of a line, and whatever a format allows at most
+once (a directive, a name, a field, a cochain key) is kept by `once`,
+which refuses it the second time.  Every integer of outside text is read
 by `integer`, which refuses a token of more than LONG_DIGITS characters
 before int() sees it, in one line that names the kind of input and the
 length but echoes no text.
@@ -86,6 +88,15 @@ def lines(text, error, what):
         if content:
             yield raw, content, lambda token, raw=raw: integer(
                 token, error, what, "bad integer %s in line %s", token, raw)
+
+
+def once(table, key, value, error, what, *args):
+    """table[key] = value, or error("<what % args> is declared twice")
+    when table already holds key: the one at-most-once rule of every
+    line format.  what takes each of args with %s, shown through `show`."""
+    if key in table:
+        raise error("%s is declared twice" % (what % tuple(map(show, args))))
+    table[key] = value
 
 
 def check_limit(size, stage, error, what, *args):

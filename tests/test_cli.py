@@ -882,6 +882,10 @@ _LONG_TEXTS = {
     "key-of-another-length": (
         ["cocycle", "construct", "lift", "--seeds", "{x}"] + _R3,
         {"x": "0,1 -> 1\n%s -> 1\n" % _KEY}, 300),
+    "key-twice": (["cocycle", "construct", "lift", "--seeds", "{x}"] + _R3,
+                  {"x": "%s -> 1\n%s -> 2\n" % (_KEY, _KEY)}, 300),
+    "triple-point-field": (_INVARIANT_SURFACE, {
+        "x": "sheets: x y\ntp: sign=+1 L=0 x=x y=y z=x %s\n" % _LONG}, 300),
     "override-of-a-vast-crossing": (_INVARIANT,
                                     {"x": HOPF + "L %s 0\n" % _NINES}, 300),
     "mod-p-numbering": (_INVARIANT, {"x": HOPF + "mod %s\n" % _NINES}, 300),
@@ -994,6 +998,16 @@ _REFUSALS = {
     "sheet-twice-across-lines": (_INVARIANT_SURFACE,
                                  {"x": "sheets: x y\nsheets: x\n"},
                                  "sheet 'x' is declared twice"),
+    "triple-point-field-twice": (
+        _INVARIANT_SURFACE,
+        {"x": "sheets: x y\ntp: sign=+1 L=0 x=x y=y z=x x=y\n"},
+        "triple point field 'x' is declared twice"),
+    "triple-point-unknown-field": (
+        _INVARIANT_SURFACE,
+        {"x": "sheets: x y\ntp: sign=+1 L=0 x=x y=y z=x junk\n"},
+        "unknown triple point field 'junk'"),
+    "cochain-key-twice": (_VERIFY, {"x": "0,1 -> 1\n0,1 -> 2\n"},
+                          "cochain key (0, 1) is declared twice"),
     "result-too-long-to-print": (
         ["cocycle", "pair", "--quandle", "T(2)", "--coeff", "Z[T]/(T^2-1)",
          "--degree", "2", "--cocycle", "{x}", "--cycle", "{x}"],
@@ -1295,9 +1309,8 @@ class TestCatalogDispatch:
                              ids=["%s:%s" % p for p in _PERTURBED])
     def test_every_expectation_is_checked(self, eid, key):
         entry = next(e for e in catalog.load_catalog() if e["id"] == eid)
-        assert cli._checker().check(entry) == (True, None)
-        ok, witness = cli._checker().check(
-            dict(entry, **{key: _wrong(entry[key])}))
+        assert catalog.check(entry) == (True, None)
+        ok, witness = catalog.check(dict(entry, **{key: _wrong(entry[key])}))
         assert not ok and witness
 
     def test_every_kind_and_field_is_exercised(self):
@@ -1305,7 +1318,7 @@ class TestCatalogDispatch:
         entries = catalog.load_catalog()
         assert set(catalog._KINDS) <= {e["kind"] for e in entries}
         for kind, (_path, reads) in catalog._KINDS.items():
-            results = [cli._checker().result(e) for e in entries
+            results = [catalog.result(e) for e in entries
                        if e["kind"] == kind]
             for field in reads:
                 assert any(field in r for r in results), (kind, field)
@@ -1314,7 +1327,7 @@ class TestCatalogDispatch:
     def test_entry_without_expect_fails(self, eid):
         entry = next(e for e in catalog.load_catalog() if e["id"] == eid)
         del entry["expect"]
-        assert cli._checker().check(entry) == (False, "expect is missing")
+        assert catalog.check(entry) == (False, "expect is missing")
 
     def test_cocycle_table_without_construct_fails(self):
         item, = cli.run_catalog([{"kind": "cocycle-table",
@@ -1336,10 +1349,9 @@ class TestCatalogDispatch:
                  "coeff": "Z3[T]/(T+1)", "degree": 2,
                  "cocycle": "0,1 -> 1\n"}
         expected = (False, "is_cocycle is false, expected true")
-        assert cli._checker().check(entry) == expected
+        assert catalog.check(entry) == expected
         # the requirement is fixed: an entry cannot ask for a non-cocycle
-        assert cli._checker().check(dict(entry, is_cocycle=False)) == \
-            expected
+        assert catalog.check(dict(entry, is_cocycle=False)) == expected
 
     def test_catalog_reads_no_quandle_file(self, tmp_path):
         table = tmp_path / "r3.txt"
@@ -1368,13 +1380,13 @@ class TestCatalogDispatch:
                              ids=_MISTYPED.keys())
     def test_mistyped_field_fails_with_witness(self, name, change, witness):
         entry = _ENTRIES[name]
-        assert cli._checker().check(entry) == (True, None)
+        assert catalog.check(entry) == (True, None)
         item, = cli.run_catalog([dict(entry, **change)])["items"]
         assert item["witness"] == "ValueError: " + witness
 
     def test_key_naming_no_option_is_left_alone(self):
         entry = dict(_ENTRIES["homology"], cocycle_degree="two")
-        assert cli._checker().check(entry) == (True, None)
+        assert catalog.check(entry) == (True, None)
 
     @pytest.mark.parametrize("entry", [
         {"kind": "k" * 100000},
@@ -1387,7 +1399,7 @@ class TestCatalogDispatch:
         assert not item["pass"] and len(item["witness"]) < 300
 
     def test_unknown_kind_fails_with_witness(self):
-        assert cli._checker().check({"kind": "nope"}) == \
+        assert catalog.check({"kind": "nope"}) == \
             (False, "unknown catalog entry kind 'nope'")
 
     def test_parser_and_command_table_agree(self):
@@ -1503,9 +1515,10 @@ def test_refused_input_loads_no_hashlib():
         [2, sorted(_QUANDLE)]
 
 
-def test_catalog_never_imports_the_front_end(tmp_path):
-    # run as `python -m twistq.cli`, the front end is __main__: an import
-    # of twistq.cli would run it a second time, with tables of its own
+def test_one_front_end_per_m_process(tmp_path):
+    # run as `python -m twistq.cli`, the front end is __main__ and
+    # registers itself as twistq.cli, so the catalog's import of it runs
+    # nothing a second time and finds the one table and store
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", "-m", "twistq.cli",
@@ -1517,6 +1530,22 @@ def test_catalog_never_imports_the_front_end(tmp_path):
                 if line.startswith("import time:")}
     assert "twistq.catalog" in imported and "twistq.cli" not in imported
     assert json.loads(proc.stdout)["result"]["failed"] == 0
+
+
+def test_every_launcher_prints_the_same_report(capsys, tmp_path):
+    # cProfile -m runs the front end through runpy.run_module, in a
+    # namespace of no module: it registers nothing, and the catalog
+    # imports a second twistq.cli, with the same report
+    code, out, _ = run(capsys, ["verify-suite"])
+    assert code == 0 and json.loads(out)["result"]["failed"] == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for launcher in (["-m"], ["-m", "cProfile", "-m"]):
+        proc = subprocess.run(
+            [sys.executable, "-S"] + launcher + ["twistq.cli", "verify-suite"],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[0] == out.splitlines()[0], launcher
 
 
 def _outcome(capsys, argv):

@@ -83,3 +83,11 @@ def test_every_line_format_drops_comments_and_blanks(text, parse):
     spaced = "\n# a comment line\n\n   \n".join(rows) + "\n"
     assert parse(commented) == parse(text)
     assert parse(spaced) == parse(text)
+
+
+def test_once_keeps_the_first_and_refuses_the_second():
+    table = {}
+    limits.once(table, "k", 1, LookupError, "key %s", "k")
+    with pytest.raises(LookupError, match=r"^key 'k' is declared twice$"):
+        limits.once(table, "k", 2, LookupError, "key %s", "k")
+    assert table == {"k": 1}

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from twistq import catalog, cli
+from twistq import catalog
 from twistq.coeff import AlexanderRing, RingError, parse_poly, parse_ring
 from twistq.chain import Cochain, parse_cochain
 from twistq.cocycles import SesSpec
@@ -259,7 +259,7 @@ class TestAlexanderTables:
     def test_catalog_extensions_match_quandle_op(self, eid):
         params, = (e["construct"] for e in catalog.load_catalog()
                    if e["id"] == eid)
-        made = cli._checker().construct(params)
+        made = catalog.construct(params)
         ring = parse_ring(made["ring"])
         x = FiniteQuandle(made["quandle"]["table"])
         phi = parse_cochain(ring, made["cocycle"])

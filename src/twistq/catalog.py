@@ -3,8 +3,8 @@ its report must hold.
 
 An entry's kind gives the command path whose handler checks it and the
 result fields it compares; `run` checks entries through the command
-table of `twistq.cli`, within the store of that module's `run_catalog`.
-Only `verify-suite` loads this module.
+table of `twistq.cli`, in that module's store, which it opens for the
+run under any launcher.  Only `verify-suite` loads this module.
 """
 
 import json
@@ -66,16 +66,18 @@ _JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 def inputs(params, path):
     """The inputs of the command path from a catalog mapping: each
-    required option given, and each key that names an option holding the
-    option's JSON type, an integer (never a boolean) for type=int, a
-    boolean for store_true and a string for any other, or for a quandle
-    a mapping, replaced by its table text.  Other keys pass unchecked."""
+    required option given, an absent option at its declared default, and
+    each key that names an option holding its JSON type (an integer, never
+    a boolean, for type=int, a boolean for store_true, else a string), or
+    for a quandle a mapping, replaced by its table text; others unchecked."""
     out = dict(params)
     for flag, keywords in cli._COMMANDS[path][1]:
         key = keywords.get("dest", flag[2:])
         if key not in out:
             if keywords.get("required"):
                 raise ValueError("%s is missing" % key)
+            if "default" in keywords:
+                out[key] = keywords["default"]
             continue
         value = out[key]
         want = (bool if keywords.get("action") == "store_true"
@@ -130,14 +132,13 @@ def result(entry):
     made = construct(entry["construct"]) if "construct" in entry else {}
     if path is None:
         return made
-    given = {"variant": "TQ", **entry}
     if made:
-        given = {"cocycle": made["cocycle"], "coeff": made["ring"],
+        entry = {"cocycle": made["cocycle"], "coeff": made["ring"],
                  "degree": made["degree"],
                  "quandle": quandle.render_quandle_table(
                      made["quandle"]["table"]),
-                 **given}
-    return cli._COMMANDS[path][0](inputs(given, path))
+                 **entry}
+    return cli._COMMANDS[path][0](inputs(entry, path))
 
 
 def check(entry):
@@ -163,18 +164,21 @@ def check(entry):
 
 def run(entries):
     """The verify-suite result: each entry's pass and witness, and the
-    counts."""
+    counts, from one run in a store it opens on `twistq.cli` and clears."""
     items = []
-    for i, entry in enumerate(entries):
-        eid = entry.get("id", "entry-%d" % i)
-        try:
-            ok, witness = check(entry)
-        except Exception as exc:  # a broken entry fails, not the run
-            ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        items.append({"id": eid, "pass": ok, "witness": witness})
-    out = {"items": items,
-           "passed": sum(1 for it in items if it["pass"]),
-           "failed": sum(1 for it in items if not it["pass"])}
+    cli._SHARED = {}
+    try:
+        for i, entry in enumerate(entries):
+            eid = entry.get("id", "entry-%d" % i)
+            try:
+                ok, witness = check(entry)
+            except Exception as exc:  # a broken entry fails, not the run
+                ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
+            items.append({"id": eid, "pass": ok, "witness": witness})
+    finally:
+        cli._SHARED = None
+    passed = sum(it["pass"] for it in items)
+    out = {"items": items, "passed": passed, "failed": len(items) - passed}
     if not items:
         out["warning"] = "catalog is empty; nothing was verified"
     return out

@@ -17,10 +17,9 @@ options only to the command that argv's leading words name (every other
 command is still registered by name, so usage and help read the same),
 each handler imports its computation modules when it runs, hashlib
 loads only for a report and the catalog runner, `twistq.catalog`, only
-for verify-suite.  A catalog run builds each construct, catalog quandle,
-parsed quandle and parsed ring its entries share once, and keeps nothing
-once it returns.  Run as `python -m twistq.cli`, this module registers
-itself as twistq.cli, so the catalog's import of it finds this one.
+for verify-suite, whose `catalog.run` opens the store `_shared` keeps
+for one run.  Run as `python -m twistq.cli`, this module registers
+itself as twistq.cli, so the catalog imports no second copy.
 """
 
 import argparse
@@ -60,7 +59,7 @@ class CliParser(argparse.ArgumentParser):
                        arg_string)
 
 
-_SHARED = None  # {(maker, key): made} while run_catalog runs
+_SHARED = None  # {(maker, key): made} while catalog.run runs; it alone sets it
 
 
 def _shared(key, make, *args):
@@ -190,11 +189,13 @@ def _cmd_construct_family(inputs):
 
 
 def _cmd_construct_lift(inputs):
-    from . import chain, cocycles
+    from . import chain, cocycles, limits
     x = _load_quandle(inputs["quandle"])
     ring = _load_ring(inputs["coeff"])
-    seeds = chain.parse_cochain(ring, inputs["seeds"], size=x.size)
-    psi, is_tq = cocycles.lift_h1(x, ring, seeds.values)
+    text = inputs["seeds"]  # a keyless text has no degree: lift_h1 refuses it
+    seeds = (chain.parse_cochain(ring, text, size=x.size).values
+             if any(limits.lines(text, ValueError, "--seeds")) else {})
+    psi, is_tq = cocycles.lift_h1(x, ring, seeds)
     result = _construct_result(psi, x, ring)
     result["is_tq"] = is_tq
     return result
@@ -291,21 +292,9 @@ def _cmd_invariant_surface(inputs):
 
 # -- verify-suite ------------------------------------------------------------
 
-def run_catalog(entries):
-    """The verify-suite result of catalog entries; the run shares what
-    its entries build, and keeps nothing once it returns."""
-    from . import catalog
-    global _SHARED
-    _SHARED = {}
-    try:
-        return catalog.run(entries)
-    finally:
-        _SHARED = None
-
-
 def _cmd_verify_suite(inputs):
-    from .catalog import load_catalog
-    result = run_catalog(load_catalog(inputs.get("catalog")))
+    from . import catalog
+    result = catalog.run(catalog.load_catalog(inputs.get("catalog")))
     if "warning" in result:
         print("warning: %s" % result["warning"], file=sys.stderr)
     return result
@@ -455,7 +444,8 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    # not where a runner gives this code no module (cProfile -m)
+    # no second compile for the catalog; where a runner gives this code no
+    # module (cProfile -m), catalog.run opens the store of the one it imports
     if vars(sys.modules["__main__"]) is globals():
         sys.modules["twistq.cli"] = sys.modules["__main__"]
     sys.exit(main())

@@ -200,22 +200,28 @@ def _n_valued(ses, message):
     return value
 
 
-def obstruction_2cocycle(ses, x, eta):
-    """Obstruction to lifting a quandle homomorphism eta: x -> A through
-    the section s:
-
-        phi(x1, x2) = T s(eta x1) + (1 - T) s(eta x2) - s(eta(x1 * x2))
-
-    with values in N, returned as a G-valued 2-cocycle.  eta must be a
-    QuandleMap into ses.a_quandle."""
+def _eta_section(ses, x, eta):
+    """[s(eta a) for each a in x], the section's values in G on eta, or a
+    CocycleError unless eta is a quandle homomorphism into ses.a_quandle."""
     if eta.codomain != ses.a_quandle:
         raise CocycleError("eta must land in the quotient quandle of the sequence")
     ok, witness = is_homomorphism(eta)
     if not ok:
         raise CocycleError("eta is not a quandle homomorphism (at %s)"
                            % show(witness))
+    return [ses.a_reps[eta(a)] for a in range(x.size)]
+
+
+def obstruction_2cocycle(ses, x, eta):
+    """Obstruction to lifting a quandle homomorphism eta: x -> A through
+    the section s:
+
+        phi(x1, x2) = T s(eta x1) + (1 - T) s(eta x2) - s(eta(x1 * x2))
+
+    with values in N, returned as a G-valued 2-cocycle."""
     g = ses.g_ring
-    s_eta = Cochain(g, 1, {(a,): ses.a_reps[eta(a)] for a in range(x.size)})
+    s_eta = Cochain(g, 1, {(a,): v for a, v in
+                           enumerate(_eta_section(ses, x, eta))})
     return _lifted(x, s_eta, g, _n_valued(
         ses, "obstruction value escapes the submodule"), "lifting obstruction")
 
@@ -225,15 +231,14 @@ def extension_homomorphism(ses, x, eta):
     x -> G projecting to eta whose obstruction vanishes.  Returns a
     QuandleMap into the Alexander quandle of G, or None.  The search
     enumerates N-valued corrections and is guarded by size."""
+    s_eta = _eta_section(ses, x, eta)
     g = ses.g_ring
-    phi = obstruction_2cocycle(ses, x, eta)
     n_elems = sorted(ses.n_set)
     size = power(len(n_elems), x.size)
     check_limit(size, "correction search", CocycleError,
                 "the correction search has %s candidates", size)
     gq = alexander_quandle(g)
     index = {e: i for i, e in enumerate(g.elements())}
-    s_eta = [ses.a_reps[eta(a)] for a in range(x.size)]
     for xi in itertools.product(n_elems, repeat=x.size):
         f = QuandleMap(x, gq, [index[g.add(s, v)] for s, v in zip(s_eta, xi)])
         if is_homomorphism(f)[0]:

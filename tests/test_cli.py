@@ -1,9 +1,11 @@
 """End-to-end checks of the command-line front end."""
 
 import argparse
+import cProfile
 import itertools
 import json
 import os
+import pstats
 import subprocess
 import sys
 import time
@@ -962,6 +964,11 @@ _REFUSALS = {
         ["cocycle", "construct", "lift", "--seeds", "{x}"] + _R3,
         {"x": "0,1 -> 1\n0,1,2 -> 1\n"},
         "cochain key (0, 1, 2) has 3 entries, but the first key has 2"),
+    "seeds-of-no-key": (["cocycle", "construct", "lift", "--seeds", "{x}"]
+                        + _R3, {"x": ""}, "need at least one seed value"),
+    "seeds-of-comments-only": (
+        ["cocycle", "construct", "lift", "--seeds", "{x}"] + _R3,
+        {"x": "# no seed yet\n\n"}, "need at least one seed value"),
     "eta-too-short": (["cocycle", "construct", "obstruction2", "--ambient",
                        "Z9[T]/(T+1)", "--sub", "3", "--quandle", "R(3)",
                        "--eta", "0,1"], {},
@@ -1159,8 +1166,8 @@ class TestCatalogSharing:
 
     def test_run_matches_entries_run_alone(self):
         entries = catalog.load_catalog()
-        alone = [cli.run_catalog([entry])["items"][0] for entry in entries]
-        assert cli.run_catalog(entries)["items"] == alone
+        alone = [catalog.run([entry])["items"][0] for entry in entries]
+        assert catalog.run(entries)["items"] == alone
 
     def test_two_runs_print_the_same_report(self, capsys):
         first = run(capsys, ["verify-suite"])
@@ -1177,14 +1184,14 @@ class TestCatalogSharing:
             seen.append(cli._SHARED)
             raise RuntimeError("broken")
         monkeypatch.setitem(cli._COMMANDS, "quandle iso", (iso, options))
-        result = cli.run_catalog(entries)
+        result = catalog.run(entries)
         assert seen and all(isinstance(s, dict) and s for s in seen)
         assert cli._SHARED is None
         assert {it["witness"] for it in result["items"] if not it["pass"]} \
             == {"RuntimeError: broken"}
-        # an entry that is no mapping escapes run_catalog itself
+        # an entry that is no mapping escapes catalog.run itself
         with pytest.raises(AttributeError):
-            cli.run_catalog(entries[:3] + [1])
+            catalog.run(entries[:3] + [1])
         assert cli._SHARED is None
         # outside a run every call builds afresh
         assert cli._load_quandle("R(3)") is not cli._load_quandle("R(3)")
@@ -1196,7 +1203,7 @@ class TestCatalogSharing:
             "extension" in e[k] for e in entries for k in ("first", "second")
             if isinstance(e.get(k), dict)) == 14
         handed, made = self._spy(monkeypatch)
-        cli.run_catalog(entries)
+        catalog.run(entries)
         assert len({key for make, key, *_ in handed
                     if make.__name__.startswith("_cmd_construct")}) == 4
         # the entries read 8 ring texts, most of them more than once
@@ -1215,7 +1222,7 @@ class TestCatalogSharing:
         monkeypatch.setitem(cli._COMMANDS, "cocycle construct dihedral",
                             (dihedral, options))
         construct = {"family": "dihedral", "n": 3}
-        result = cli.run_catalog([
+        result = catalog.run([
             {"id": "a", "kind": "cocycle-table", "construct": construct,
              "expect": ""},
             {"id": "b", "kind": "not-coboundary", "construct": construct}])
@@ -1225,7 +1232,7 @@ class TestCatalogSharing:
 
     def test_a_failing_construct_gives_each_entry_the_same_witness(self):
         construct = {"family": "modular", "p": 3, "m": 2, "h": "T+3"}
-        result = cli.run_catalog([
+        result = catalog.run([
             {"id": "a", "kind": "cocycle-table", "construct": construct,
              "expect": ""},
             {"id": "b", "kind": "pairing", "construct": construct,
@@ -1235,7 +1242,7 @@ class TestCatalogSharing:
 
     def test_shared_inputs_are_not_mutated(self, monkeypatch):
         handed, _ = self._spy(monkeypatch)
-        cli.run_catalog(catalog.load_catalog())
+        catalog.run(catalog.load_catalog())
         monkeypatch.undo()
         # the run's checker still holds the spy, which records these calls
         for make, key, args, value in list(handed):
@@ -1330,14 +1337,14 @@ class TestCatalogDispatch:
         assert catalog.check(entry) == (False, "expect is missing")
 
     def test_cocycle_table_without_construct_fails(self):
-        item, = cli.run_catalog([{"kind": "cocycle-table",
-                                  "expect": "0,2 -> 1\n"}])["items"]
+        item, = catalog.run([{"kind": "cocycle-table",
+                              "expect": "0,2 -> 1\n"}])["items"]
         assert not item["pass"]
         assert item["witness"] == "cocycle is missing from the report"
 
     def test_unknown_construct_family_fails(self):
         for kind in ("cocycle-table", "pairing"):
-            item, = cli.run_catalog([{
+            item, = catalog.run([{
                 "kind": kind, "construct": {"family": "obstruction2"},
                 "cycle": "", "expect": "0"}])["items"]
             assert item == {"id": "entry-0", "pass": False, "witness":
@@ -1363,13 +1370,22 @@ class TestCatalogDispatch:
         pairing = {"kind": "pairing", "construct": dict(lift, family="lift"),
                    "cycle": "", "expect": "0"}
         for entry in (iso, lift, pairing):
-            item, = cli.run_catalog([entry])["items"]
+            item, = catalog.run([entry])["items"]
             assert not item["pass"]
             assert "unknown quandle name '@" in item["witness"]
             assert "0 2 1" not in item["witness"]
 
+    def test_lift_of_no_seed_fails_with_the_lifts_refusal(self):
+        lift = {"quandle": "R(3)", "coeff": "Z3[T]/(T+1)", "seeds": ""}
+        for entry in ({"kind": "lift", "expect": "", **lift},
+                      {"kind": "cocycle-table", "expect": "",
+                       "construct": dict(lift, family="lift")}):
+            item, = catalog.run([entry])["items"]
+            assert item["witness"] == \
+                "CocycleError: need at least one seed value"
+
     def test_unknown_quandle_spec_fails_with_witness(self):
-        item, = cli.run_catalog([{
+        item, = catalog.run([{
             "kind": "iso", "first": {"sum": ["R(3)", "R(3)"]},
             "second": "R(3)", "expect": False}])["items"]
         assert item == {"id": "entry-0", "pass": False, "witness":
@@ -1381,7 +1397,7 @@ class TestCatalogDispatch:
     def test_mistyped_field_fails_with_witness(self, name, change, witness):
         entry = _ENTRIES[name]
         assert catalog.check(entry) == (True, None)
-        item, = cli.run_catalog([dict(entry, **change)])["items"]
+        item, = catalog.run([dict(entry, **change)])["items"]
         assert item["witness"] == "ValueError: " + witness
 
     def test_key_naming_no_option_is_left_alone(self):
@@ -1395,7 +1411,7 @@ class TestCatalogDispatch:
         {"kind": "iso", "first": {"sum": "s" * 100000}, "second": "R(3)",
          "expect": False}], ids=["kind", "family", "quandle-spec"])
     def test_long_value_is_shown_short_in_its_witness(self, entry):
-        item, = cli.run_catalog([entry])["items"]
+        item, = catalog.run([entry])["items"]
         assert not item["pass"] and len(item["witness"]) < 300
 
     def test_unknown_kind_fails_with_witness(self):
@@ -1546,6 +1562,35 @@ def test_every_launcher_prints_the_same_report(capsys, tmp_path):
             env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.splitlines()[0] == out.splitlines()[0], launcher
+
+
+def test_profiled_launcher_shares_as_main_does(capsys, tmp_path):
+    # under cProfile -m the catalog dispatches through the twistq.cli it
+    # imports, and catalog.run opens that module's store: the profile
+    # counts the parses, validations and coboundaries that main() makes
+    package = os.path.dirname(cli.__file__)
+    watched = {("coeff.py", "parse_ring"), ("quandle.py", "_validate"),
+               ("chain.py", "delta")}
+
+    def calls(stats):
+        counted = dict.fromkeys(watched, 0)
+        for (path, _, name), (_, ncalls, *_) in stats.stats.items():
+            where = (os.path.basename(path), name)
+            if os.path.dirname(path) == package and where in watched:
+                counted[where] += ncalls
+        return counted
+    profile = cProfile.Profile()
+    assert profile.runcall(cli.main, ["verify-suite"]) == 0
+    capsys.readouterr()
+    in_process = calls(pstats.Stats(profile))
+    assert all(in_process.values()), in_process
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "cProfile", "-o", str(tmp_path / "prof"),
+         "-m", "twistq.cli", "verify-suite"], capture_output=True, text=True,
+        timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(package)))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert calls(pstats.Stats(str(tmp_path / "prof"))) == in_process
 
 
 def _outcome(capsys, argv):

@@ -11,20 +11,16 @@ tuples, "TD" the degenerate ones (some x_i == x_{i+1}), and "TQ" the
 quotient, realized on the non-degenerate tuples by deleting degenerate
 terms from the boundary.
 
-One pass over the quandle table, _faces, evaluates this formula: it
-streams source tuples and gives each one's 2n - 1 faces as terms
-(c_0 + c_1 T) target, unmerged.  Two consumers read that pass:
-`boundary`, which lets the chain sum the terms, and `_columns`, which
-merges each source's terms into d x d blocks (d the ring degree over
-Z_n) and gives the engine d_n and delta^{n-1} as column dicts over Z_n:
-delta^{n-1} is d_n's blocks, signed by (-1)^n and transposed.  The
-T-action is built from the same blocks.  `delta`, which a cocycle check
-runs over a whole basis, evaluates the formula for every source at once
-instead: each face is one flat list over all tuples, indexed by their
-base-|X| digits, and the faces are summed entry by entry.  For TQ the
-column builder keeps the targets in its basis and `boundary` the
-non-degenerate ones, while `delta` reads a cochain on every target,
-degenerate or not.
+A tuple is indexed by its base-|X| digits, so index order is
+lexicographic order.  `_face_lists` gives each of an n-tuple's 2n - 1
+faces as a fixed c_0 + c_1 T and one list of targets over the sources,
+by index arithmetic and `_heads`, the table of acted heads.  `_columns`
+merges them over a basis into d_n and delta^{n-1} (d_n's blocks, signed
+by (-1)^n and transposed); `boundary` reads them on a chain's keys.
+`delta` sums every source's faces at once over flat lists of the
+cochain's values, heads again from `_heads`.  For TQ the column builder
+keeps the targets in its basis and `boundary` the non-degenerate ones,
+while `delta` reads a cochain on every target, degenerate or not.
 
 `exactlin` is imported when it is used: by `homology`, `cohomology`
 and `is_coboundary`, which run its elimination, and by the oracle for
@@ -34,7 +30,8 @@ loads it.
 
 import itertools
 from collections import namedtuple
-from operator import add, sub
+from functools import reduce
+from operator import sub
 
 from . import VARIANTS
 from .coeff import RingError
@@ -126,53 +123,61 @@ def is_degenerate(key):
 
 
 def _basis_size(q, n):
-    """q^n, the number of n-tuples of a quandle of order q, refused past
+    """Refuse q^n, the number of n-tuples of a quandle of order q, past
     TWISTQ_MAX_BASIS."""
     count = power(q, n)
     check_limit(count, "basis", RingError, "degree-%s basis has %s tuples",
                 n, count)
-    return count
 
 
 def basis_tuples(x, n, variant):
     """Basis tuples for the degree-n group, in lexicographic order."""
-    if n == 0:
-        return [] if variant == "TD" else [()]
-    _basis_size(x.size, n)
+    kept = _indices(x.size, n, variant)  # refused before any tuple is made
+    tuples = list(itertools.product(range(x.size), repeat=n))
+    return [tuples[s] for s in kept]
+
+
+def _indices(q, n, variant):
+    """The ascending indices of the degree-n basis tuples, q the order:
+    for TQ each prefix extended by every digit but its last, TD the rest."""
+    _basis_size(q, n)
     if variant == "TR":
-        return list(itertools.product(range(x.size), repeat=n))
-    if variant == "TD":
-        return [t for t in itertools.product(range(x.size), repeat=n)
-                if is_degenerate(t)]
-    # TQ: each prefix extended by every element except its last one
-    others = [[(a,) for a in range(x.size) if a != b] for b in range(x.size)]
-    out = [(a,) for a in range(x.size)]
+        return range(q ** n)
+    tq = range(q) if n else [0]
     for _ in range(n - 1):
-        out = [t + a for t in out for a in others[t[-1]]]
-    return out
+        tq = [t * q + a for t in tq for a in range(q) if a != t % q]
+    return tq if variant == "TQ" else sorted(set(range(q ** n)) - set(tq))
 
 
-def _faces(x, sources):
-    """The boundary of each source tuple, one at a time (so a boundary
-    matrix is never held whole): yields (source, terms), d source = sum
-    (c0 + c1 T) target over (target, c0, c1) in terms.  terms are the
-    formula's 2n - 1 faces of an n-tuple, unmerged (i = 1 gives one term,
-    (1 - T) (x_2, ..., x_n)); the consumers merge them as they need.  No
-    variant filtering: consumers keep the targets in their basis."""
-    right = list(zip(*x.table))  # right[b][a] == a * b
-    for src in sources:
-        n = len(src)
-        if n <= 1:
-            yield src, ()
-            continue
-        terms = [(src[1:], 1, -1)]
-        for i in range(1, n):
-            sign = 1 if i % 2 else -1  # (-1)^(i + 1), i counted from 0
-            head, rest = src[:i], src[i + 1:]
-            by = right[src[i]]
-            terms.append((head + rest, 0, sign))
-            terms.append((tuple([by[a] for a in head]) + rest, -sign, 0))
-        yield src, terms
+def _heads(x, k):
+    """heads[i - 1][h q + c], i = 1..k: the index of the i-tuple h acted
+    on by c (q the order of x), each length made from the one before."""
+    q, heads = x.size, [list(itertools.chain.from_iterable(x.table))]
+    for _ in range(k - 1):
+        prev = heads[-1]  # (h, a) acted on by c: (h * c) q + a * c
+        heads.append([prev[h + c] * q + row[c] for h in range(0, len(prev), q)
+                      for row in x.table for c in range(q)])
+    return heads
+
+
+def _face_lists(x, n, sources, pos):
+    """The 2n - 1 faces of the degree-n sources, given by index, as
+    [(c_0, c_1, targets)], unmerged: d s = sum (c_0 + c_1 T) targets[k]
+    for s the k-th source, a target given as pos[its index].  i = 1 gives
+    (1 - T) (x_2, ..., x_n); for i >= 2, x_i is dropped or acts on the
+    head (x_1, ..., x_{i-1}) through `_heads`."""
+    if n <= 1:
+        return []
+    q, low = x.size, x.size ** (n - 1)
+    faces = [(1, -1, [pos[s % low] for s in sources])]
+    for i, acted in enumerate(_heads(x, n - 1), 1):
+        r = q ** (n - 1 - i)  # the number of rests after x_{i+1}
+        sign = 1 if i % 2 else -1  # (-1)^(i + 1), i counted from 0
+        faces.append((0, sign, [pos[s // r // q * r + s % r]
+                                for s in sources]))
+        faces.append((-sign, 0, [pos[acted[s // r] * r + s % r]
+                                 for s in sources]))
+    return faces
 
 
 def boundary(spec, c):
@@ -180,53 +185,48 @@ def boundary(spec, c):
     if c.degree != spec.degree:
         raise ValueError("chain degree %d != spec degree %d"
                          % (c.degree, spec.degree))
-    ring = spec.ring
-    out = Chain(ring, spec.degree - 1 if spec.degree else 0)
-    if spec.degree <= 1:
-        return out
-    tq = spec.variant == "TQ"
-    for key, terms in _faces(spec.x, c.values):
+    ring, n, q = spec.ring, spec.degree, spec.x.size
+    low, tq = max(n - 1, 0), spec.variant == "TQ"
+    for key in c.values:
         if tq and is_degenerate(key):
             raise ValueError("degenerate tuple %s in a TQ chain" % show(key))
+        if not all(0 <= a < q for a in key):
+            raise ValueError("chain key %s is outside the quandle" % show(key))
+    _basis_size(q, n)  # refused before any table is made
+    faces = _face_lists(spec.x, n, [reduce(lambda s, a: s * q + a, key, 0)
+                                    for key in c.values],
+                        list(itertools.product(range(q), repeat=low)))
+    out = Chain(ring, low)
+    for k, coef in enumerate(c.values.values()):
         # (c0 + c1 T) coef unreduced: T coef is coef shifted up a power
-        v, tv = c.values[key] + (0,), (0,) + c.values[key]
-        for tup, c0, c1 in terms:
-            if not (tq and is_degenerate(tup)):
-                out.add_term(tup, ring.reduce(
+        v, tv = coef + (0,), (0,) + coef
+        for c0, c1, targets in faces:
+            if not (tq and is_degenerate(targets[k])):
+                out.add_term(targets[k], ring.reduce(
                     [c0 * a + c1 * b for a, b in zip(v, tv)]))
     return out
 
 
-def _block_columns(ring, blocks, ncols):
-    """The matrix with ncols columns of d x d blocks c_0 + c_1 T acting
-    on coefficient tuples, given as (row, col, c_0, c_1) with the rows of
-    each column in ascending order, as column dicts {row: entry mod n}
-    (rows ascending).  exactlin breaks pivot ties in row order, so the
-    printed generators depend on it."""
-    d, n = ring.degree, ring.modulus
-    cols = [{} for _ in range(ncols * d)]
-    if d == 1:
-        # one entry per block: the loop below gives the same columns,
-        # but this path makes the homology benchmark about 4% faster
-        t = ring.t_act((1,))[0]
-        for r, j, c0, c1 in blocks:
-            v = (c0 + c1 * t) % n if n else c0 + c1 * t
-            if v:
-                cols[j][r] = v
-        return cols
+def _block_columns(ring, blocks):
+    """Column dicts {row: entry mod m}, rows ascending, of the matrix
+    whose k-th column of d x d blocks (d the ring degree over Z_m) holds
+    c_0 + c_1 T at block row r for each (r, c_0, c_1) of blocks[k]."""
+    d, m = ring.degree, ring.modulus
     # column j of the T block: T times the j-th unit coefficient tuple
     t_block = [ring.t_act(tuple(int(i == j) for i in range(d)))
                for j in range(d)]
-    for r, c, c0, c1 in blocks:
-        r0, j0 = r * d, c * d
+    cols = []
+    for column in blocks:
         for j in range(d):
-            col = cols[j0 + j]
-            for i, t in enumerate(t_block[j]):
-                v = c1 * t + (c0 if i == j else 0)
-                if n:
-                    v %= n
-                if v:
-                    col[r0 + i] = v
+            col = {}
+            for r, c0, c1 in column:
+                for i, t in enumerate(t_block[j]):
+                    v = c1 * t + (c0 if i == j else 0)
+                    if m:
+                        v %= m
+                    if v:
+                        col[r * d + i] = v
+            cols.append(col)
     return cols
 
 
@@ -234,33 +234,43 @@ def _columns(spec, dual=False):
     """The boundary d_n: C_n -> C_{n-1} as _block_columns, or with dual
     the coboundary C^{n-1} -> C^n, (delta f)(c) = (-1)^n f(d c) for an
     n-chain c: the same blocks, signed, at the transposed positions.  A
-    target outside the degree-(n-1) basis (a degenerate tuple for TQ)
-    is dropped."""
-    n = spec.degree
-    src = basis_tuples(spec.x, n, spec.variant)
-    tgt = basis_tuples(spec.x, n - 1, spec.variant) if n else []
-    index = {t: i for i, t in enumerate(tgt)}.get
-    sign = -1 if n % 2 else 1
-
-    def blocks():
-        for j, (_, terms) in enumerate(_faces(spec.x, src)):
-            merged = {}
-            for t, c0, c1 in terms:
-                if (i := index(t)) is not None:
-                    a0, a1 = merged.get(i, (0, 0))
-                    merged[i] = (a0 + c0, a1 + c1)
-            for i, (c0, c1) in sorted(merged.items()):
-                if c0 or c1:
-                    yield ((j, i, sign * c0, sign * c1) if dual
-                           else (i, j, c0, c1))
-    return _block_columns(spec.ring, blocks(), len(tgt) if dual else len(src))
+    target off the degree-(n-1) basis (degenerate, for TQ) is at -1 and
+    dropped.  exactlin breaks pivot ties in row order: rows ascend."""
+    x, ring, n = spec.x, spec.ring, spec.degree
+    q, d, m = x.size, ring.degree, ring.modulus
+    src = _indices(q, n, spec.variant)  # refused before any table
+    tgt = _indices(q, n - 1, spec.variant) if n else []
+    pos = [-1] * q ** (n - 1) if n else []
+    for k, t in enumerate(tgt):
+        pos[t] = k
+    faces = _face_lists(x, n, src, pos)
+    # c_0 + c_1 T as c_0 + c_1 b: b is T's value when d == 1, so merging
+    # evaluates it, else 2n + 1 > 2 |c_i|, so the merged pair is read back
+    b = ring.t_act((1,))[0] if d == 1 else 2 * n + 1
+    sign = -1 if dual and n % 2 else 1
+    weights = [sign * (c0 + c1 * b) for c0, c1, _ in faces]
+    cols = [[] for _ in (tgt if dual else src)]
+    for j, targets in enumerate(zip(*[t for _, _, t in faces])):
+        merged = {}
+        for p, w in zip(targets, weights):
+            merged[p] = merged.get(p, 0) + w
+        merged.pop(-1, None)
+        if dual:
+            for p, w in merged.items():
+                cols[p].append((j, w))
+        else:
+            cols[j] = sorted(merged.items())
+    if d == 1:
+        return [{r: v for r, w in col if (v := w % m if m else w)}
+                for col in cols]
+    return _block_columns(ring, [[(r, w - (w + n) // b * b, (w + n) // b)
+                                  for r, w in col] for col in cols])
 
 
 def _t_columns(spec):
     """The T-action on the degree-n chain coordinates as _block_columns."""
-    size = len(basis_tuples(spec.x, spec.degree, spec.variant))
-    return _block_columns(spec.ring, ((i, i, 0, 1) for i in range(size)),
-                          size)
+    size = len(_indices(spec.x.size, spec.degree, spec.variant))
+    return _block_columns(spec.ring, [[(i, 0, 1)] for i in range(size)])
 
 
 def _vector(spec, fs):
@@ -310,14 +320,13 @@ def delta(spec, f):
     For TQ it also reads f on degenerate tuples, where a TQ cocycle is
     zero.
 
-    (delta f)(c) = (-1)^(n+1) f(d c), over flat lists: a tuple is its
-    base-q index (q the order of the quandle), so index order is
-    lexicographic order, and each coefficient of f's values v and of T v
-    is one list of length q^n.  Over all q^(n+1) sources each face of d
-    is one list: (1 - T) v repeated q times; for each i >= 2, T v without
-    x_i, each head's block repeated q times, and v with the head
-    (x_1, ..., x_{i-1}) acted on by x_i, blocks gathered through `heads`.
-    The faces are summed entry by entry and reduced once."""
+    (delta f)(c) = (-1)^(n+1) f(d c), over flat lists indexed by the
+    tuples (q the order of the quandle): each coefficient of f's values v
+    and of T v is one list of length q^n.  Over all q^(n+1) sources each
+    face of d is one list: (1 - T) v repeated q times; for each i >= 2,
+    T v without x_i, each head's block repeated q times, and v with the
+    head (x_1, ..., x_{i-1}) acted on by x_i, blocks gathered through
+    `_heads`.  The faces are summed entry by entry and reduced once."""
     if f.degree != spec.degree:
         raise ValueError("cochain degree %d != spec degree %d"
                          % (f.degree, spec.degree))
@@ -335,16 +344,7 @@ def delta(spec, f):
     tv = [[-c * a for a in v[-1]] if k == 0 else
           [b - c * a for a, b in zip(v[-1], v[k - 1])]
           for k, c in enumerate(ring.h[:d])]
-    # heads[i - 1][h q + c]: the index of the head h of length i acted on
-    # by c, each prefix length made from the one before
-    heads = [list(itertools.chain.from_iterable(x.table))]
-    for _ in range(n - 1):
-        prev, nxt = heads[-1], []
-        for h in range(0, len(prev), q):
-            base = [p * q for p in prev[h:h + q]]
-            for row in x.table:
-                nxt.extend(map(add, base, row))
-        heads.append(nxt)
+    heads = _heads(x, n)
     sign = 1 if n % 2 else -1
     accs = []
     for vk, tk in zip(v, tv):
@@ -525,7 +525,7 @@ def brute_force_homology(spec):
     if ring.modulus == 0:
         raise RingError("brute-force oracle needs finite coefficients")
     m = ring.modulus
-    k = len(basis_tuples(spec.x, n, spec.variant)) * ring.degree
+    k = len(_indices(spec.x.size, n, spec.variant)) * ring.degree
     total = power(m, k)
     check_limit(total, "oracle", RingError, "chain group has %s elements",
                 total)

@@ -2,8 +2,8 @@
 
 The reference evaluates the formula of the `twistq.chain` docstring term
 by term (`boundary_formula`) with the ring's own arithmetic and builds
-every matrix entry by entry, so it shares no code with the one boundary
-pass that `boundary`, `delta` and the engine's columns read.
+every matrix entry by entry, so it shares no code with the face lists
+that `boundary` and the engine's columns read, nor with `delta`.
 """
 
 import itertools
@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from twistq import cli
 from twistq.chain import (Chain, Cochain, ComplexSpec, VARIANTS,
                           basis_tuples, boundary, delta, is_degenerate,
                           _columns, _t_columns)
@@ -95,34 +96,71 @@ def _same(got, want):
         [list(c.items()) for c in want]
 
 
+def _check_d(spec):
+    """d_n against the formula."""
+    ring, n, v = spec.ring, spec.degree, spec.variant
+    low = basis_tuples(spec.x, n - 1, v) if n >= 1 else []
+    _same(_columns(spec), _ref_columns(
+        ring, [_ref_boundary(spec, {s: _unit(ring, k)})
+               for s in basis_tuples(spec.x, n, v)
+               for k in range(ring.degree)], low))
+
+
+def _check_delta(spec):
+    """The coboundary C^{n-1} -> C^n (n >= 1) against the formula."""
+    ring, n, v = spec.ring, spec.degree, spec.variant
+    high = basis_tuples(spec.x, n, v)
+    # column (s, e): (delta f)(h) for f = e at s, gathered over the terms
+    # of every d h
+    images = {(s, k): {} for s in basis_tuples(spec.x, n - 1, v)
+              for k in range(ring.degree)}
+    for h in high:
+        for tup, texp, sg in boundary_terms(spec.x, h):
+            for k in range(ring.degree):
+                image = images.get((tup, k))
+                if image is not None:
+                    image[h] = ring.add(image.get(h, ring.zero()), _act(
+                        ring, sg * (-1) ** n, texp, _unit(ring, k)))
+    _same(_columns(spec, True),
+          _ref_columns(ring, list(images.values()), high))
+
+
+def _check_t(spec):
+    """The T-action on the degree-n coordinates."""
+    ring = spec.ring
+    basis = basis_tuples(spec.x, spec.degree, spec.variant)
+    _same(_t_columns(spec), _ref_columns(
+        ring, [{s: ring.t_act(_unit(ring, k))} for s in basis
+               for k in range(ring.degree)], basis))
+
+
 @pytest.mark.parametrize("qname", QUANDLES)
 def test_columns_match_the_formula(qname):
     for spec in _grid():
-        if spec.x.name != qname:
-            continue
-        ring, n, v = spec.ring, spec.degree, spec.variant
-        low = basis_tuples(spec.x, n - 1, v) if n >= 1 else []
-        basis = basis_tuples(spec.x, n, v)
-        high = basis_tuples(spec.x, n + 1, v)
-        units = [_unit(ring, k) for k in range(ring.degree)]
-        _same(_columns(spec), _ref_columns(
-            ring, [_ref_boundary(spec, {s: e}) for s in basis
-                   for e in units], low))
-        # column (s, e) of the coboundary: (delta f)(h) for f = e at s,
-        # gathered over the terms of every d h
-        images = {(s, k): {} for s in basis for k in range(ring.degree)}
-        for h in high:
-            for tup, texp, sg in boundary_terms(spec.x, h):
-                for k, e in enumerate(units):
-                    image = images.get((tup, k))
-                    if image is not None:
-                        image[h] = ring.add(image.get(h, ring.zero()), _act(
-                            ring, sg * (-1) ** (n + 1), texp, e))
-        _same(_columns(spec.at_degree(n + 1), True),
-              _ref_columns(ring, list(images.values()), high))
-        _same(_t_columns(spec), _ref_columns(
-            ring, [{s: ring.t_act(e)} for s in basis for e in units],
-            basis))
+        if spec.x.name == qname:
+            _check_d(spec)
+            _check_delta(spec.at_degree(spec.degree + 1))
+            _check_t(spec)
+
+
+def test_columns_match_the_formula_at_the_benchmark_sizes():
+    # R(5) TQ as the homology workload's degree-4 case builds it: d_4 and
+    # d_5 for homology, the coboundaries into degrees 4 and 5 for
+    # cohomology
+    spec = ComplexSpec(quandle_standard("R(5)"), parse_ring("Z5[T]/(T+1)"),
+                       "TQ", 4)
+    for s in (spec, spec.at_degree(5)):
+        _check_d(s)
+        _check_delta(s)
+
+
+@pytest.mark.parametrize("variant", ["TR", "TD"])
+def test_columns_match_the_formula_at_order_six(variant):
+    spec = ComplexSpec(quandle_standard("R(6)"),
+                       parse_ring("Z4[T]/(T^2+T+1)"), variant, 3)
+    _check_d(spec)
+    _check_delta(spec.at_degree(4))
+    _check_t(spec)
 
 
 def _random_element(rng, ring):
@@ -175,14 +213,37 @@ def test_basis_is_the_filtered_product(variant):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_basis_guard_runs_before_enumeration(variant, monkeypatch):
+def test_basis_guard_runs_before_enumeration(variant, monkeypatch, capsys):
+    ring = parse_ring("Z3[T]/(T+1)")
+
+    def calls(x, n):
+        # the basis, both column builders (their position tables have
+        # |X|^(n-1) entries, their head tables up to |X|^n) and boundary
+        spec = ComplexSpec(x, ring, variant, n)
+        chain = Chain(ring, n, {tuple(range(n)): ring.one()})
+        return [lambda: basis_tuples(x, n, variant), lambda: _columns(spec),
+                lambda: _columns(spec, True), lambda: boundary(spec, chain)]
+
     monkeypatch.delenv("TWISTQ_MAX_BASIS", raising=False)
     # 50^12 tuples could not be enumerated in the lifetime of the test
-    with pytest.raises(RingError, match="limit 20000; set TWISTQ_MAX_BASIS"):
-        basis_tuples(quandle_standard("R(50)"), 12, variant)
+    for call in calls(quandle_standard("R(50)"), 12):
+        with pytest.raises(RingError,
+                           match="limit 20000; set TWISTQ_MAX_BASIS"):
+            call()
     monkeypatch.setenv("TWISTQ_MAX_BASIS", "8")
-    with pytest.raises(RingError, match="limit 8"):
-        basis_tuples(quandle_standard("R(3)"), 2, variant)
+    for call in calls(quandle_standard("R(3)"), 2):
+        with pytest.raises(RingError, match=r"^degree-2 basis has 9 tuples "
+                           r"\(limit 8; set TWISTQ_MAX_BASIS\)$"):
+            call()
+    # the command line reports the refusal in one line, not a traceback
+    code = cli.main(["homology", "--quandle", "R(3)", "--coeff", "Z3[T]/(T+1)",
+                     "--variant", variant, "--degree", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: degree-2 basis has 9 tuples (limit 8; set " \
+        "TWISTQ_MAX_BASIS)\n"
     monkeypatch.setenv("TWISTQ_MAX_BASIS", "9")
-    assert len(basis_tuples(quandle_standard("R(3)"), 2, variant)) == \
-        {"TR": 9, "TD": 3, "TQ": 6}[variant]
+    basis, d, dual, dc = [call() for call in calls(quandle_standard("R(3)"), 2)]
+    assert len(basis) == len(d) == {"TR": 9, "TD": 3, "TQ": 6}[variant]
+    assert len(dual) == {"TR": 3, "TD": 0, "TQ": 3}[variant]
+    assert dc.degree == 1

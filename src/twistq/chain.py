@@ -181,15 +181,16 @@ def _face_lists(x, n, sources, pos):
 
 
 def boundary(spec, c):
-    """Boundary of a chain of the spec's degree; result has degree - 1."""
+    """Boundary of a chain on the spec's basis; result has degree - 1."""
     if c.degree != spec.degree:
         raise ValueError("chain degree %d != spec degree %d"
                          % (c.degree, spec.degree))
     ring, n, q = spec.ring, spec.degree, spec.x.size
     low, tq = max(n - 1, 0), spec.variant == "TQ"
     for key in c.values:
-        if tq and is_degenerate(key):
-            raise ValueError("degenerate tuple %s in a TQ chain" % show(key))
+        if spec.variant != "TR" and is_degenerate(key) == tq:
+            raise ValueError("%sdegenerate tuple %s in a %s chain" % (
+                "" if tq else "non-", show(key), spec.variant))
         if not all(0 <= a < q for a in key):
             raise ValueError("chain key %s is outside the quandle" % show(key))
     _basis_size(q, n)  # refused before any table is made

@@ -181,8 +181,8 @@ class SesSpec:
                     self._index[g.add(e, v)] = len(self.a_reps)
                 self.a_reps.append(e)
         _check_order(len(self.a_reps))
-        ta, rest = g.quandle_halves(self.a_reps)
-        table = [[self.project(g.add(t, r)) for r in rest] for t in ta]
+        table = [[self.project(p) for p in row]
+                 for row in g.quandle_rows(self.a_reps)]
         self.a_quandle = FiniteQuandle(
             table, labels=[g.render_elem(r) for r in self.a_reps])
 

@@ -144,10 +144,12 @@ class AlexanderRing:
         """a * b = T a + (1 - T) b, the Alexander quandle operation."""
         return self.add(self.t_act(self.sub(a, b)), b)
 
-    def quandle_halves(self, elems):
-        """T a and a - T a for each a: a table's cell a * b is one add."""
+    def quandle_rows(self, elems):
+        """The rows [a * b for b in elems] for each a in elems, one at a
+        time: T a and b - T b are made once, so each cell is one add."""
         ta = [self.t_act(a) for a in elems]
-        return ta, [self.sub(a, t) for a, t in zip(elems, ta)]
+        rest = [self.sub(b, t) for b, t in zip(elems, ta)]
+        return ([self.add(t, r) for r in rest] for t in ta)
 
     # -- enumeration -----------------------------------------------------
 

@@ -168,21 +168,17 @@ def _smith(A):
     # enforce the divisibility chain d_1 | d_2 | ... | d_rank
     def fix_pair(i):
         # 2x2 Smith form of rows/cols i, i+1 after coupling the columns;
-        # turns diag(a, b) into diag(gcd, lcm) without touching the rest
+        # turns diag(a, b), a, b > 0, into diag(gcd, lcm) without touching
+        # the rest.  Euclid on the rows leaves column i as (gcd, 0) >= 0;
+        # column i + 1, at first (0, b), stays a multiple of b, so one
+        # column add clears A[i][i + 1]; only the lcm's sign can be off
         col_add(i, i + 1, 1)
-        while A[i + 1][i] or A[i][i + 1]:
+        while A[i + 1][i]:
+            q = A[i + 1][i] // A[i][i]
+            row_add(i + 1, i, -q)
             if A[i + 1][i]:
-                q = A[i + 1][i] // A[i][i]
-                row_add(i + 1, i, -q)
-                if A[i + 1][i]:
-                    row_swap(i, i + 1)
-                continue
-            q = A[i][i + 1] // A[i][i]
-            col_add(i + 1, i, -q)
-            if A[i][i + 1]:
-                col_swap(i, i + 1)
-        if A[i][i] < 0:
-            row_negate(i)
+                row_swap(i, i + 1)
+        col_add(i + 1, i, -(A[i][i + 1] // A[i][i]))
         if A[i + 1][i + 1] < 0:
             row_negate(i + 1)
 
@@ -223,7 +219,7 @@ class _Factored:
     def __init__(self, cols, n, keep_u=True, keep_v=True):
         self.n = n
         self.diag, self.rows, self.cols = [], [], []
-        # entries per row, exact, for the pivot rule
+        # entries per row, exact until the row is pivoted, for the pivot rule
         weight = [0] * (1 + max((max(c) for c in cols if c), default=-1))
         # held[i]: the columns that have held row i, with repeats and
         # stale entries; filtered when read, None once row i is pivoted
@@ -264,7 +260,6 @@ class _Factored:
                 c2 = cols[j2]
                 before = len(c2)
                 f = c2.pop(i) * inv
-                weight[i] -= 1
                 if n:
                     f %= n
                 if keep_v:

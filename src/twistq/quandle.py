@@ -145,8 +145,7 @@ def alexander_quandle(ring, name=None):
         _check_order(ring.modulus, ring.degree)
     elems = ring.elements()
     index = {e: i for i, e in enumerate(elems)}
-    ta, rest = ring.quandle_halves(elems)
-    table = [[index[ring.add(t, r)] for r in rest] for t in ta]
+    table = [[index[p] for p in row] for row in ring.quandle_rows(elems)]
     return FiniteQuandle(table, labels=[ring.render_elem(e) for e in elems],
                          name=name or "A(%s)" % ring.descriptor())
 
@@ -208,12 +207,10 @@ def quandle_extension(x, ring, phi):
                           QuandleError, "phi")
     elems = ring.elements()
     index = {e: i for i, e in enumerate(elems)}
-    ta, rest = ring.quandle_halves(elems)
     q = x.size
     table = []
     labels = []
-    for a1, t in zip(elems, ta):
-        products = [ring.add(t, r) for r in rest]  # a1 * a2 for each a2
+    for a1, products in zip(elems, ring.quandle_rows(elems)):  # a1 * a2
         for x1 in range(q):
             labels.append("(%s,%s)" % (ring.render_elem(a1), x.labels[x1]))
             row = []

@@ -220,7 +220,8 @@ def test_basis_guard_runs_before_enumeration(variant, monkeypatch, capsys):
         # the basis, both column builders (their position tables have
         # |X|^(n-1) entries, their head tables up to |X|^n) and boundary
         spec = ComplexSpec(x, ring, variant, n)
-        chain = Chain(ring, n, {tuple(range(n)): ring.one()})
+        key = (0,) * n if variant == "TD" else tuple(range(n))  # in the basis
+        chain = Chain(ring, n, {key: ring.one()})
         return [lambda: basis_tuples(x, n, variant), lambda: _columns(spec),
                 lambda: _columns(spec, True), lambda: boundary(spec, chain)]
 

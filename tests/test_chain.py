@@ -71,6 +71,14 @@ class TestBoundary:
         with pytest.raises(ValueError):
             boundary(s, Chain(R3, 2, {(1, 1): R3.one()}))
 
+    def test_td_refuses_non_degenerate_chain(self):
+        # the TD complex has no non-degenerate tuples, so none in degree 1
+        s = spec(dihedral_quandle(3), R3, "TD", 2)
+        with pytest.raises(ValueError) as info:
+            boundary(s, Chain(R3, 2, {(0, 1): R3.one()}))
+        assert str(info.value) == "non-degenerate tuple (0, 1) in a TD chain"
+        assert boundary(s, Chain(R3, 2, {(1, 1): R3.one()})).is_zero()
+
     def test_long_keys_are_refused_in_short_messages(self):
         long_key = (0,) * 200
         for call in (

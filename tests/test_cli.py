@@ -168,6 +168,18 @@ class TestExitCodes:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert "the quandle's elements are 0..2" in err
 
+    def test_lift_seed_on_a_degenerate_pair_is_inconsistent(
+            self, capsys, tmp_path):
+        # psi vanishes on degenerate tuples, so a seed of 1 there clashes
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("0,0 -> 1\n")
+        code, out, err = run(capsys, ["cocycle", "construct", "lift",
+                                      "--quandle", "R(3)",
+                                      "--coeff", "Z3[T]/(T+1)",
+                                      "--seeds", str(seeds)])
+        assert (code, out, err) == \
+            (2, "", "error: inconsistent value forced at (0, 0)\n")
+
     @pytest.mark.parametrize("argv", [
         ["quandle", "info", "--quandle", "A(3;T^99999999+1)"],
         ["homology", "--quandle", "R(3)", "--coeff", "Z[T]/(T^99999999+1)",

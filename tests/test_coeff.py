@@ -135,6 +135,15 @@ class TestArithmetic:
         r = AlexanderRing(3, [1, 2, 1])
         assert r.quandle_op((1, 0), (0, 0)) == (0, 1)  # T*1
 
+    def test_quandle_rows_are_the_quandle_op(self):
+        for r in (R(5), AlexanderRing(2, [1, 1, 1]),
+                  AlexanderRing(3, [2, 0, 1])):
+            elems = r.elements()
+            rows = r.quandle_rows(elems)
+            assert next(rows) == [r.quandle_op(elems[0], b) for b in elems]
+            assert list(rows) == [[r.quandle_op(a, b) for b in elems]
+                                  for a in elems[1:]]
+
     @given(st.integers(0, 26), st.integers(0, 26), st.integers(0, 26))
     def test_quandle_axioms_27(self, a, b, c):
         r = AlexanderRing(3, [1, 0, 0, 1])  # 27 elements

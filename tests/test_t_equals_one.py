@@ -10,14 +10,21 @@ untwisted results check the engine far past the brute-force oracle:
   difference, |O| the number of orbits of the quandle;
 - Niebrzydowski and Przytycki (JPAA 213, 2009): the quandle homology
   of R(3) is H^Q_n = Z_3^(f_n) for n >= 2, with f_1 = f_2 = 0, f_3 = 1
-  and f_n = f_(n-1) + f_(n-3), and H^Q_1 = Z, R(3) being one orbit.
+  and f_n = f_(n-1) + f_(n-3), and H^Q_1 = Z, R(3) being one orbit;
+- the universal coefficient theorem: the complexes over Zm[T]/(T-1)
+  are those over Z tensored with Z_m, so H_n there is
+  H_n (x) Z_m + Tor(H_(n-1), Z_m), both read off the answers over Z.
 
-Nothing here is pinned from a run of the engine: the orbit counts are
-read off each quandle's table, and every expected value follows from
-them or from the recurrence.
+The orbit counts are read off each quandle's table, and every expected
+value follows from them, from the recurrence or from the answers over
+Z.  The one value pinned from a run of the engine is labelled so.
 """
 
+import functools
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistq.chain import VARIANTS, ComplexSpec, homology
 from twistq.coeff import parse_ring
@@ -89,3 +96,57 @@ def test_r3_quandle_homology_is_z3_to_the_f_n(n):
     # zeros (free summands) come last: every d_i divides 0
     assert info.invariant_factors == \
         (3,) * f(n) + (0,) * free_rank("TQ", 1, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_r5_quandle_homology_regression(n):
+    # a regression value from the engine, not a theorem; degree 5 (also
+    # Z_5) runs in CI, past tier-1's sizes
+    info = homology(ComplexSpec(quandle_standard("R(5)"), T1, "TQ", n))
+    assert info.invariant_factors == (5,)
+
+
+@functools.lru_cache(maxsize=None)
+def over_z(qname, variant, n):
+    return homology(ComplexSpec(quandle_standard(qname), T1, variant, n)
+                    ).invariant_factors
+
+
+def divisibility_chain(orders):
+    """The invariant factors d_1 | d_2 | ... of the sum of the Z_d, d in
+    orders (all finite): the k-th largest factor is the product of the
+    k-th largest powers of each prime."""
+    powers = {}
+    for d in orders:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d, q = d // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    factors = [1] * max(map(len, powers.values()), default=0)
+    for qs in powers.values():
+        for k, q in enumerate(sorted(qs, reverse=True)):
+            factors[k] *= q
+    return tuple(sorted(factors))
+
+
+def test_divisibility_chain():
+    assert divisibility_chain([6, 2, 1, 4, 9]) == (2, 6, 36)
+    assert divisibility_chain([1, 1]) == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["R(3)", "R(4)", "T(2)", "A(2;T^2+T+1)"]),
+       st.sampled_from(VARIANTS), st.integers(2, 4),
+       st.sampled_from([2, 3, 4, 6, 9]))
+def test_change_of_coefficients(qname, variant, n, m):
+    ring = parse_ring("Z%d[T]/(T-1)" % m)
+    got = homology(ComplexSpec(quandle_standard(qname), ring, variant, n))
+    # Z_d (x) Z_m = Tor(Z_d, Z_m) = Z_gcd(d, m); Z (x) Z_m = Z_m, Tor 0
+    tensor = [math.gcd(d, m) for d in over_z(qname, variant, n)]
+    tor = [math.gcd(d, m) for d in over_z(qname, variant, n - 1) if d]
+    assert got.invariant_factors == divisibility_chain(tensor + tor), \
+        (qname, variant, n, m)

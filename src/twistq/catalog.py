@@ -4,10 +4,11 @@ its report must hold.
 An entry's kind gives the command path whose handler checks it and the
 result fields it compares; `run` checks entries through the command
 table of `twistq.cli`, in that module's store, which it opens for the
-run under any launcher.  Only `verify-suite` loads this module.
+run.  Only `verify-suite` loads this module.
 """
 
 import json
+import os
 
 from . import chain, cli, cocycles, quandle
 from .limits import integer, show
@@ -15,9 +16,9 @@ from .limits import integer, show
 
 def load_catalog(text=None):
     if text is None:
-        from importlib import resources
-        text = resources.files("twistq").joinpath(
-            "data/catalog.json").read_text()
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "catalog.json"), encoding="utf-8") as fh:
+            text = fh.read()
     try:
         entries = json.loads(text, parse_int=lambda token: integer(
             token, ValueError, "the catalog"))

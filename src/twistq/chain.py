@@ -180,19 +180,27 @@ def _face_lists(x, n, sources, pos):
     return faces
 
 
-def boundary(spec, c):
-    """Boundary of a chain on the spec's basis; result has degree - 1."""
+def _check_chain(spec, c):
+    """Refuse a chain off the spec's basis: of another degree, or with a
+    degenerate key in a TQ chain, a non-degenerate key in a TD chain or
+    a key entry outside the quandle."""
     if c.degree != spec.degree:
         raise ValueError("chain degree %d != spec degree %d"
                          % (c.degree, spec.degree))
-    ring, n, q = spec.ring, spec.degree, spec.x.size
-    low, tq = max(n - 1, 0), spec.variant == "TQ"
+    tq = spec.variant == "TQ"
     for key in c.values:
         if spec.variant != "TR" and is_degenerate(key) == tq:
             raise ValueError("%sdegenerate tuple %s in a %s chain" % (
                 "" if tq else "non-", show(key), spec.variant))
-        if not all(0 <= a < q for a in key):
+        if not all(0 <= a < spec.x.size for a in key):
             raise ValueError("chain key %s is outside the quandle" % show(key))
+
+
+def boundary(spec, c):
+    """Boundary of a chain on the spec's basis; result has degree - 1."""
+    _check_chain(spec, c)
+    ring, n, q = spec.ring, spec.degree, spec.x.size
+    low, tq = max(n - 1, 0), spec.variant == "TQ"
     _basis_size(q, n)  # refused before any table is made
     faces = _face_lists(spec.x, n, [reduce(lambda s, a: s * q + a, key, 0)
                                     for key in c.values],
@@ -415,7 +423,9 @@ def is_coboundary(spec, f):
 
 
 def pair(spec, f, c):
-    """Evaluation <f, c> = sum_t c_t f(t) in the coefficient ring."""
+    """Evaluation <f, c> = sum_t c_t f(t) in the coefficient ring, c a
+    chain on the spec's basis."""
+    _check_chain(spec, c)
     acc = spec.ring.zero()
     for key, coef in c.values.items():
         acc = spec.ring.add(acc, spec.ring.mul(coef, f(key)))

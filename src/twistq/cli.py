@@ -12,14 +12,10 @@ computation fails, 64 for usage errors and 70 for an internal error (a
 bug in twistq: any other exception), which prints one line,
 `internal error: <type>: <message>`, to standard error and no report.
 
-A process builds and loads only what its command runs: the parser gives
-options only to the command that argv's leading words name (every other
-command is still registered by name, so usage and help read the same),
-each handler imports its computation modules when it runs, hashlib
-loads only for a report and the catalog runner, `twistq.catalog`, only
-for verify-suite, whose `catalog.run` opens the store `_shared` keeps
-for one run.  Run as `python -m twistq.cli`, this module registers
-itself as twistq.cli, so the catalog imports no second copy.
+A process loads only what its command runs: each handler imports its
+computation modules when it runs, hashlib loads only for a report and
+the catalog runner, `twistq.catalog`, only for verify-suite, whose
+`catalog.run` opens the store `_shared` keeps for one run.
 """
 
 import argparse
@@ -367,10 +363,8 @@ _COMMANDS = {
 _DESTS = ("subcommand", "action", "family")
 
 
-def build_parser(command=None):
-    """The twistq parser; given a command path, only that command gets
-    its options.  Every command stays registered by name, so usage, help
-    and errors read the same as with all options."""
+def build_parser():
+    """The twistq parser, one subcommand per path of the command table."""
     parser = CliParser(prog="twistq",
                        description="Twisted quandle homology, cocycles and "
                                    "cocycle state-sum invariants.")
@@ -386,32 +380,15 @@ def build_parser(command=None):
                 subs[words[:depth]] = node.add_subparsers(
                     dest=_DESTS[depth], required=True, parser_class=CliParser)
         p = subs[words[:-1]].add_parser(words[-1])
-        if command in (None, path):
-            for flag, keywords in options:
-                p.add_argument(flag, **keywords)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
         p.set_defaults(command_path=path)
     return parser
 
 
-def _command_path(argv):
-    """The command path that argv's leading words (those before its first
-    option) name, else None.  argparse reaches that command through those
-    words alone, so it parses no other command's options."""
-    words = []
-    for arg in argv:
-        if arg.startswith("-"):
-            break
-        words.append(arg)
-    for path in _COMMANDS:
-        if path.split() == words[:path.count(" ") + 1]:
-            return path
-    return None
-
-
 def main(argv=None):
     started = time.monotonic()
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(_command_path(argv)).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         inputs = _resolve_inputs(args)
         result = _COMMANDS[args.command_path][0](inputs)
@@ -444,8 +421,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    # no second compile for the catalog; where a runner gives this code no
-    # module (cProfile -m), catalog.run opens the store of the one it imports
-    if vars(sys.modules["__main__"]) is globals():
-        sys.modules["twistq.cli"] = sys.modules["__main__"]
     sys.exit(main())

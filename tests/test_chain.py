@@ -500,6 +500,19 @@ class TestCohomology:
         f = Cochain(R3, 2, {(0, 1): (1,)})
         assert pair(s, f, Chain(R3, 2)) == R3.zero()
 
+    @pytest.mark.parametrize("variant,key,reason", [
+        ("TQ", (0, 0), "degenerate tuple (0, 0) in a TQ chain"),
+        ("TD", (0, 1), "non-degenerate tuple (0, 1) in a TD chain"),
+        ("TR", (0, 3), "chain key (0, 3) is outside the quandle"),
+    ])
+    def test_pair_refuses_what_boundary_refuses(self, variant, key, reason):
+        s = spec(dihedral_quandle(3), R3, variant, 2)
+        c = Chain(R3, 2, {key: R3.one()})
+        for call in (boundary, lambda s, c: pair(s, Cochain(R3, 2), c)):
+            with pytest.raises(ValueError) as info:
+                call(s, c)
+            assert str(info.value) == reason
+
 
 class TestText:
     def test_roundtrip(self):

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import pstats
+import re
 import subprocess
 import sys
 import time
@@ -1027,6 +1028,10 @@ _REFUSALS = {
         "unknown triple point field 'junk'"),
     "cochain-key-twice": (_VERIFY, {"x": "0,1 -> 1\n0,1 -> 2\n"},
                           "cochain key (0, 1) is declared twice"),
+    "degenerate-cycle-key": (
+        ["cocycle", "pair", "--variant", "TQ", "--degree", "2",
+         "--cocycle", "{ok}", "--cycle", "{x}"] + _R3, {"x": "0,0 -> 1\n"},
+        "degenerate tuple (0, 0) in a TQ chain"),
     "result-too-long-to-print": (
         ["cocycle", "pair", "--quandle", "T(2)", "--coeff", "Z[T]/(T^2-1)",
          "--degree", "2", "--cocycle", "{x}", "--cycle", "{x}"],
@@ -1445,9 +1450,9 @@ class TestCatalogDispatch:
 
 
 # A child process runs one command through main() and reports the twistq
-# modules (and dataclasses and hashlib) it holds afterwards.  It starts
-# with -S, so the site module's imports do not count, and finds twistq on
-# an explicit sys.path.
+# modules (and dataclasses, hashlib and importlib.resources) it holds
+# afterwards.  It starts with -S, so the site module's imports do not
+# count, and finds twistq on an explicit sys.path.
 _PROBE = """\
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -1456,9 +1461,10 @@ try:
     code = cli.main(sys.argv[2:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] in ("twistq", "dataclasses",
-                                                      "hashlib"))]))
+print(json.dumps([code, sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("twistq", "dataclasses", "hashlib")
+    or m.startswith("importlib.resources"))]))
 """
 _BASE = ["twistq", "twistq.cli"]
 _QUANDLE = _BASE + ["twistq.coeff", "twistq.limits", "twistq.quandle"]
@@ -1543,27 +1549,10 @@ def test_refused_input_loads_no_hashlib():
         [2, sorted(_QUANDLE)]
 
 
-def test_one_front_end_per_m_process(tmp_path):
-    # run as `python -m twistq.cli`, the front end is __main__ and
-    # registers itself as twistq.cli, so the catalog's import of it runs
-    # nothing a second time and finds the one table and store
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "twistq.cli",
-         "verify-suite"], capture_output=True, text=True, timeout=120,
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    imported = {line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert "twistq.catalog" in imported and "twistq.cli" not in imported
-    assert json.loads(proc.stdout)["result"]["failed"] == 0
-
-
 def test_every_launcher_prints_the_same_report(capsys, tmp_path):
-    # cProfile -m runs the front end through runpy.run_module, in a
-    # namespace of no module: it registers nothing, and the catalog
-    # imports a second twistq.cli, with the same report
+    # under -m the front end runs as __main__, and under cProfile -m in
+    # runpy's namespace of no module; either way the catalog imports
+    # twistq.cli as a second module and runs on its table and store
     code, out, _ = run(capsys, ["verify-suite"])
     assert code == 0 and json.loads(out)["result"]["failed"] == 0
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -1616,14 +1605,13 @@ def _outcome(capsys, argv):
                                  if not line.startswith("wall-time: "))
 
 
-def _parity(capsys, monkeypatch, argv):
-    """Assert main(argv) with the command's own parser gives what it gives
-    with the whole tree; returns that outcome."""
-    mine = _outcome(capsys, argv)
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_command_path", lambda argv: None)
-        assert _outcome(capsys, argv) == mine, argv
-    return mine
+def _assert_usage_error(out, err):
+    """No report, and on stderr the usage, its later lines indented, then
+    one error line."""
+    *usage, error, end = err.split("\n")
+    assert out == end == "" and usage[0].startswith("usage: "), err
+    assert all(line.startswith(" ") for line in usage[1:]), err
+    assert re.match(r"twistq( [\w-]+)*: error: ", error), err
 
 
 # argv words of the parser fuzz: every command word and option, the root's
@@ -1636,44 +1624,42 @@ _WORDS = sorted(
 
 
 class TestParserParity:
-    """main builds options only for the command argv's leading words
-    name; what it prints and returns is what the whole tree gives."""
+    """Every node of the parser tree answers --help and an unknown flag,
+    and no argv makes the parser crash or print more than one error."""
 
     @pytest.mark.parametrize("node", NODES, ids=[
         " ".join(node) or "twistq" for node in NODES])
-    def test_help_and_usage(self, capsys, monkeypatch, node):
-        monkeypatch.setenv("COLUMNS", "80")
-        assert _parity(capsys, monkeypatch, node + ["--help"])[0] == 0
-        assert _parity(capsys, monkeypatch, node + ["--bogus"])[0] == \
-            cli.EX_USAGE
+    def test_help_and_usage(self, capsys, node):
+        assert _outcome(capsys, node + ["--help"])[0] == 0
+        assert _outcome(capsys, node + ["--bogus"])[0] == cli.EX_USAGE
 
     @pytest.mark.parametrize("argv,code", [(a, c) for a, c, _ in _LOADS],
                              ids=_LOAD_IDS)
-    def test_commands(self, capsys, monkeypatch, tmp_path, argv, code):
-        assert _parity(capsys, monkeypatch,
-                       _with_files(tmp_path, argv))[0] == code
-
-    def test_only_the_named_command_gets_options(self):
-        def options(parser):
-            return [a.dest for a in parser._actions if a.option_strings]
-        assert cli._command_path(["cocycle", "construct", "lift", "-h"]) \
-            == "cocycle construct lift"
-        for argv in (["cocycle", "construct"], ["--pretty", "homology"],
-                     ["cocycle", "-x", "construct", "lift"], ["lift"]):
-            assert cli._command_path(argv) is None
-        subs = cli.build_parser("quandle iso")._subparsers._group_actions[0]
-        quandle = subs.choices["quandle"]._subparsers._group_actions[0]
-        assert options(quandle.choices["iso"]) == ["help", "first", "second"]
-        assert options(quandle.choices["info"]) == ["help"]
-        assert options(subs.choices["homology"]) == ["help"]
+    def test_commands(self, capsys, tmp_path, argv, code):
+        # in process, a command prints one report that names its path, or
+        # nothing but its usage and one error line
+        got, out, err = _outcome(capsys, _with_files(tmp_path, argv))
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["command"] == " ".join(
+                itertools.takewhile(lambda a: a[0] != "-", argv))
+            assert err == ""
+        else:
+            _assert_usage_error(out, err)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sampled_from(NODES), st.lists(st.sampled_from(_WORDS),
                                             max_size=7))
     def test_fuzzed_argv(self, capsys, monkeypatch, node, words):
-        # every handler is replaced: parity is the parser's, not the
-        # computation's, so a run only echoes the inputs it was given
+        # every handler is replaced and no file is read: the fuzz is the
+        # parser's, not the computation's, so a run only echoes its inputs
         for path, (_, options) in cli._COMMANDS.items():
             monkeypatch.setitem(cli._COMMANDS, path, (dict, options))
-        _parity(capsys, monkeypatch, node + words)
+        monkeypatch.setattr(cli, "_FILE_ARGS", set())
+        code, out, err = _outcome(capsys, node + words)
+        assert code in (0, cli.EX_USAGE), (node + words, err)
+        if code == 0:
+            assert err == ""
+        else:
+            _assert_usage_error(out, err)

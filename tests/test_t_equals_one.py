@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from twistq.chain import VARIANTS, ComplexSpec, homology
 from twistq.coeff import parse_ring
-from twistq.quandle import quandle_standard
+from twistq.quandle import quandle_product, quandle_standard
 
 T1 = parse_ring("Z[T]/(T-1)")
 
@@ -78,16 +78,30 @@ def test_recurrence():
     assert [f(n) for n in range(1, 11)] == [0, 0, 1, 1, 1, 2, 3, 4, 6, 9]
 
 
-@pytest.mark.parametrize("qname", QUANDLES)
-def test_free_ranks_at_t_equals_one(qname):
-    x = quandle_standard(qname)
+def check_free_ranks(x, top):
+    """The free ranks of x's TR, TQ and TD homology in degrees 1..top."""
     o = orbits(x)
-    top = 4 if x.size <= DEGREE_4_MAX_ORDER else 3
     for n in range(1, top + 1):
         for variant in VARIANTS:
             factors = homology(ComplexSpec(x, T1, variant, n)).invariant_factors
             assert factors.count(0) == free_rank(variant, o, n), \
-                (qname, variant, n, factors)
+                (x.name, variant, n, factors)
+
+
+@pytest.mark.parametrize("qname", QUANDLES)
+def test_free_ranks_at_t_equals_one(qname):
+    x = quandle_standard(qname)
+    check_free_ranks(x, 4 if x.size <= DEGREE_4_MAX_ORDER else 3)
+
+
+@pytest.mark.parametrize("first,second,o", [("R(3)", "T(2)", 2),
+                                            ("T(2)", "T(2)", 4)])
+def test_free_ranks_of_products(first, second, o):
+    # a product's orbits are the pairs of its factors' orbits; R(3) x R(3)
+    # is left out, its degree 3 alone taking over a second
+    x = quandle_product(quandle_standard(first), quandle_standard(second))
+    assert orbits(x) == o
+    check_free_ranks(x, 3)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
